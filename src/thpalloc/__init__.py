@@ -2,7 +2,7 @@
 
 Two-layer architecture: users are partitioned into groups by channel
 quality (worst first), then each group gets its subcarriers through an
-exact min-cost-flow assignment whose costs come from closed-form
+exact quota-replicated linear assignment whose costs come from closed-form
 MSE-constrained minimum-power transceivers. Tomlinson-Harashima
 precoding at user level removes all cross-group interference.
 """

@@ -15,20 +15,17 @@ per-stream gain of the scheme at hand. The resulting cost is
     sigma^2 * (n/gamma) * (sum_l 1/g_l ... per scheme)^2
 
 with 1/g_l equal to ||f_l|| (ZF columns), 1/|r_ll| (QR diagonal) or
-lambda^{-1/2} (squared singular values of the projected channel, which
-linear_bdzf_cost whitens first).
+lambda^{-1/2} (squared singular values of the projected channel).
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
 from thpalloc.loading import INFEASIBLE_COST, effective_gains, loading_cost
-from thpalloc.precoding import (RANK_TOL, NullSpaceBasis, effective_channel,
-                                null_space_basis)
+from thpalloc.precoding import RANK_TOL, effective_channel, null_space_basis
 
 
 class Architecture(str, Enum):
@@ -147,53 +144,6 @@ def linear_mutual_cost(h_k: np.ndarray, co_channels: list[np.ndarray],
     if lam is None:
         return INFEASIBLE_COST
     return loading_cost(lam, gamma_k, n_k, noise_variance)
-
-
-def linear_bdzf_cost(h_k: np.ndarray, basis: NullSpaceBasis,
-                     fixed_forward: list[np.ndarray], gamma_k: float,
-                     n_k: int, noise_variance: float, symbol_variance: float,
-                     streams: int) -> float:
-    """Linear Tx / linear Rx cost with earlier-group interference
-    treated as Gaussian noise.
-
-    The candidate keeps the null-space projection (protecting users
-    placed after it) but has no THP feedback, so interference from the
-    forward matrices already fixed on the subcarrier is whitened into
-    the noise floor before the minimum-power loading runs.
-    """
-    n_r = h_k.shape[0]
-    r_i = np.zeros((n_r, n_r), dtype=complex)
-    for f in fixed_forward:
-        hf = h_k @ f
-        r_i += symbol_variance * (hf @ hf.conj().T)
-    cov = noise_variance * np.eye(n_r) + r_i
-    w = _inv_sqrt(cov)
-    eff = effective_channel(w @ h_k, basis)
-    lam = effective_gains(eff, streams)
-    if lam is None:
-        return INFEASIBLE_COST
-    # whitened noise has unit variance
-    return loading_cost(lam, gamma_k, n_k, 1.0)
-
-
-def whitened_effective(h_k: np.ndarray, basis: NullSpaceBasis,
-                       fixed_forward: list[np.ndarray],
-                       noise_variance: float, symbol_variance: float):
-    """Whitened projected channel for the linear baseline's transceiver."""
-    n_r = h_k.shape[0]
-    r_i = np.zeros((n_r, n_r), dtype=complex)
-    for f in fixed_forward:
-        hf = h_k @ f
-        r_i += symbol_variance * (hf @ hf.conj().T)
-    cov = noise_variance * np.eye(n_r) + r_i
-    return effective_channel(_inv_sqrt(cov) @ h_k, basis)
-
-
-def _inv_sqrt(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(cov)
-    if np.min(vals) <= 0:
-        raise np.linalg.LinAlgError("covariance not positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
 def restrict_rows(h: np.ndarray, streams: int) -> np.ndarray:

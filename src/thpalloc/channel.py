@@ -52,6 +52,12 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.pdp_taps < 1:
+            raise ValueError("pdp_taps must be >= 1")
+        if self.cell_radius_m <= 0:
+            raise ValueError("cell_radius_m must be positive")
+        if not 0 <= self.min_user_distance_m <= self.cell_radius_m:
+            raise ValueError("min_user_distance_m must lie in [0, cell_radius_m]")
         if self.pdp_decay == 0.0:
             # last tap 20 dB below the first
             d = 1.0 if self.pdp_taps == 1 else 0.01 ** (1.0 / (self.pdp_taps - 1))

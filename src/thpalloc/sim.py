@@ -1,7 +1,7 @@
 """Two-layer pipeline orchestration and Monte Carlo sweeps.
 
 One drop runs: channel-quality metrics -> worst-first partition ->
-per-group cost matrices -> per-group min-cost-flow assignment (groups
+per-group cost matrices -> per-group exact assignment (groups
 in order, so later groups see the users already placed) -> feedback
 and transceiver matrices. Sweeps repeat this over drops and target-MSE
 (or user-count) axes with all architectures paired on identical drops.

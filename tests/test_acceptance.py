@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from thpalloc.assignment import brute_force_assignment, solve_assignment
+from oracles import brute_force_assignment
+from thpalloc.assignment import solve_assignment
 from thpalloc.baselines import Architecture
 from thpalloc.channel import generate_drop, scenario_preset
 from thpalloc.cli import config_for_users, main
@@ -132,7 +133,7 @@ def test_criterion_1_proposition1_oracle():
 
 
 # --------------------------------------------------------------------------
-# Criterion 2: min-cost-flow assignment vs brute force
+# Criterion 2: assignment solver vs brute force
 # --------------------------------------------------------------------------
 
 def test_criterion_2_assignment_oracle():
@@ -161,7 +162,7 @@ def test_criterion_2_assignment_oracle():
         solved += 1
     elapsed = time.monotonic() - start
     ok = solved == 500 and elapsed < 30
-    verdict(2, "min-cost-flow equals brute force on 500 instances "
+    verdict(2, "assignment solver equals brute force on 500 instances "
                "(tol 1e-9), quotas and exclusivity hold", ok,
             f"{solved} instances, {elapsed:.1f}s")
     assert ok

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brute_force_assignment
 from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
-                                 brute_force_assignment, solve_assignment)
+                                 solve_assignment)
 
 
 def check_constraints(result: Assignment, costs, quotas):
@@ -41,11 +42,29 @@ class TestSolveAssignment:
             solve_assignment(costs, [1, 1])
         assert exc.value.blocking_users == [1]
 
+    def test_hall_violation_names_one_blocking_user(self):
+        # every user has a usable subcarrier, but users 0 and 1 share
+        # their only one: counting passes and the solve itself fails
+        costs = np.array([[1.0, 2.0, 3.0],
+                          [math.inf, math.inf, 1.0],
+                          [math.inf, math.inf, 2.0]])
+        with pytest.raises(InfeasibleAssignmentError) as exc:
+            solve_assignment(costs, [1, 1, 1])
+        blocking = exc.value.blocking_users
+        assert len(blocking) == 1 and blocking[0] in (0, 1)
+
     def test_infinite_entries_never_used(self):
         costs = np.array([[math.inf, 1.0], [5.0, math.inf], [7.0, 2.0]])
         res = solve_assignment(costs, [1, 1])
         check_constraints(res, costs, [1, 1])
         assert res.total_cost == pytest.approx(6.0)  # user0->sc1, user1->sc0
+
+    def test_zero_costs_are_usable(self):
+        costs = np.array([[0.0, 0.0], [0.0, math.inf], [5.0, 0.0]])
+        res = solve_assignment(costs, [2, 1])
+        check_constraints(res, costs, [2, 1])
+        assert res.a[:, 1].tolist() == [0, 0, 1]
+        assert res.total_cost == 0.0
 
     def test_constant_shift_property(self):
         rng = np.random.default_rng(0)

@@ -92,6 +92,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="constellation_size"):
             small_config(constellation_size=32)
 
+    def test_no_pdp_taps(self):
+        with pytest.raises(ValueError, match="pdp_taps"):
+            small_config(pdp_taps=0)
+
+    def test_nonpositive_cell_radius(self):
+        with pytest.raises(ValueError, match="cell_radius_m"):
+            small_config(cell_radius_m=0.0)
+
+    @pytest.mark.parametrize("distance", [-1.0, 150.0])
+    def test_min_user_distance_outside_cell(self, distance):
+        # beyond the radius, the placement sampler could never accept
+        with pytest.raises(ValueError, match="min_user_distance_m"):
+            small_config(cell_radius_m=100.0, min_user_distance_m=distance)
+
     def test_default_pdp_decay_is_20db_over_taps(self):
         cfg = small_config()
         assert cfg.pdp_decay ** (cfg.pdp_taps - 1) == pytest.approx(0.01)

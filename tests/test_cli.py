@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import thpalloc
 from thpalloc.baselines import Architecture
 from thpalloc.channel import scenario_preset
 from thpalloc.cli import (build_parser, config_for_users, load_config_file,
@@ -130,6 +135,27 @@ class TestEndToEnd:
         assert run_main(argv + ["--workers", "1", "--out", str(a)]) == 0
         assert run_main(argv + ["--workers", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("bad_line", ["min_user_distance_m = 150",
+                                          "pdp_taps = 0"])
+    def test_invalid_config_file_exits_2_promptly(self, tmp_path, bad_line):
+        # a child process, so a hang fails on the timeout instead of
+        # stalling the suite
+        path = tmp_path / "scenario.cfg"
+        path.write_text("num_subcarriers = 8\nnum_users = 4\n"
+                        "tx_antennas = 4\nrx_antennas = 2\n"
+                        "streams_per_user = 2\nquota = 2\n"
+                        "mse_budget = 1.0\ncell_radius_m = 100\n"
+                        f"{bad_line}\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(thpalloc.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "thpalloc.cli", "sweep", "--config",
+             str(path), "--drops", "1", "--out", str(tmp_path / "o.csv")],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert "error" in proc.stderr
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         code = run_main(["sweep", "--scenario", "S3", "--rho", "0.25",
