@@ -100,6 +100,20 @@ class ScenarioConfig:
         budget = tuple(n * self.streams_per_user * rho for n in self.quota)
         return replace(self, mse_budget=budget)
 
+    def with_users(self, num_users: int, rho: float) -> "ScenarioConfig":
+        """The same scenario shared equally by num_users users.
+
+        Quotas become floor(N * Q / K), so every group stays feasible;
+        budgets follow gamma_k = n_k * L * rho.
+        """
+        n_k = (self.num_subcarriers * self.group_count) // num_users
+        if n_k < 1:
+            raise ValueError(f"too many users ({num_users}) for "
+                             f"{self.num_subcarriers} subcarriers")
+        return replace(
+            self, num_users=num_users, quota=(n_k,) * num_users,
+            mse_budget=(n_k * self.streams_per_user * rho,) * num_users)
+
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -136,26 +150,17 @@ _PRESETS = {
 
 def scenario_preset(preset_id: str, num_users: int = 16, rho: float = 0.25,
                     rng_seed: int = 0, **overrides) -> ScenarioConfig:
-    """Build one of the reference scenarios S1/S2/S3.
-
-    Quotas default to floor(N * Q / K) subcarriers per user (equal to
-    N*Q/K exactly for the reference K = 16) and the sum-MSE budget is
-    gamma_k = n_k * L * rho.
-    """
+    """Build one of the reference scenarios S1/S2/S3, shared equally by
+    num_users users (see ScenarioConfig.with_users); for the reference
+    K = 16 each user gets exactly N*Q/K subcarriers."""
     if preset_id not in _PRESETS:
         raise ValueError(f"unknown scenario '{preset_id}'; valid: {sorted(_PRESETS)}")
-    p = dict(_PRESETS[preset_id])
+    p = dict(_PRESETS[preset_id], rng_seed=rng_seed, **overrides)
     q = p["tx_antennas"] // p["rx_antennas"]
-    if num_users % q != 0:
-        raise ValueError(f"num_users must be divisible by Q={q}")
-    n_k = (p["num_subcarriers"] * q) // num_users
-    if n_k < 1:
-        raise ValueError("too many users: quota would be zero")
-    quota = (n_k,) * num_users
-    budget = (n_k * p["streams_per_user"] * rho,) * num_users
-    p.update(num_users=num_users, quota=quota, mse_budget=budget,
-             rng_seed=rng_seed, **overrides)
-    return ScenarioConfig(**p)
+    # one user per group on one subcarrier, to be re-shared below
+    single = ScenarioConfig(num_users=q, quota=(1,) * q,
+                            mse_budget=(1.0,) * q, **p)
+    return single.with_users(num_users, rho)
 
 
 def pdp_powers(num_taps: int, decay: float) -> np.ndarray:

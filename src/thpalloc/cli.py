@@ -59,23 +59,6 @@ def load_config_file(path: str) -> ScenarioConfig:
         raise ValueError(f"bad config file: {exc}") from exc
 
 
-def config_for_users(base: ScenarioConfig, num_users: int,
-                     rho: float) -> ScenarioConfig:
-    """Resize a scenario to a different user count.
-
-    Quotas become floor(N * Q / K) so every group stays feasible;
-    budgets follow gamma_k = n_k * L * rho.
-    """
-    q = base.group_count
-    n_k = (base.num_subcarriers * q) // num_users
-    if n_k < 1:
-        raise ValueError(f"too many users ({num_users}) for "
-                         f"{base.num_subcarriers} subcarriers")
-    return dataclasses.replace(
-        base, num_users=num_users, quota=(n_k,) * num_users,
-        mse_budget=(n_k * base.streams_per_user * rho,) * num_users)
-
-
 def parse_arch_list(token: str) -> list[Architecture]:
     if token.lower() == "all":
         return list(Architecture)
@@ -155,18 +138,15 @@ def emit_detail_csv(result: SweepResult, path: str) -> None:
 
 def run_from_spec(args) -> SweepResult:
     if args.scenario:
-        def base_for(num_users, rho):
-            return scenario_preset(args.scenario, num_users=num_users,
-                                   rho=rho, rng_seed=args.seed)
-        base = base_for(16, args.rho[0])
+        base = scenario_preset(args.scenario, rho=args.rho[0],
+                               rng_seed=args.seed)
     else:
         base = load_config_file(args.config)
         base = dataclasses.replace(base, rng_seed=args.seed)
 
     if args.users:
         rho = args.rho[0]
-        points = [(float(k), config_for_users(base, k, rho))
-                  for k in args.users]
+        points = [(float(k), base.with_users(k, rho)) for k in args.users]
         axis_name = "users"
     else:
         points = [(rho, base.with_rho(rho)) for rho in args.rho]

@@ -10,6 +10,12 @@ closed form U = V1 diag(lambda_U)^(1/2) S^H with
 obtained by substituting the water-filling form into the active
 constraint. The constant-modulus unitary S (unitary DFT) equalizes the
 per-stream MSEs at gamma/(n*L).
+
+Every architecture prices a (subcarrier, user) pair with the same
+closed form, `loading_cost`, fed the inverse per-stream gains of its
+own precoder. `projected_cost` is that price for a channel confined to
+a null-space basis: the proposed scheme's candidate cost, and each
+user's bill in the LinTxLinRx baseline.
 """
 
 from __future__ import annotations
@@ -18,10 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import dft
 
-from thpalloc.precoding import (RANK_TOL, EffectiveChannel, NullSpaceBasis,
-                                effective_channel, null_space_basis)
+from thpalloc.precoding import (EffectiveChannel, NullSpaceBasis,
+                                effective_channel)
 
 INFEASIBLE_COST = math.inf
 
@@ -38,7 +43,7 @@ class PowerLoading:
 
 def equalizing_rotation(streams: int) -> np.ndarray:
     """Unitary DFT matrix; |S_ij| = 1/sqrt(L) equalizes per-stream MSEs."""
-    return dft(streams, scale="sqrtn")
+    return np.fft.fft(np.eye(streams), norm="ortho")
 
 
 def power_loading(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
@@ -57,11 +62,16 @@ def power_loading(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
                         per_stream_mse=per_sc / streams)
 
 
-def loading_cost(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
+def loading_cost(inverse_gains: np.ndarray, gamma_k: float, n_k: int,
                  noise_variance: float) -> float:
-    """Transmit power sum(lambda_U) without building the full loading."""
-    lam = np.asarray(lambda_hp, dtype=float)
-    return noise_variance * (n_k / gamma_k) * float(np.sum(lam ** -0.5)) ** 2
+    """Least transmit power meeting the sum-MSE budget with equality,
+
+        sigma^2 * (n/gamma) * (sum_l 1/g_l)^2,
+
+    from the inverse per-stream gains 1/g_l: lambda_H'(l)^(-1/2) for a
+    projected channel, the column norms of a zero-forcing precoder, or
+    1/|r_ll| of a QR-based THP precoder."""
+    return noise_variance * (n_k / gamma_k) * float(np.sum(inverse_gains)) ** 2
 
 
 def transmit_matrix(v1: np.ndarray, loading: PowerLoading,
@@ -88,48 +98,15 @@ def effective_gains(eff: EffectiveChannel, streams: int) -> np.ndarray | None:
     return eff.singular_values[:streams] ** 2
 
 
-def subcarrier_cost(channels, placed_users: list[int], n: int, k: int,
-                    gamma_k: float, n_k: int, noise_variance: float,
-                    streams: int) -> float:
-    """Power cost of giving subcarrier n to user k, given the users
-    already placed on n by earlier groups. Infinite when the projected
-    channel cannot carry L streams."""
-    h_all = channels.matrices[n]
-    stack = (np.vstack([h_all[i] for i in placed_users])
-             if placed_users else np.empty((0, h_all.shape[2])))
-    basis = null_space_basis(stack, h_all.shape[2])
-    eff = effective_channel(h_all[k], basis)
-    lam = effective_gains(eff, streams)
+def projected_cost(h: np.ndarray, basis: NullSpaceBasis, gamma_k: float,
+                   n_k: int, noise_variance: float, streams: int) -> float:
+    """Least power for user channel h transmitted in the null space
+    `basis`; infinite when the projected channel cannot carry L
+    streams."""
+    lam = effective_gains(effective_channel(h, basis), streams)
     if lam is None:
         return INFEASIBLE_COST
-    return loading_cost(lam, gamma_k, n_k, noise_variance)
-
-
-def bisect_nu(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
-              noise_variance: float, tol: float = 1e-14) -> float:
-    """Root-find nu on the active MSE constraint; cross-checks the
-    closed form in tests."""
-    lam = np.asarray(lambda_hp, dtype=float)
-    target = gamma_k / n_k
-
-    def mse_sum(nu):
-        lam_u = np.sqrt(nu * noise_variance / lam)
-        return float(np.sum(noise_variance / (lam_u * lam)))
-
-    lo, hi = 1e-30, 1.0
-    while mse_sum(hi) > target:
-        hi *= 4.0
-    while mse_sum(lo) < target:
-        lo /= 4.0
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mse_sum(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo - 1.0 < tol:
-            break
-    return math.sqrt(lo * hi)
+    return loading_cost(lam ** -0.5, gamma_k, n_k, noise_variance)
 
 
 __all__ = [
@@ -141,11 +118,5 @@ __all__ = [
     "transmit_matrix",
     "receiver_matrix",
     "effective_gains",
-    "subcarrier_cost",
-    "bisect_nu",
-    "null_space_basis",
-    "effective_channel",
-    "NullSpaceBasis",
-    "EffectiveChannel",
-    "RANK_TOL",
+    "projected_cost",
 ]

@@ -2,9 +2,17 @@
 
 One drop runs: channel-quality metrics -> worst-first partition ->
 per-group cost matrices -> per-group exact assignment (groups
-in order, so later groups see the users already placed) -> feedback
-and transceiver matrices. Sweeps repeat this over drops and target-MSE
-(or user-count) axes with all architectures paired on identical drops.
+in order, so later groups see the users already placed) -> final
+power -> feedback and transceiver matrices (proposed scheme only).
+Sweeps repeat this over drops and target-MSE (or user-count) axes with
+all architectures paired on identical drops.
+
+Pricing is stateless: a cost row depends only on the users already
+placed on the subcarrier. The proposed scheme prices a candidate with
+loading.projected_cost in the null space of the placed users and is
+billed the sum of its committed costs. Each baseline has one billing
+function in `baselines`; its candidate cost and its final power are
+both read from the bills of a subcarrier's stack.
 """
 
 from __future__ import annotations
@@ -20,9 +28,9 @@ from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
                                  solve_assignment)
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
-from thpalloc.loading import (INFEASIBLE_COST, effective_gains,
-                              equalizing_rotation, power_loading,
-                              receiver_matrix, transmit_matrix)
+from thpalloc.loading import (effective_gains, equalizing_rotation,
+                              power_loading, projected_cost, receiver_matrix,
+                              transmit_matrix)
 from thpalloc.partition import GroupPartition, channel_quality, partition_worst_first
 from thpalloc.precoding import (effective_channel, feedback_matrix, modulo,
                                 null_space_basis, thp_precode)
@@ -58,7 +66,6 @@ class DropResult:
     assignments: tuple[Assignment, ...] = ()
     total_power: float = math.nan        # linear, sigma_d^2 * sum tr(U^H U)
     power_db: float = math.nan           # 10 log10(total / sigma^2)
-    user_mse: np.ndarray | None = None   # analytic per-user sum-MSE
     pair_costs: dict = field(default_factory=dict)  # (n, k) -> cost
     plans: tuple[SubcarrierPlan | None, ...] = ()   # proposed scheme only
     infeasible_reason: str = ""
@@ -98,136 +105,64 @@ class SweepResult:
         return 1.0 - self.feasible.mean(axis=1)
 
 
-def _group_quotas(config: ScenarioConfig, users) -> list[int]:
-    return [config.quota[k] for k in users]
+def _bills(config, h_all, users, architecture) -> list[float]:
+    """Each user's power under a baseline's precoder, with `users`
+    stacked in placement order on the subcarrier with channels h_all."""
+    # looked up on the module at each call, so a wrapper installed on
+    # `baselines` (a profiler, a test double) sees every call
+    bills = (baselines.zf_bills if architecture is Architecture.ZF_TX else
+             baselines.thp_bills if architecture is Architecture.THP_TX else
+             baselines.linear_bills)
+    return bills(
+        h_all[users], [config.mse_budget[k] for k in users],
+        [config.quota[k] for k in users], config.noise_variance,
+        config.streams_per_user)
 
 
-def _proposed_costs(config, channels, placed, users):
-    """Cost matrix for the proposed (and identical group-1 linear) scheme."""
-    n_sub = config.num_subcarriers
-    costs = np.empty((n_sub, len(users)))
-    for n in range(n_sub):
-        h_all = channels.matrices[n]
-        stack = (np.vstack([h_all[i] for i in placed[n]]) if placed[n]
-                 else np.empty((0, config.tx_antennas)))
-        basis = null_space_basis(stack, config.tx_antennas)
-        for j, k in enumerate(users):
-            eff = effective_channel(h_all[k], basis)
-            lam = effective_gains(eff, config.streams_per_user)
-            if lam is None:
-                costs[n, j] = INFEASIBLE_COST
-            else:
-                costs[n, j] = power_loading(
-                    lam, config.mse_budget[k], config.quota[k],
-                    config.noise_variance).cost
-    return costs
+def _stack_power(config, h_all, users, architecture) -> float:
+    """Total of `_bills`; zero on an empty subcarrier."""
+    return sum(_bills(config, h_all, users, architecture)) if users else 0.0
 
 
-def _zf_costs(config, channels, placed, users):
-    ell = config.streams_per_user
-    n_sub = config.num_subcarriers
-    costs = np.empty((n_sub, len(users)))
-    for n in range(n_sub):
-        h_all = channels.matrices[n]
-        fixed = [baselines.restrict_rows(h_all[i], ell) for i in placed[n]]
-        for j, k in enumerate(users):
-            stack = fixed + [baselines.restrict_rows(h_all[k], ell)]
-            costs[n, j] = baselines.zf_cost(
-                stack, len(fixed), config.mse_budget[k], config.quota[k],
-                config.noise_variance, ell)
-    return costs
+def _cost_row(config, h_all, placed, users, architecture) -> list[float]:
+    """Price each candidate in `users` on one subcarrier given the users
+    `placed` there by earlier groups.
+
+    The proposed scheme prices the candidate in the null space of the
+    placed users; its costs are exact shares of the final power. ZfTx
+    bills the candidate within the stack of placed users plus itself.
+    ThpTx's allocator is spatially blind and bills it alone; the price
+    of that blindness is paid by the final stacked precoder. LinTxLinRx
+    charges the growth of the whole stack's power, since adding the
+    candidate re-projects every placed user.
+    """
+    if architecture is Architecture.THP_TX_LIN_RX:
+        basis = null_space_basis(h_all[placed].reshape(-1, config.tx_antennas),
+                                 config.tx_antennas)
+        return [projected_cost(h_all[k], basis, config.mse_budget[k],
+                               config.quota[k], config.noise_variance,
+                               config.streams_per_user) for k in users]
+    if architecture is Architecture.LIN_TX_LIN_RX:
+        base = _stack_power(config, h_all, placed, architecture)
+        return [_stack_power(config, h_all, placed + [k], architecture) - base
+                for k in users]
+    fixed = [] if architecture is Architecture.THP_TX else placed
+    return [_bills(config, h_all, fixed + [k], architecture)[-1]
+            for k in users]
 
 
-def _thp_qr_costs(config, channels, placed, users):
-    """Single-user allocation costs for the plug-in THP baseline.
-
-    The precoder removes co-channel interference at the transmitter, so
-    its allocator ranks subcarriers by each user's own channel only; the
-    spatial compatibility of co-channel users is never consulted. The
-    price of that blindness is paid by the final stacked precoder
-    (thp_final_power)."""
-    ell = config.streams_per_user
-    n_sub = config.num_subcarriers
-    costs = np.empty((n_sub, len(users)))
-    for n in range(n_sub):
-        h_all = channels.matrices[n]
-        for j, k in enumerate(users):
-            costs[n, j] = baselines.thp_qr_cost(
-                [baselines.restrict_rows(h_all[k], ell)],
-                config.mse_budget[k], config.quota[k],
-                config.noise_variance, ell)
-    return costs
-
-
-def _linear_costs(config, channels, placed, mutual_cost, users):
-    """Incremental total-power costs for the mutually block-diagonalized
-    linear scheme: adding the candidate re-projects every user already
-    fixed on the subcarrier, so the candidate is charged its own cost
-    plus the extra power the fixed users now need."""
-    n_sub = config.num_subcarriers
-    ell = config.streams_per_user
-    sigma2 = config.noise_variance
-    costs = np.empty((n_sub, len(users)))
-    for n in range(n_sub):
-        h_all = channels.matrices[n]
-        fixed = placed[n]
-        for j, k in enumerate(users):
-            delta = baselines.linear_mutual_cost(
-                h_all[k], [h_all[i] for i in fixed], config.mse_budget[k],
-                config.quota[k], sigma2, ell)
-            for i in fixed:
-                others = [h_all[x] for x in fixed if x != i] + [h_all[k]]
-                delta += (baselines.linear_mutual_cost(
-                    h_all[i], others, config.mse_budget[i], config.quota[i],
-                    sigma2, ell) - mutual_cost[n][i])
-            costs[n, j] = delta
-    return costs
-
-
-def _refresh_mutual_costs(config, channels, placed, mutual_cost):
-    """Recompute each placed user's mutually projected cost after a
-    group round changed the co-channel sets."""
-    ell = config.streams_per_user
-    for n in range(config.num_subcarriers):
-        h_all = channels.matrices[n]
-        for i in placed[n]:
-            mutual_cost[n][i] = baselines.linear_mutual_cost(
-                h_all[i], [h_all[x] for x in placed[n] if x != i],
-                config.mse_budget[i], config.quota[i],
-                config.noise_variance, ell)
-
-
-def _final_power(config, channels, placed, architecture, pair_costs,
-                 mutual_cost):
+def _final_power(config, channels, placed, architecture, pair_costs):
     """Total transmit power of the finished plan, linear scale.
 
-    The proposed scheme's sequential costs are exact final powers. The
-    baselines recompute from the final per-subcarrier stacks: the
-    blind-allocation THP and channel-inversion schemes because their
-    assignment costs ignore or only partially track co-channel users,
-    the linear scheme from its mutually projected loadings."""
-    ell = config.streams_per_user
+    The proposed scheme's sequential costs are exact final powers. Each
+    baseline is billed on its final per-subcarrier stacks, since its
+    assignment costs ignore or only partially track co-channel users."""
     if architecture is Architecture.THP_TX_LIN_RX:
-        return config.symbol_variance * sum(pair_costs.values())
-    if architecture is Architecture.LIN_TX_LIN_RX:
-        return config.symbol_variance * sum(
-            mutual_cost[n][i] for n in range(config.num_subcarriers)
-            for i in placed[n])
-    total = 0.0
-    for n in range(config.num_subcarriers):
-        users = placed[n]
-        if not users:
-            continue
-        h_all = channels.matrices[n]
-        blocks = [baselines.restrict_rows(h_all[i], ell) for i in users]
-        budgets = [config.mse_budget[i] for i in users]
-        quotas = [config.quota[i] for i in users]
-        if architecture is Architecture.THP_TX:
-            total += baselines.thp_final_power(
-                blocks, budgets, quotas, config.noise_variance, ell)
-        else:
-            total += baselines.zf_final_power(
-                blocks, budgets, quotas, config.noise_variance, ell)
+        total = sum(pair_costs.values())
+    else:
+        total = sum(_stack_power(config, channels.matrices[n], placed[n],
+                                 architecture)
+                    for n in range(config.num_subcarriers))
     return config.symbol_variance * total
 
 
@@ -245,9 +180,9 @@ def _build_plans(config, channels, placed):
         pairs = []
         forwards = []
         for pos, k in enumerate(users):
-            stack = (np.vstack([h_all[i] for i in users[:pos]]) if pos
-                     else np.empty((0, config.tx_antennas)))
-            basis = null_space_basis(stack, config.tx_antennas)
+            basis = null_space_basis(
+                h_all[users[:pos]].reshape(-1, config.tx_antennas),
+                config.tx_antennas)
             eff = effective_channel(h_all[k], basis)
             lam = effective_gains(eff, ell)
             loading = power_loading(lam, config.mse_budget[k],
@@ -266,13 +201,6 @@ def _build_plans(config, channels, placed):
     return tuple(plans)
 
 
-_COST_FNS = {
-    Architecture.THP_TX_LIN_RX: _proposed_costs,
-    Architecture.ZF_TX: _zf_costs,
-    Architecture.THP_TX: _thp_qr_costs,
-}
-
-
 def run_drop(config: ScenarioConfig, channels: ChannelSet,
              architecture: Architecture) -> DropResult:
     """Run the full two-layer pipeline for one architecture on one drop."""
@@ -280,49 +208,38 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
                         for k in range(config.num_users)])
     partition = partition_worst_first(quality, config.group_count)
 
-    n_sub = config.num_subcarriers
-    placed: list[list[int]] = [[] for _ in range(n_sub)]
-    mutual_cost: list[dict[int, float]] = [{} for _ in range(n_sub)]
+    placed: list[list[int]] = [[] for _ in range(config.num_subcarriers)]
     assignments = []
     pair_costs: dict[tuple[int, int], float] = {}
-    linear = architecture is Architecture.LIN_TX_LIN_RX
-
     for users in partition.groups:
-        if linear:
-            costs = _linear_costs(config, channels, placed, mutual_cost,
-                                  users)
-        else:
-            costs = _COST_FNS[architecture](config, channels, placed, users)
+        costs = np.array([_cost_row(config, channels.matrices[n], placed[n],
+                                    users, architecture)
+                          for n in range(config.num_subcarriers)])
         try:
-            assignment = solve_assignment(costs, _group_quotas(config, users))
+            assignment = solve_assignment(costs,
+                                          [config.quota[k] for k in users])
         except InfeasibleAssignmentError as exc:
             return DropResult(architecture=architecture, feasible=False,
                               partition=partition,
                               infeasible_reason=str(exc))
         assignments.append(assignment)
-        for n in range(n_sub):
-            for j, k in enumerate(users):
-                if assignment.a[n, j]:
-                    placed[n].append(k)
-                    pair_costs[(n, k)] = costs[n, j]
-        if linear:
-            _refresh_mutual_costs(config, channels, placed, mutual_cost)
+        for n, j in np.argwhere(assignment.a).tolist():
+            placed[n].append(users[j])
+            pair_costs[(n, users[j])] = costs[n, j]
 
-    total = _final_power(config, channels, placed, architecture, pair_costs,
-                         mutual_cost)
+    total = _final_power(config, channels, placed, architecture, pair_costs)
     if not math.isfinite(total):
         return DropResult(architecture=architecture, feasible=False,
                           partition=partition,
                           infeasible_reason="final precoder stack is rank "
                                             "deficient on some subcarrier")
     power_db = 10.0 * math.log10(total / config.noise_variance)
-    user_mse = np.asarray(config.mse_budget, dtype=float)  # active budgets
     plans = (_build_plans(config, channels, placed)
              if architecture is Architecture.THP_TX_LIN_RX else ())
     return DropResult(architecture=architecture, feasible=True,
                       partition=partition, assignments=tuple(assignments),
                       total_power=total, power_db=power_db,
-                      user_mse=user_mse, pair_costs=pair_costs, plans=plans)
+                      pair_costs=pair_costs, plans=plans)
 
 
 def _sweep_drop(args):

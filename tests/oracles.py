@@ -1,4 +1,5 @@
-"""Exhaustive oracles the tests compare the solvers against."""
+"""Exhaustive and iterative oracles the tests compare the solvers and
+closed forms against."""
 
 import itertools
 import math
@@ -51,3 +52,30 @@ def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
             a[n, k] = 1
     total = float(np.sum(np.where(a.astype(bool), costs, 0.0)))
     return Assignment(a=a, total_cost=total)
+
+
+def bisect_nu(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
+              noise_variance: float, tol: float = 1e-14) -> float:
+    """Root-find nu on the active MSE constraint; cross-checks the
+    closed form of loading.power_loading."""
+    lam = np.asarray(lambda_hp, dtype=float)
+    target = gamma_k / n_k
+
+    def mse_sum(nu):
+        lam_u = np.sqrt(nu * noise_variance / lam)
+        return float(np.sum(noise_variance / (lam_u * lam)))
+
+    lo, hi = 1e-30, 1.0
+    while mse_sum(hi) > target:
+        hi *= 4.0
+    while mse_sum(lo) < target:
+        lo /= 4.0
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if mse_sum(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo - 1.0 < tol:
+            break
+    return math.sqrt(lo * hi)

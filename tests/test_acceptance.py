@@ -15,7 +15,7 @@ from oracles import brute_force_assignment
 from thpalloc.assignment import solve_assignment
 from thpalloc.baselines import Architecture
 from thpalloc.channel import generate_drop, scenario_preset
-from thpalloc.cli import config_for_users, main
+from thpalloc.cli import main
 from thpalloc.loading import loading_cost, power_loading
 from thpalloc.precoding import thp_precode
 from thpalloc.sim import link_level_verify, run_drop, run_sweep
@@ -68,7 +68,7 @@ def _full_matrix_oracle(lam_gen_rng, ell, m, gamma, n_k):
     if sv[-1] < 0.2:
         return None
     lam = sv[:ell] ** 2
-    closed = loading_cost(lam, gamma, n_k, 1.0)
+    closed = loading_cost(lam ** -0.5, gamma, n_k, 1.0)
 
     def unpack(x):
         re, im = x[:m * ell], x[m * ell:]
@@ -350,7 +350,7 @@ def test_criterion_7_power_vs_users_shape():
     results = {}
     for sid in ("S1", "S3"):
         base = scenario_preset(sid, rho=0.25, rng_seed=7)
-        pts = [(float(k), config_for_users(base, k, 0.25)) for k in users]
+        pts = [(float(k), base.with_users(k, 0.25)) for k in users]
         results[sid] = run_sweep(pts, drops=200,
                                  architectures=FIG6_SCHEMES)
     s1, s3 = results["S1"], results["S3"]

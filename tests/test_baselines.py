@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from thpalloc.baselines import (Architecture, linear_mutual_cost,
-                                restrict_rows, thp_final_power, thp_qr_cost,
-                                zf_cost, zf_final_power)
+from thpalloc.baselines import (Architecture, linear_bills, restrict_rows,
+                                thp_bills, zf_bills)
 from thpalloc.loading import INFEASIBLE_COST, loading_cost
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def last_bill(bills, blocks, gamma_k, n_k, noise_variance, streams):
+    """Candidate cost: the bill of the last user in the stack, every user
+    on the same budget."""
+    q = len(blocks)
+    return bills(np.stack(blocks), [gamma_k] * q, [n_k] * q, noise_variance,
+                 streams)[-1]
 
 
 class TestArchitecture:
@@ -27,13 +34,13 @@ class TestArchitecture:
 class TestZfCost:
     def test_unitary_stack_equal_powers(self):
         h = np.eye(2, dtype=complex)
-        cost = zf_cost([h[:1], h[1:]], 1, gamma_k=0.5, n_k=1,
-                       noise_variance=1.0, streams=1)
+        cost = last_bill(zf_bills, [h[:1], h[1:]], gamma_k=0.5, n_k=1,
+                         noise_variance=1.0, streams=1)
         # ||f|| = 1 -> scalar program gives power 2 for MSE 0.5
         assert cost == pytest.approx(2.0)
 
     def test_single_user_scalar_program(self):
-        cost = zf_cost([np.array([[1.0, 0.0]])], 0, 0.5, 1, 1.0, 1)
+        cost = last_bill(zf_bills, [np.array([[1.0, 0.0]])], 0.5, 1, 1.0, 1)
         assert cost == pytest.approx(2.0)
 
     def test_near_singular_monotone_growth(self):
@@ -41,28 +48,29 @@ class TestZfCost:
         for eps in (0.5, 0.1, 0.02, 0.004):
             stack = [np.array([[1.0, 0.0]]),
                      np.array([[math.sqrt(1 - eps ** 2), eps]])]
-            cost = zf_cost(stack, 1, 1.0, 1, 1.0, 1)
+            cost = last_bill(zf_bills, stack, 1.0, 1, 1.0, 1)
             assert cost > prev
             prev = cost
 
     def test_rank_deficient_infinite(self):
         row = np.array([[1.0, 1.0]])
-        assert zf_cost([row, row], 1, 1.0, 1, 1.0, 1) == INFEASIBLE_COST
+        assert last_bill(zf_bills, [row, row], 1.0, 1, 1.0, 1) == \
+            INFEASIBLE_COST
 
 
 class TestThpQrCost:
     def test_diagonal_channel_equals_zf(self):
         h1 = np.array([[2.0, 0.0, 0.0, 0.0]])
         h2 = np.array([[0.0, 3.0, 0.0, 0.0]])
-        zf = zf_cost([h1, h2], 1, 0.8, 2, 1.0, 1)
-        thp = thp_qr_cost([h1, h2], 0.8, 2, 1.0, 1)
+        zf = last_bill(zf_bills, [h1, h2], 0.8, 2, 1.0, 1)
+        thp = last_bill(thp_bills, [h1, h2], 0.8, 2, 1.0, 1)
         assert thp == pytest.approx(zf, rel=1e-9)
 
     def test_hand_two_by_two(self):
         # candidate last: its gain is the projection residual
         h1 = np.array([[1.0, 0.0]])
         h2 = np.array([[1.0, 1.0]])
-        cost = thp_qr_cost([h1, h2], 1.0, 1, 1.0, 1)
+        cost = last_bill(thp_bills, [h1, h2], 1.0, 1, 1.0, 1)
         # R diag of [h1; h2]^H QR: |r_11| = 1, |r_22| = 1 (residual of h2
         # orthogonal to h1 has norm 1) -> cost = 1/r_22^2 = 1
         assert cost == pytest.approx(1.0, rel=1e-9)
@@ -71,7 +79,7 @@ class TestThpQrCost:
         rng = np.random.default_rng(0)
         h1 = random_complex(rng, (1, 4))
         h2 = random_complex(rng, (1, 4))
-        c12 = thp_qr_cost([h1, h2], 1.0, 1, 1.0, 1)
+        c12 = last_bill(thp_bills, [h1, h2], 1.0, 1, 1.0, 1)
         # appending a later user must not change h2's diagonal entry
         h3 = random_complex(rng, (1, 4))
         h = np.vstack([h1, h2, h3])
@@ -80,7 +88,8 @@ class TestThpQrCost:
 
     def test_rank_deficient_infinite(self):
         row = np.array([[1.0, 1.0, 0.0]])
-        assert thp_qr_cost([row, row], 1.0, 1, 1.0, 1) == INFEASIBLE_COST
+        assert last_bill(thp_bills, [row, row], 1.0, 1, 1.0, 1) == \
+            INFEASIBLE_COST
 
     def test_triangular_cancellation(self):
         # F = Q diag(1/r) with C the unit-diagonal version of R^H diag(1/r)
@@ -99,31 +108,31 @@ class TestFinalPowers:
     def test_thp_single_user_matches_cost(self):
         rng = np.random.default_rng(2)
         h = random_complex(rng, (2, 4))
-        alone = thp_qr_cost([h], 0.7, 2, 1.0, 2)
-        final = thp_final_power([h], [0.7], [2], 1.0, 2)
+        alone = last_bill(thp_bills, [h], 0.7, 2, 1.0, 2)
+        final = sum(thp_bills(h[None], [0.7], [2], 1.0, 2))
         assert final == pytest.approx(alone, rel=1e-12)
 
     def test_zf_single_user_matches_cost(self):
         rng = np.random.default_rng(3)
         h = random_complex(rng, (2, 4))
-        alone = zf_cost([h], 0, 0.7, 2, 1.0, 2)
-        final = zf_final_power([h], [0.7], [2], 1.0, 2)
+        alone = last_bill(zf_bills, [h], 0.7, 2, 1.0, 2)
+        final = sum(zf_bills(h[None], [0.7], [2], 1.0, 2))
         assert final == pytest.approx(alone, rel=1e-12)
 
     def test_thp_last_user_pays_projection(self):
         rng = np.random.default_rng(4)
         h1, h2 = random_complex(rng, (1, 4)), random_complex(rng, (1, 4))
-        stacked = thp_final_power([h1, h2], [1.0, 1.0], [1, 1], 1.0, 1)
-        solo = (thp_qr_cost([h1], 1.0, 1, 1.0, 1)
-                + thp_qr_cost([h2], 1.0, 1, 1.0, 1))
+        stacked = sum(thp_bills(np.stack([h1, h2]), [1.0, 1.0], [1, 1],
+                                1.0, 1))
+        solo = (last_bill(thp_bills, [h1], 1.0, 1, 1.0, 1)
+                + last_bill(thp_bills, [h2], 1.0, 1, 1.0, 1))
         assert stacked >= solo - 1e-12
 
     def test_rank_deficient_infinite(self):
         row = np.array([[1.0, 0.0]])
-        assert thp_final_power([row, row], [1, 1], [1, 1], 1.0, 1) == \
-            INFEASIBLE_COST
-        assert zf_final_power([row, row], [1, 1], [1, 1], 1.0, 1) == \
-            INFEASIBLE_COST
+        for bills in (thp_bills, zf_bills):
+            assert bills(np.stack([row, row]), [1, 1], [1, 1], 1.0, 1) == \
+                [INFEASIBLE_COST, INFEASIBLE_COST]
 
 
 class TestLinearCosts:
@@ -131,19 +140,26 @@ class TestLinearCosts:
         rng = np.random.default_rng(8)
         h = random_complex(rng, (2, 4))
         lam = np.linalg.svd(h, compute_uv=False)[:2] ** 2
-        assert linear_mutual_cost(h, [], 0.5, 2, 1.0, 2) == pytest.approx(
-            loading_cost(lam, 0.5, 2, 1.0), rel=1e-12)
+        assert linear_bills(h[None], [0.5], [2], 1.0, 2) == [pytest.approx(
+            loading_cost(lam ** -0.5, 0.5, 2, 1.0), rel=1e-12)]
 
     def test_mutual_cost_projects_out_cochannel(self):
         rng = np.random.default_rng(9)
         h = random_complex(rng, (1, 4))
         other = random_complex(rng, (1, 4))
-        projected = linear_mutual_cost(h, [other], 1.0, 1, 1.0, 1)
-        alone = linear_mutual_cost(h, [], 1.0, 1, 1.0, 1)
+        projected = last_bill(linear_bills, [other, h], 1.0, 1, 1.0, 1)
+        alone = last_bill(linear_bills, [h], 1.0, 1, 1.0, 1)
         assert projected >= alone - 1e-12
-        # infeasible when the co-channel stack removes all dimensions
+        # each user is projected off all the others, so one more user
+        # does not lower anyone's bill
+        pair = linear_bills(np.stack([other, h]), [1.0] * 2, [1] * 2, 1.0, 1)
+        third = random_complex(rng, (1, 4))
+        triple = linear_bills(np.stack([other, h, third]), [1.0] * 3,
+                              [1] * 3, 1.0, 1)
+        assert all(t >= p - 1e-12 for t, p in zip(triple, pair))
+        # a three-user co-channel stack still leaves one dimension of four
         others = [random_complex(rng, (1, 4)) for _ in range(3)]
-        tight = linear_mutual_cost(h, others, 1.0, 1, 1.0, 1)
+        tight = last_bill(linear_bills, others + [h], 1.0, 1, 1.0, 1)
         assert math.isfinite(tight)
 
 
@@ -153,9 +169,9 @@ class TestEquivalenceOnOrthogonalUsers:
         h1 = np.array([[1.5, 0.0, 0.0, 0.0]], dtype=complex)
         h2 = np.array([[0.0, 0.7, 0.0, 0.0]], dtype=complex)
         gamma, n_k = 0.8, 2
-        proposed = linear_mutual_cost(h2, [h1], gamma, n_k, 1.0, 1)
-        zf = zf_cost([h1, h2], 1, gamma, n_k, 1.0, 1)
-        thp = thp_qr_cost([h1, h2], gamma, n_k, 1.0, 1)
+        proposed = last_bill(linear_bills, [h1, h2], gamma, n_k, 1.0, 1)
+        zf = last_bill(zf_bills, [h1, h2], gamma, n_k, 1.0, 1)
+        thp = last_bill(thp_bills, [h1, h2], gamma, n_k, 1.0, 1)
         for other in (zf, thp):
             assert other == pytest.approx(proposed, rel=1e-6)
 
@@ -166,3 +182,4 @@ class TestRestrictRows:
         h = random_complex(rng, (4, 8))
         np.testing.assert_array_equal(restrict_rows(h, 4), h)
         assert restrict_rows(h, 2).shape == (2, 8)
+        assert restrict_rows(np.stack([h, h]), 2).shape == (2, 2, 8)

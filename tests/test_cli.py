@@ -8,8 +8,7 @@ import pytest
 import thpalloc
 from thpalloc.baselines import Architecture
 from thpalloc.channel import scenario_preset
-from thpalloc.cli import (build_parser, config_for_users, load_config_file,
-                          main, parse_arch_list)
+from thpalloc.cli import build_parser, load_config_file, main, parse_arch_list
 
 
 def run_main(args):
@@ -61,7 +60,7 @@ class TestParsing:
 class TestConfigHelpers:
     def test_config_for_users_quota_floor(self):
         base = scenario_preset("S1", rho=0.25)
-        cfg = config_for_users(base, 24, 0.25)
+        cfg = base.with_users(24, 0.25)
         assert cfg.num_users == 24
         assert cfg.quota == (5,) * 24  # floor(64 * 2 / 24)
         assert cfg.mse_budget[0] == pytest.approx(5 * 1 * 0.25)
@@ -69,7 +68,7 @@ class TestConfigHelpers:
     def test_config_for_users_too_many(self):
         base = scenario_preset("S3", rho=0.25)
         with pytest.raises(ValueError, match="too many users"):
-            config_for_users(base, 64, 0.25)
+            base.with_users(64, 0.25)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -163,3 +162,17 @@ class TestEndToEnd:
                          "--out", str(tmp_path / "missing_dir" / "o.csv")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's modules cost set-up time; the assignment solver imports
+    # its matcher on first use, and nothing else may pull scipy in
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(thpalloc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, thpalloc.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from thpalloc.channel import ChannelSet
-from thpalloc.loading import (INFEASIBLE_COST, bisect_nu, effective_gains,
+from oracles import bisect_nu
+from thpalloc.loading import (INFEASIBLE_COST, effective_gains,
                               equalizing_rotation, loading_cost,
-                              power_loading, receiver_matrix, subcarrier_cost,
+                              power_loading, projected_cost, receiver_matrix,
                               transmit_matrix)
 from thpalloc.precoding import effective_channel, null_space_basis
 
@@ -88,19 +88,19 @@ class TestPowerLoading:
     def test_loading_cost_shortcut(self):
         rng = np.random.default_rng(3)
         lam = rng.uniform(0.1, 4.0, 3)
-        assert loading_cost(lam, 0.7, 2, 1.3) == pytest.approx(
+        assert loading_cost(lam ** -0.5, 0.7, 2, 1.3) == pytest.approx(
             power_loading(lam, 0.7, 2, 1.3).cost, rel=1e-12)
 
     def test_cost_scaling_laws(self):
-        lam = np.array([0.5, 2.0, 3.0])
-        base = loading_cost(lam, 0.8, 2, 1.0)
+        inv = np.array([0.5, 2.0, 3.0]) ** -0.5
+        base = loading_cost(inv, 0.8, 2, 1.0)
         # degree 1 in sigma^2, degree -1 in gamma, 1/alpha in channel scale
-        assert loading_cost(lam, 0.8, 2, 2.0) == pytest.approx(2 * base)
-        assert loading_cost(lam, 1.6, 2, 1.0) == pytest.approx(base / 2)
-        # scaling the channel by alpha scales every gain by alpha^2 and
+        assert loading_cost(inv, 0.8, 2, 2.0) == pytest.approx(2 * base)
+        assert loading_cost(inv, 1.6, 2, 1.0) == pytest.approx(base / 2)
+        # scaling the channel by alpha scales every gain by alpha and
         # the cost by 1/alpha^2
         alpha = 2.3
-        assert loading_cost(alpha ** 2 * lam, 0.8, 2, 1.0) == pytest.approx(
+        assert loading_cost(inv / alpha, 0.8, 2, 1.0) == pytest.approx(
             base / alpha ** 2, rel=1e-12)
 
 
@@ -144,40 +144,37 @@ class TestTransceiverMatrices:
 
 
 class TestSubcarrierCost:
-    def make_channels(self, matrices):
-        matrices = np.asarray(matrices, dtype=complex)
-        return ChannelSet(matrices=matrices,
-                          user_positions=np.zeros((matrices.shape[1], 2)),
-                          drop_id=0)
+    """projected_cost: the price of a user channel confined to the null
+    space of the users already placed on its subcarrier."""
+
+    @staticmethod
+    def cost(h, placed, k, gamma_k, n_k, noise_variance, streams):
+        tx = h.shape[-1]
+        basis = null_space_basis(h[placed].reshape(-1, tx), tx)
+        return projected_cost(h[k], basis, gamma_k, n_k, noise_variance,
+                              streams)
 
     def test_unit_row_channel(self):
-        ch = self.make_channels([[[[1.0, 0.0]]]])
-        cost = subcarrier_cost(ch, [], 0, 0, gamma_k=1.0, n_k=1,
-                               noise_variance=1.0, streams=1)
-        assert cost == pytest.approx(1.0)
+        h = np.array([[[1.0, 0.0]]], dtype=complex)
+        assert self.cost(h, [], 0, gamma_k=1.0, n_k=1, noise_variance=1.0,
+                         streams=1) == pytest.approx(1.0)
 
     def test_doubling_budget_halves_cost(self):
-        rng = np.random.default_rng(6)
-        h = random_complex(rng, (1, 2, 2, 4))
-        ch = self.make_channels(h)
-        c1 = subcarrier_cost(ch, [1], 0, 0, 1.0, 2, 1.0, 2)
-        c2 = subcarrier_cost(ch, [1], 0, 0, 2.0, 2, 1.0, 2)
+        h = random_complex(np.random.default_rng(6), (2, 2, 4))
+        c1 = self.cost(h, [1], 0, 1.0, 2, 1.0, 2)
+        c2 = self.cost(h, [1], 0, 2.0, 2, 1.0, 2)
         assert c2 == pytest.approx(c1 / 2, rel=1e-12)
 
     def test_rank_deficient_infinite(self):
-        h = np.zeros((1, 2, 2, 4), dtype=complex)
-        h[0, 1] = np.random.default_rng(7).standard_normal((2, 4))
-        ch = self.make_channels(h)
-        assert subcarrier_cost(ch, [1], 0, 0, 1.0, 1, 1.0, 2) == \
-            INFEASIBLE_COST
+        h = np.zeros((2, 2, 4), dtype=complex)
+        h[1] = np.random.default_rng(7).standard_normal((2, 4))
+        assert self.cost(h, [1], 0, 1.0, 1, 1.0, 2) == INFEASIBLE_COST
 
     def test_matches_power_loading_on_projected_gains(self):
-        rng = np.random.default_rng(8)
-        h = random_complex(rng, (1, 2, 2, 6))
-        ch = self.make_channels(h)
-        cost = subcarrier_cost(ch, [0], 0, 1, 0.9, 3, 1.0, 2)
-        basis = null_space_basis(h[0, 0], 6)
-        lam = effective_gains(effective_channel(h[0, 1], basis), 2)
+        h = random_complex(np.random.default_rng(8), (2, 2, 6))
+        cost = self.cost(h, [0], 1, 0.9, 3, 1.0, 2)
+        basis = null_space_basis(h[0], 6)
+        lam = effective_gains(effective_channel(h[1], basis), 2)
         assert cost == pytest.approx(power_loading(lam, 0.9, 3, 1.0).cost,
                                      rel=1e-12)
 
@@ -196,7 +193,7 @@ class TestOptimality:
             if lam[-1] < 1e-6:
                 continue
             gamma, n_k = float(rng.uniform(0.2, 1.5)), 2
-            closed = loading_cost(lam, gamma, n_k, 1.0)
+            closed = loading_cost(lam ** -0.5, gamma, n_k, 1.0)
 
             def unpack(x):
                 re, im = x[:m * ell], x[m * ell:]

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from thpalloc.baselines import Architecture, thp_final_power
-from thpalloc.channel import ScenarioConfig, generate_drop, scenario_preset
+from thpalloc.baselines import Architecture, thp_bills
+from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
+                              scenario_preset)
 from thpalloc.sim import (link_level_verify, qam_symbols, run_drop,
                           run_sweep)
 
@@ -46,7 +50,6 @@ class TestRunDrop:
         cfg = tiny_config(rng_seed=2)
         channels = generate_drop(cfg, 0)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
-        np.testing.assert_allclose(res.user_mse, cfg.mse_budget, rtol=1e-12)
         # verify from the transceivers themselves: per-user sum over its
         # subcarriers of sigma^2 * tr(G G^H) equals gamma_k
         sums = np.zeros(cfg.num_users)
@@ -81,15 +84,50 @@ class TestRunDrop:
             assert hi.total_power < base.total_power
             assert lo.feasible and hi.feasible
 
-    def test_power_scales_inversely_with_budget(self):
-        # every cost model is exactly homogeneous of degree -1 in gamma
-        cfg = tiny_config(rng_seed=5)
-        channels = generate_drop(cfg, 0)
+    @given(preset=st.sampled_from(["S1", "S2", "S3"]),
+           drop=st.integers(0, 50),
+           rhos=st.lists(st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
+                         min_size=2, max_size=2, unique=True))
+    def test_power_scales_inversely_with_budget(self, preset, drop, rhos):
+        # every cost model is exactly homogeneous of degree -1 in gamma,
+        # so rho moves no assignment and shifts power_db by a constant
+        rho1, rho2 = rhos
+        cfg = scenario_preset(preset, num_users=8, rho=rho1)
+        channels = generate_drop(cfg, drop)
         for arch in ALL_ARCHS:
-            a = run_drop(cfg.with_rho(0.2), channels, arch)
-            b = run_drop(cfg.with_rho(0.4), channels, arch)
-            assert a.total_power == pytest.approx(2 * b.total_power,
-                                                  rel=1e-9)
+            a = run_drop(cfg, channels, arch)
+            b = run_drop(cfg.with_rho(rho2), channels, arch)
+            assert a.feasible and b.feasible
+            for ga, gb in zip(a.assignments, b.assignments):
+                np.testing.assert_array_equal(ga.a, gb.a)
+            assert b.power_db - a.power_db == pytest.approx(
+                -10 * math.log10(rho2 / rho1), abs=1e-9)
+
+    @given(preset=st.sampled_from(["S1", "S2", "S3"]),
+           drop=st.integers(0, 50), data=st.data())
+    def test_user_permutation_equivariance(self, preset, drop, data):
+        # relabelling the users relabels the partition and the placement
+        # and changes no cost
+        cfg = scenario_preset(preset, num_users=8)
+        perm = data.draw(st.permutations(range(cfg.num_users)))
+        channels = generate_drop(cfg, drop)
+        moved = ChannelSet(matrices=channels.matrices[:, perm],
+                           user_positions=channels.user_positions[perm],
+                           drop_id=drop)
+        moved_cfg = dataclasses.replace(
+            cfg, quota=tuple(cfg.quota[k] for k in perm),
+            mse_budget=tuple(cfg.mse_budget[k] for k in perm))
+        for arch in ALL_ARCHS:
+            a = run_drop(cfg, channels, arch)
+            b = run_drop(moved_cfg, moved, arch)
+            assert a.feasible and b.feasible
+            assert [[perm[i] for i in g] for g in b.partition.groups] == \
+                [list(g) for g in a.partition.groups]
+            for ga, gb in zip(a.assignments, b.assignments):
+                np.testing.assert_array_equal(ga.a, gb.a)
+            assert {(n, perm[i]) for n, i in b.pair_costs} == \
+                set(a.pair_costs)
+            assert b.power_db == pytest.approx(a.power_db, rel=1e-12)
 
     def test_proposed_never_above_linear(self):
         # THP feedback only relaxes the linear scheme's projections
@@ -116,11 +154,12 @@ class TestRunDrop:
             for n, plan in enumerate(res.plans):
                 if plan is None:
                     continue
-                thp += thp_final_power(
-                    [channels.matrices[n][k] for k in plan.users],
-                    [cfg.mse_budget[k] for k in plan.users],
-                    [cfg.quota[k] for k in plan.users],
-                    cfg.noise_variance, cfg.streams_per_user)
+                users = list(plan.users)
+                thp += sum(thp_bills(
+                    channels.matrices[n][users],
+                    [cfg.mse_budget[k] for k in users],
+                    [cfg.quota[k] for k in users],
+                    cfg.noise_variance, cfg.streams_per_user))
             assert thp == pytest.approx(
                 res.total_power / cfg.symbol_variance, rel=1e-12)
 
@@ -132,7 +171,6 @@ class TestRunDrop:
         flat = generate_drop(cfg, 0)
         broken = flat.matrices.copy()
         broken[:, 1] = broken[:, 0]  # second group duplicates the first
-        from thpalloc.channel import ChannelSet
         channels = ChannelSet(matrices=broken,
                               user_positions=flat.user_positions, drop_id=0)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
