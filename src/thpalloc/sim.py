@@ -3,9 +3,16 @@
 One drop runs: channel-quality metrics -> worst-first partition ->
 per-group cost matrices -> per-group exact assignment (groups
 in order, so later groups see the users already placed) -> final
-power -> feedback and transceiver matrices (proposed scheme only).
+power. The proposed scheme's transceivers and THP feedback are built
+on demand from a finished result by `build_plans` (which
+`link_level_verify` calls), never by the pipeline itself.
+
 Sweeps repeat this over drops and target-MSE (or user-count) axes with
-all architectures paired on identical drops.
+all architectures paired on identical drops. Every cost is homogeneous
+of degree -1 in the budgets, so axis points whose budgets differ only
+by a common factor (a budget class, e.g. the points of a rho axis)
+share one assignment: a sweep generates and solves each drop once per
+budget class and rescales the power to the other points of the class.
 
 Pricing is stateless: a cost row depends only on the users already
 placed on the subcarrier. The proposed scheme prices a candidate with
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,7 +74,6 @@ class DropResult:
     total_power: float = math.nan        # linear, sigma_d^2 * sum tr(U^H U)
     power_db: float = math.nan           # 10 log10(total / sigma^2)
     pair_costs: dict = field(default_factory=dict)  # (n, k) -> cost
-    plans: tuple[SubcarrierPlan | None, ...] = ()   # proposed scheme only
     infeasible_reason: str = ""
 
 
@@ -166,8 +172,23 @@ def _final_power(config, channels, placed, architecture, pair_costs):
     return config.symbol_variance * total
 
 
-def _build_plans(config, channels, placed):
-    """Transceivers and THP feedback for the proposed scheme."""
+def build_plans(config: ScenarioConfig, channels: ChannelSet,
+                drop_result: DropResult) -> tuple[SubcarrierPlan | None, ...]:
+    """Transceivers and THP feedback of a feasible proposed-scheme result,
+    one plan per subcarrier (None where no user is placed).
+
+    The placement is rebuilt from the result's groups and assignments in
+    group order, as `run_drop` placed it.
+    """
+    if (not drop_result.feasible
+            or drop_result.architecture is not Architecture.THP_TX_LIN_RX):
+        raise ValueError("THP plans need a feasible result of the proposed "
+                         "architecture")
+    placed: list[list[int]] = [[] for _ in range(config.num_subcarriers)]
+    for users, assignment in zip(drop_result.partition.groups,
+                                 drop_result.assignments):
+        for n, j in np.argwhere(assignment.a).tolist():
+            placed[n].append(users[j])
     ell = config.streams_per_user
     rotation = equalizing_rotation(ell)
     plans = []
@@ -203,57 +224,74 @@ def _build_plans(config, channels, placed):
 
 def run_drop(config: ScenarioConfig, channels: ChannelSet,
              architecture: Architecture) -> DropResult:
-    """Run the full two-layer pipeline for one architecture on one drop."""
+    """Run the full two-layer pipeline for one architecture on one drop.
+
+    An unmet quota or a numerical failure while pricing or billing makes
+    the drop infeasible, with the cause in `infeasible_reason`.
+    """
     quality = np.array([channel_quality(channels, k)
                         for k in range(config.num_users)])
     partition = partition_worst_first(quality, config.group_count)
 
+    def infeasible(reason):
+        return DropResult(architecture=architecture, feasible=False,
+                          partition=partition, infeasible_reason=reason)
+
     placed: list[list[int]] = [[] for _ in range(config.num_subcarriers)]
     assignments = []
     pair_costs: dict[tuple[int, int], float] = {}
-    for users in partition.groups:
-        costs = np.array([_cost_row(config, channels.matrices[n], placed[n],
-                                    users, architecture)
-                          for n in range(config.num_subcarriers)])
-        try:
-            assignment = solve_assignment(costs,
-                                          [config.quota[k] for k in users])
-        except InfeasibleAssignmentError as exc:
-            return DropResult(architecture=architecture, feasible=False,
-                              partition=partition,
-                              infeasible_reason=str(exc))
-        assignments.append(assignment)
-        for n, j in np.argwhere(assignment.a).tolist():
-            placed[n].append(users[j])
-            pair_costs[(n, users[j])] = costs[n, j]
-
-    total = _final_power(config, channels, placed, architecture, pair_costs)
+    try:
+        for users in partition.groups:
+            costs = np.array([_cost_row(config, channels.matrices[n],
+                                        placed[n], users, architecture)
+                              for n in range(config.num_subcarriers)])
+            try:
+                assignment = solve_assignment(
+                    costs, [config.quota[k] for k in users])
+            except InfeasibleAssignmentError as exc:
+                return infeasible(str(exc))
+            assignments.append(assignment)
+            for n, j in np.argwhere(assignment.a).tolist():
+                placed[n].append(users[j])
+                pair_costs[(n, users[j])] = costs[n, j]
+        total = _final_power(config, channels, placed, architecture,
+                             pair_costs)
+    except np.linalg.LinAlgError as exc:
+        return infeasible(f"numerical failure (LinAlgError: {exc})")
     if not math.isfinite(total):
-        return DropResult(architecture=architecture, feasible=False,
-                          partition=partition,
-                          infeasible_reason="final precoder stack is rank "
-                                            "deficient on some subcarrier")
+        return infeasible("final precoder stack is rank deficient on some "
+                          "subcarrier")
     power_db = 10.0 * math.log10(total / config.noise_variance)
-    plans = (_build_plans(config, channels, placed)
-             if architecture is Architecture.THP_TX_LIN_RX else ())
     return DropResult(architecture=architecture, feasible=True,
                       partition=partition, assignments=tuple(assignments),
                       total_power=total, power_db=power_db,
-                      pair_costs=pair_costs, plans=plans)
+                      pair_costs=pair_costs)
 
 
 def _sweep_drop(args):
     configs, archs, drop_index = args
     out = np.full((len(configs), len(archs)), np.nan)
     feas = np.ones(len(configs), dtype=bool)
+    # Each budget class (configs equal up to a common positive factor on
+    # the budgets, keyed by the budgets over the first) is solved once, at
+    # its first point; every cost scales as 1/budget, so the other points
+    # rescale that point's power by the budget ratio.
+    solved = {}
     for p, config in enumerate(configs):
-        channels = generate_drop(config, drop_index)
-        for a, arch in enumerate(archs):
-            result = run_drop(config, channels, arch)
+        scale = config.mse_budget[0]
+        key = replace(config, mse_budget=tuple(g / scale
+                                               for g in config.mse_budget))
+        if key not in solved:
+            channels = generate_drop(config, drop_index)
+            solved[key] = (scale, [run_drop(config, channels, arch)
+                                   for arch in archs])
+        solved_scale, results = solved[key]
+        for a, result in enumerate(results):
             if not result.feasible:
                 feas[p] = False
             else:
-                out[p, a] = result.power_db
+                total = result.total_power * (solved_scale / scale)
+                out[p, a] = 10.0 * math.log10(total / config.noise_variance)
     return drop_index, out, feas
 
 
@@ -305,15 +343,15 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
     channel, AWGN, receive filters and the receiver-side modulo, and
     measures E|z - d|^2 per stream, summed over each user's assigned
     subcarriers. Valid where modulo folding of noise is negligible.
+    The plans come from `build_plans`, so `drop_result` must be a
+    feasible result of the proposed architecture.
     """
-    if not drop_result.feasible or not drop_result.plans:
-        raise ValueError("link-level verification needs a feasible result "
-                         "of the proposed architecture")
+    plans = build_plans(config, channels, drop_result)
     rng = np.random.default_rng(seed)
     ell = config.streams_per_user
     m = config.constellation_size
     sq_err = np.zeros(config.num_users)
-    for n, plan in enumerate(drop_result.plans):
+    for n, plan in enumerate(plans):
         if plan is None:
             continue
         q = len(plan.users)

@@ -18,7 +18,7 @@ from thpalloc.channel import generate_drop, scenario_preset
 from thpalloc.cli import main
 from thpalloc.loading import loading_cost, power_loading
 from thpalloc.precoding import thp_precode
-from thpalloc.sim import link_level_verify, run_drop, run_sweep
+from thpalloc.sim import build_plans, link_level_verify, run_drop, run_sweep
 
 PROPOSED = Architecture.THP_TX_LIN_RX
 FIG6_SCHEMES = (PROPOSED, Architecture.THP_TX, Architecture.LIN_TX_LIN_RX)
@@ -185,7 +185,7 @@ def test_criterion_3_interference_elimination():
                 continue
             drops_checked += 1
             ell = cfg.streams_per_user
-            for n, plan in enumerate(res.plans):
+            for n, plan in enumerate(build_plans(cfg, channels, res)):
                 if plan is None:
                     continue
                 h_all = channels.matrices[n]
@@ -251,7 +251,7 @@ def test_criterion_4_equal_mse_and_tightness():
             if not res.feasible:
                 continue
             sums = np.zeros(cfg.num_users)
-            for plan in res.plans:
+            for plan in build_plans(cfg, channels, res):
                 if plan is None:
                     continue
                 for pair in plan.pairs:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_assignment
 from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
@@ -77,6 +79,28 @@ class TestSolveAssignment:
         assert after.total_cost == pytest.approx(
             base.total_cost + quotas[1] * 5.0, rel=1e-9)
         np.testing.assert_array_equal(after.a, base.a)
+
+    # small instances rarely tell a scale-invariant solver from one that
+    # is not, so this cheap property draws more examples than the profile
+    @settings(max_examples=100)
+    @given(c=st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 20.0]),
+           quotas=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           spare=st.integers(0, 4), data=st.data())
+    def test_scale_invariance(self, c, quotas, spare, data):
+        # a common positive factor on every cost (a budget change in
+        # the cost models) must not move the assignment
+        n_sub = sum(quotas) + spare
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        finite = rng.uniform(0.01, 10.0, (n_sub, len(quotas)))
+        costs = np.where(rng.uniform(size=finite.shape) < 0.3, math.inf,
+                         finite)
+        # keep one full placement finite, so Hall's condition holds
+        slots = np.repeat(np.arange(len(quotas)), quotas)
+        rows = rng.permutation(n_sub)[:slots.size]
+        costs[rows, slots] = finite[rows, slots]
+        base = solve_assignment(costs, quotas)
+        scaled = solve_assignment(c * costs, quotas)
+        np.testing.assert_array_equal(scaled.a, base.a)
 
     def test_matches_brute_force_batch(self):
         rng = np.random.default_rng(1)

@@ -9,6 +9,7 @@ import thpalloc
 from thpalloc.baselines import Architecture
 from thpalloc.channel import scenario_preset
 from thpalloc.cli import build_parser, load_config_file, main, parse_arch_list
+from thpalloc.precoding import RankDeficientError
 
 
 def run_main(args):
@@ -155,6 +156,31 @@ class TestEndToEnd:
         assert proc.returncode == 2
         assert "error" in proc.stderr
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError("singular"),
+                                       RankDeficientError("rank deficient")])
+    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       error):
+        # per-drop failures become infeasible drops; one that escapes the
+        # sweep is a runtime error, not a traceback
+        def failing_sweep(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(thpalloc.cli, "run_sweep", failing_sweep)
+        code = run_main(["sweep", "--scenario", "S3", "--drops", "1",
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_numerical_failure_in_one_drop_finishes_sweep(self, tmp_path,
+                                                          fail_first_svd):
+        detail = tmp_path / "detail.csv"
+        code = run_main(["sweep", "--scenario", "S3", "--drops", "2",
+                         "--arch", "ThpTxLinRx", "--out",
+                         str(tmp_path / "o.csv"), "--detail", str(detail)])
+        assert code == 0
+        assert [line.rsplit(",", 1)[1]
+                for line in detail.read_text().splitlines()[1:]] == ["0", "1"]
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         code = run_main(["sweep", "--scenario", "S3", "--rho", "0.25",

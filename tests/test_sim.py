@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thpalloc import sim
 from thpalloc.baselines import Architecture, thp_bills
 from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
                               scenario_preset)
-from thpalloc.sim import (link_level_verify, qam_symbols, run_drop,
-                          run_sweep)
+from thpalloc.sim import (build_plans, link_level_verify, qam_symbols,
+                          run_drop, run_sweep)
 
 
 def tiny_config(**overrides):
@@ -22,6 +23,18 @@ def tiny_config(**overrides):
 
 
 ALL_ARCHS = tuple(Architecture)
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Count the sweep's calls of sim.generate_drop and sim.run_drop."""
+    counts = {"generate_drop": 0, "run_drop": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(sim, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sim, name, counted)
+    return counts
 
 
 class TestRunDrop:
@@ -53,7 +66,7 @@ class TestRunDrop:
         # verify from the transceivers themselves: per-user sum over its
         # subcarriers of sigma^2 * tr(G G^H) equals gamma_k
         sums = np.zeros(cfg.num_users)
-        for plan in res.plans:
+        for plan in build_plans(cfg, channels, res):
             if plan is None:
                 continue
             for pair in plan.pairs:
@@ -67,7 +80,8 @@ class TestRunDrop:
         channels = generate_drop(cfg, 0)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
         tr_sum = sum(float(np.trace(p.inner.conj().T @ p.inner).real)
-                     for plan in res.plans if plan is not None
+                     for plan in build_plans(cfg, channels, res)
+                     if plan is not None
                      for p in plan.pairs)
         assert res.total_power == pytest.approx(
             cfg.symbol_variance * tr_sum, rel=1e-9)
@@ -151,7 +165,7 @@ class TestRunDrop:
             res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
             assert res.feasible
             thp = 0.0
-            for n, plan in enumerate(res.plans):
+            for n, plan in enumerate(build_plans(cfg, channels, res)):
                 if plan is None:
                     continue
                 users = list(plan.users)
@@ -176,6 +190,18 @@ class TestRunDrop:
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
         assert not res.feasible
         assert res.infeasible_reason
+
+    # ThpTx is left out: its pricing and billing take no SVD
+    @pytest.mark.parametrize("arch", [Architecture.THP_TX_LIN_RX,
+                                      Architecture.ZF_TX,
+                                      Architecture.LIN_TX_LIN_RX])
+    def test_numerical_failure_makes_drop_infeasible(self, arch,
+                                                     fail_first_svd):
+        cfg = tiny_config(rng_seed=14)
+        channels = generate_drop(cfg, 0)
+        res = run_drop(cfg, channels, arch)
+        assert not res.feasible
+        assert "LinAlgError" in res.infeasible_reason
 
 
 class TestRunSweep:
@@ -210,6 +236,49 @@ class TestRunSweep:
                              workers=3)
         np.testing.assert_array_equal(serial.power_db, parallel.power_db)
         np.testing.assert_array_equal(serial.feasible, parallel.feasible)
+
+    @pytest.mark.parametrize("preset", ["S1", "S2", "S3"])
+    def test_rho_sweep_solves_each_drop_once(self, preset, solve_counts):
+        # the rho points of a drop share one solve; each point must still
+        # equal a direct solve, so a rho-dependent cost model fails here
+        base = scenario_preset(preset, num_users=8)
+        pts = [(r, base.with_rho(r)) for r in (0.05, 0.1, 0.25, 0.5)]
+        res = run_sweep(pts, drops=2, architectures=ALL_ARCHS)
+        assert solve_counts == {"generate_drop": 2,
+                                "run_drop": 2 * len(ALL_ARCHS)}
+        for d in range(2):
+            channels = generate_drop(base, d)
+            for p, (_, cfg) in enumerate(pts):
+                for a, arch in enumerate(ALL_ARCHS):
+                    direct = run_drop(cfg, channels, arch)
+                    swept = res.power_db[p, a, d]
+                    assert math.isfinite(swept) == direct.feasible
+                    if direct.feasible:
+                        assert swept == pytest.approx(direct.power_db,
+                                                      rel=1e-12)
+
+    def test_other_axes_solve_each_point(self, solve_counts):
+        cfg = tiny_config(rng_seed=15)
+        uneven = dataclasses.replace(cfg, mse_budget=(2.0, 1.0, 1.0, 1.0))
+        users = [(2.0, cfg.with_users(2, 0.5)), (4.0, cfg.with_users(4, 0.5))]
+        for pts in ([(1.0, cfg), (2.0, uneven)], users):
+            solve_counts.update(generate_drop=0, run_drop=0)
+            res = run_sweep(pts, drops=2, architectures=ALL_ARCHS)
+            assert solve_counts == {"generate_drop": 2 * 2,
+                                    "run_drop": 2 * 2 * len(ALL_ARCHS)}
+            for p, (_, point) in enumerate(pts):
+                for d in range(2):
+                    channels = generate_drop(point, d)
+                    direct = [run_drop(point, channels, arch).power_db
+                              for arch in ALL_ARCHS]
+                    np.testing.assert_array_equal(res.power_db[p, :, d],
+                                                  direct)
+
+    def test_numerical_failure_does_not_abort_sweep(self, fail_first_svd):
+        cfg = tiny_config(rng_seed=14)
+        res = run_sweep([(0.5, cfg.with_rho(0.5))], drops=3,
+                        architectures=ALL_ARCHS)
+        assert res.feasible.tolist() == [[False, True, True]]
 
 
 class TestLinkLevel:
