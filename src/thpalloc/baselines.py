@@ -3,12 +3,12 @@
 All baselines share the partition and the assignment solver of the
 proposed scheme; they differ in the per-subcarrier precoder, and
 therefore in the power needed to meet the same per-stream MSE budget.
-Each precoder has one billing function over the stack of co-channel
-users on a subcarrier, in placement order, that returns a list of
-every user's power (+inf for all when the stack is rank deficient).
-The candidate cost the solver sees and the final transmit power are
-both read from these bills. ThpTx's allocator is spatially blind: it bills each
-candidate alone, and only its final stack sees the co-channel users.
+Each precoder has one billing function from stacks of co-channel users
+in placement order, (..., c, N_R, N_T), to every user's power, (..., c)
+(+inf for a whole rank-deficient stack). The solver's candidate costs
+and the final power are both read from these bills. ThpTx's allocator
+is spatially blind: it bills each candidate alone, and only its final
+stack sees the co-channel users.
 
 Every bill is the closed form of `loading.loading_cost`,
 
@@ -25,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from thpalloc.loading import INFEASIBLE_COST, loading_cost, projected_cost
-from thpalloc.precoding import RANK_TOL, null_space_basis
+from thpalloc.loading import INFEASIBLE_COST, loading_cost, projected_costs
+from thpalloc.precoding import RANK_TOL
 
 
 class Architecture(str, Enum):
@@ -44,59 +44,59 @@ class Architecture(str, Enum):
                          f"valid: {[a.value for a in cls]}")
 
 
-def _billed(inverse_gains, budgets, quotas, noise_variance):
-    """Closed-form power of each user from its row of inverse gains."""
-    return [loading_cost(g, gamma_k, n_k, noise_variance)
-            for g, gamma_k, n_k in zip(inverse_gains, budgets, quotas)]
+def _joint_bills(factor, stacks, budgets, quotas, noise_variance, streams):
+    """Bills of a precoder serving the first L rows of a stack's users
+    jointly; factor(h) maps the stacked rows h (..., c*L, N_T) to a
+    full-row-rank mask and the full stacks' inverse row gains."""
+    h = restrict_rows(stacks, streams)
+    h = h.reshape(*h.shape[:-3], -1, h.shape[-1])
+    out = np.full(stacks.shape[:-2], INFEASIBLE_COST)
+    if 0 < h.shape[-2] <= h.shape[-1]:
+        full, inverse_gains = factor(h)
+        out[full] = loading_cost(
+            inverse_gains.reshape(-1, out.shape[-1], streams), budgets[full],
+            quotas[full], noise_variance)
+    return out
 
 
-def zf_bills(channels: np.ndarray, budgets, quotas, noise_variance: float,
-             streams: int) -> list[float]:
+def zf_bills(stacks, budgets, quotas, noise_variance, streams):
     """Per-user power of the channel-inversion precoder: F is the right
     pseudo-inverse of the stacked (L-row) channels and the receiver is
-    the identity, so each user is billed through its own columns of F.
-    """
-    h = restrict_rows(channels, streams).reshape(-1, channels.shape[-1])
-    s = np.linalg.svd(h, compute_uv=False)
-    if s.size < h.shape[0] or s[-1] <= RANK_TOL * s[0]:
-        return [INFEASIBLE_COST] * len(channels)
-    col_norms = np.linalg.norm(np.linalg.pinv(h), axis=0)
-    return _billed(col_norms.reshape(len(channels), streams), budgets, quotas,
-                   noise_variance)
+    the identity, so each user is billed through its own columns of F."""
+    def factor(h):
+        s = np.linalg.svd(h, compute_uv=False)
+        full = s[..., -1] > RANK_TOL * s[..., 0]
+        return full, np.linalg.norm(np.linalg.pinv(h[full]), axis=-2)
+    return _joint_bills(factor, stacks, budgets, quotas, noise_variance,
+                        streams)
 
 
-def thp_bills(channels: np.ndarray, budgets, quotas, noise_variance: float,
-              streams: int) -> list[float]:
-    """Per-user power of the QR-based THP precoder.
-
-    With H^H = Q R and F = Q the received stack is R^H b (lower
-    triangular); THP with C = R^{-H} (unit-diagonal normalized) cancels
-    the earlier users, leaving user i its diagonal slice of |r_ll| as
-    per-stream gains. Appending later users does not change a user's
-    slice, so the last bill of the placed users plus a candidate is the
-    candidate's final bill.
-    """
-    h = restrict_rows(channels, streams).reshape(-1, channels.shape[-1])
-    diag = np.abs(np.linalg.qr(h.conj().T, mode="r").diagonal())
-    if diag.size < h.shape[0] or diag.min() <= RANK_TOL * diag.max():
-        return [INFEASIBLE_COST] * len(channels)
-    return _billed((1.0 / diag).reshape(len(channels), streams), budgets,
-                   quotas, noise_variance)
+def thp_bills(stacks, budgets, quotas, noise_variance, streams):
+    """Per-user power of the QR-based THP precoder. With H^H = Q R and
+    F = Q the received stack is R^H b (lower triangular); THP with
+    C = R^{-H} (unit-diagonal normalized) cancels the earlier users,
+    leaving user i its diagonal slice of |r_ll| as per-stream gains.
+    Appending later users does not change a user's slice, so the last
+    bill of the placed users plus a candidate is its final bill."""
+    def factor(h):
+        r = np.linalg.qr(h.conj().swapaxes(-1, -2), mode="r")
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        full = diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1)
+        return full, 1.0 / diag[full]
+    return _joint_bills(factor, stacks, budgets, quotas, noise_variance,
+                        streams)
 
 
-def linear_bills(channels: np.ndarray, budgets, quotas, noise_variance: float,
-                 streams: int) -> list[float]:
+def linear_bills(stacks, budgets, quotas, noise_variance, streams):
     """Per-user power of mutual block-diagonalization: each user's
     precoder is confined to the null space of every co-channel user's
     full channel, so no receiver sees interference without THP
     feedback."""
-    tx = channels.shape[-1]
-    users = range(len(channels))
-    return [projected_cost(
-        channels[i],
-        null_space_basis(channels[[j for j in users if j != i]]
-                         .reshape(-1, tx), tx),
-        budgets[i], quotas[i], noise_variance, streams) for i in users]
+    *lead, c, rx, tx = stacks.shape
+    others = stacks[..., [[j for j in range(c) if j != i] for i in range(c)],
+                    :, :].reshape(*lead, c, max(c - 1, 0) * rx, tx)
+    return projected_costs(others, stacks[..., None, :, :], budgets[..., None],
+                           quotas[..., None], noise_variance, streams)[..., 0]
 
 
 def restrict_rows(h: np.ndarray, streams: int) -> np.ndarray:

@@ -13,9 +13,9 @@ per-stream MSEs at gamma/(n*L).
 
 Every architecture prices a (subcarrier, user) pair with the same
 closed form, `loading_cost`, fed the inverse per-stream gains of its
-own precoder. `projected_cost` is that price for a channel confined to
-a null-space basis: the proposed scheme's candidate cost, and each
-user's bill in the LinTxLinRx baseline.
+own precoder. `projected_costs` is that price for batches of channels
+confined to null spaces: the proposed scheme's candidate costs, and
+each user's bill in the LinTxLinRx baseline.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from thpalloc.precoding import (EffectiveChannel, NullSpaceBasis,
-                                effective_channel)
+from thpalloc.precoding import RANK_TOL, EffectiveChannel
 
 INFEASIBLE_COST = math.inf
 
@@ -62,16 +61,18 @@ def power_loading(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
                         per_stream_mse=per_sc / streams)
 
 
-def loading_cost(inverse_gains: np.ndarray, gamma_k: float, n_k: int,
-                 noise_variance: float) -> float:
+def loading_cost(inverse_gains: np.ndarray, gamma_k, n_k,
+                 noise_variance: float):
     """Least transmit power meeting the sum-MSE budget with equality,
 
         sigma^2 * (n/gamma) * (sum_l 1/g_l)^2,
 
-    from the inverse per-stream gains 1/g_l: lambda_H'(l)^(-1/2) for a
-    projected channel, the column norms of a zero-forcing precoder, or
-    1/|r_ll| of a QR-based THP precoder."""
-    return noise_variance * (n_k / gamma_k) * float(np.sum(inverse_gains)) ** 2
+    from the inverse per-stream gains 1/g_l (last axis):
+    lambda_H'(l)^(-1/2) for a projected channel, the column norms of a
+    zero-forcing precoder, or 1/|r_ll| of a QR-based THP precoder.
+    Leading axes broadcast against gamma_k and n_k."""
+    return (noise_variance * np.divide(n_k, gamma_k)
+            * np.sum(inverse_gains, axis=-1) ** 2)
 
 
 def transmit_matrix(v1: np.ndarray, loading: PowerLoading,
@@ -98,25 +99,28 @@ def effective_gains(eff: EffectiveChannel, streams: int) -> np.ndarray | None:
     return eff.singular_values[:streams] ** 2
 
 
-def projected_cost(h: np.ndarray, basis: NullSpaceBasis, gamma_k: float,
-                   n_k: int, noise_variance: float, streams: int) -> float:
-    """Least power for user channel h transmitted in the null space
-    `basis`; infinite when the projected channel cannot carry L
-    streams."""
-    lam = effective_gains(effective_channel(h, basis), streams)
-    if lam is None:
-        return INFEASIBLE_COST
-    return loading_cost(lam ** -0.5, gamma_k, n_k, noise_variance)
-
-
-__all__ = [
-    "INFEASIBLE_COST",
-    "PowerLoading",
-    "equalizing_rotation",
-    "power_loading",
-    "loading_cost",
-    "transmit_matrix",
-    "receiver_matrix",
-    "effective_gains",
-    "projected_cost",
-]
+def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
+                    quotas, noise_variance: float,
+                    streams: int) -> np.ndarray:
+    """Least power of each candidate channel (..., m, N_R, N_T) sent in
+    the null space of its stack of placed rows (..., R, N_T); +inf where
+    the projected channel cannot carry L streams. Ranks are cut as in
+    `null_space_basis` and `EffectiveChannel.rank`."""
+    out = np.full(candidates.shape[:-2], INFEASIBLE_COST)
+    _, s, vh = np.linalg.svd(placed)  # V = I for an empty stack
+    rank = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
+    for r in np.unique(rank):
+        sel = rank == r
+        h = candidates[sel]
+        hp = h @ vh[sel][:, None, r:].conj().swapaxes(-1, -2)
+        s = np.linalg.svd(hp, compute_uv=False)  # descending, maybe empty
+        ref = np.maximum(s.max(axis=-1, initial=0.0),
+                         np.linalg.norm(h, axis=(-2, -1)))
+        mask = np.zeros(out.shape, dtype=bool)
+        mask[sel] = np.count_nonzero(s > RANK_TOL * ref[..., None],
+                                     axis=-1) >= streams
+        out[mask] = loading_cost(
+            (s[mask[sel], :streams] ** 2) ** -0.5,
+            np.broadcast_to(budgets, out.shape)[mask],
+            np.broadcast_to(quotas, out.shape)[mask], noise_variance)
+    return out

@@ -14,19 +14,18 @@ by a common factor (a budget class, e.g. the points of a rho axis)
 share one assignment: a sweep generates and solves each drop once per
 budget class and rescales the power to the other points of the class.
 
-Pricing is stateless: a cost row depends only on the users already
-placed on the subcarrier. The proposed scheme prices a candidate with
-loading.projected_cost in the null space of the placed users and is
-billed the sum of its committed costs. Each baseline has one billing
-function in `baselines`; its candidate cost and its final power are
-both read from the bills of a subcarrier's stack.
+Pricing is stateless and batched: a price depends only on the users
+already placed on the subcarrier, so each round prices the subcarriers
+in one array-shaped call per placed count, with loading.projected_costs
+for the proposed scheme and each baseline's billing function in
+`baselines` (also for its final power, per final stack size).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +35,8 @@ from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
 from thpalloc.loading import (effective_gains, equalizing_rotation,
-                              power_loading, projected_cost, receiver_matrix,
-                              transmit_matrix)
+                              power_loading, projected_costs,
+                              receiver_matrix, transmit_matrix)
 from thpalloc.partition import GroupPartition, channel_quality, partition_worst_first
 from thpalloc.precoding import (effective_channel, feedback_matrix, modulo,
                                 null_space_basis, thp_precode)
@@ -73,7 +72,6 @@ class DropResult:
     assignments: tuple[Assignment, ...] = ()
     total_power: float = math.nan        # linear, sigma_d^2 * sum tr(U^H U)
     power_db: float = math.nan           # 10 log10(total / sigma^2)
-    pair_costs: dict = field(default_factory=dict)  # (n, k) -> cost
     infeasible_reason: str = ""
 
 
@@ -111,65 +109,64 @@ class SweepResult:
         return 1.0 - self.feasible.mean(axis=1)
 
 
-def _bills(config, h_all, users, architecture) -> list[float]:
-    """Each user's power under a baseline's precoder, with `users`
-    stacked in placement order on the subcarrier with channels h_all."""
-    # looked up on the module at each call, so a wrapper installed on
-    # `baselines` (a profiler, a test double) sees every call
+def _bills(config, h, rows, users, architecture) -> np.ndarray:
+    """Each user's power under a baseline's precoder, for the stacks of
+    users (b, ..., c), in placement order, on the subcarriers rows (b,)."""
+    # looked up per call, so a wrapper set on `baselines` sees every call
     bills = (baselines.zf_bills if architecture is Architecture.ZF_TX else
              baselines.thp_bills if architecture is Architecture.THP_TX else
              baselines.linear_bills)
-    return bills(
-        h_all[users], [config.mse_budget[k] for k in users],
-        [config.quota[k] for k in users], config.noise_variance,
-        config.streams_per_user)
+    stacks = h[rows.reshape((-1,) + (1,) * (users.ndim - 1)), users]
+    return bills(stacks, np.asarray(config.mse_budget)[users],
+                 np.asarray(config.quota)[users], config.noise_variance,
+                 config.streams_per_user)
 
 
-def _stack_power(config, h_all, users, architecture) -> float:
-    """Total of `_bills`; zero on an empty subcarrier."""
-    return sum(_bills(config, h_all, users, architecture)) if users else 0.0
+def _buckets(placed):
+    """(subcarriers (b,), the users placed on them (b, c)) per count c."""
+    sizes = np.array([len(users) for users in placed])
+    for rows in (np.flatnonzero(sizes == c) for c in np.unique(sizes)):
+        yield rows, np.array([placed[n] for n in rows], dtype=int)
 
 
-def _cost_row(config, h_all, placed, users, architecture) -> list[float]:
-    """Price each candidate in `users` on one subcarrier given the users
-    `placed` there by earlier groups.
+def _cost_matrix(config, h, placed, users, architecture) -> np.ndarray:
+    """(N, U) price of each candidate in `users` on each subcarrier given
+    the users `placed` there by earlier groups, one batch per count: in
+    the null space of the placed users for the proposed scheme (an exact
+    share of the final power), within the placed stack plus itself for
+    ZfTx and ThpTx (spatially blind, so priced once per drop with no
+    placement), and by the growth of the stack's power for LinTxLinRx."""
+    costs = np.empty((config.num_subcarriers, users.size))
+    for rows, stack in _buckets(placed):
+        if architecture is Architecture.THP_TX_LIN_RX:
+            below = h[rows[:, None], stack].reshape(rows.size, -1, h.shape[-1])
+            costs[rows] = projected_costs(
+                below, h[rows[:, None], users],
+                np.asarray(config.mse_budget)[users],
+                np.asarray(config.quota)[users], config.noise_variance,
+                config.streams_per_user)
+            continue
+        grown = np.empty((rows.size, users.size, stack.shape[1] + 1), int)
+        grown[..., :-1], grown[..., -1] = stack[:, None], users  # (b, U, c+1)
+        bills = _bills(config, h, rows, grown, architecture)
+        if architecture is Architecture.LIN_TX_LIN_RX:
+            base = _bills(config, h, rows, stack, architecture).sum(axis=-1)
+            costs[rows] = bills.sum(axis=-1) - base[:, None]
+        else:
+            costs[rows] = bills[..., -1]
+    return costs
 
-    The proposed scheme prices the candidate in the null space of the
-    placed users; its costs are exact shares of the final power. ZfTx
-    bills the candidate within the stack of placed users plus itself.
-    ThpTx's allocator is spatially blind and bills it alone; the price
-    of that blindness is paid by the final stacked precoder. LinTxLinRx
-    charges the growth of the whole stack's power, since adding the
-    candidate re-projects every placed user.
-    """
+
+def _final_power(config, h, placed, architecture, assignments):
+    """Total transmit power of the finished plan, linear scale: the
+    proposed scheme's committed costs, or a baseline's final-stack bills."""
     if architecture is Architecture.THP_TX_LIN_RX:
-        basis = null_space_basis(h_all[placed].reshape(-1, config.tx_antennas),
-                                 config.tx_antennas)
-        return [projected_cost(h_all[k], basis, config.mse_budget[k],
-                               config.quota[k], config.noise_variance,
-                               config.streams_per_user) for k in users]
-    if architecture is Architecture.LIN_TX_LIN_RX:
-        base = _stack_power(config, h_all, placed, architecture)
-        return [_stack_power(config, h_all, placed + [k], architecture) - base
-                for k in users]
-    fixed = [] if architecture is Architecture.THP_TX else placed
-    return [_bills(config, h_all, fixed + [k], architecture)[-1]
-            for k in users]
-
-
-def _final_power(config, channels, placed, architecture, pair_costs):
-    """Total transmit power of the finished plan, linear scale.
-
-    The proposed scheme's sequential costs are exact final powers. Each
-    baseline is billed on its final per-subcarrier stacks, since its
-    assignment costs ignore or only partially track co-channel users."""
-    if architecture is Architecture.THP_TX_LIN_RX:
-        total = sum(pair_costs.values())
-    else:
-        total = sum(_stack_power(config, channels.matrices[n], placed[n],
-                                 architecture)
-                    for n in range(config.num_subcarriers))
-    return config.symbol_variance * total
+        return config.symbol_variance * sum(a.total_cost for a in assignments)
+    per_subcarrier = np.zeros(config.num_subcarriers)
+    for rows, stack in _buckets(placed):
+        per_subcarrier[rows] = _bills(config, h, rows, stack,
+                                      architecture).sum(axis=-1)
+    return config.symbol_variance * sum(per_subcarrier.tolist())
 
 
 def build_plans(config: ScenarioConfig, channels: ChannelSet,
@@ -237,14 +234,16 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
         return DropResult(architecture=architecture, feasible=False,
                           partition=partition, infeasible_reason=reason)
 
+    h = channels.matrices
     placed: list[list[int]] = [[] for _ in range(config.num_subcarriers)]
     assignments = []
-    pair_costs: dict[tuple[int, int], float] = {}
     try:
-        for users in partition.groups:
-            costs = np.array([_cost_row(config, channels.matrices[n],
-                                        placed[n], users, architecture)
-                              for n in range(config.num_subcarriers)])
+        blind = (_cost_matrix(config, h, [[]] * config.num_subcarriers,
+                              np.arange(config.num_users), architecture)
+                 if architecture is Architecture.THP_TX else None)
+        for users in map(np.asarray, partition.groups):
+            costs = (blind[:, users] if blind is not None else
+                     _cost_matrix(config, h, placed, users, architecture))
             try:
                 assignment = solve_assignment(
                     costs, [config.quota[k] for k in users])
@@ -252,10 +251,8 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
                 return infeasible(str(exc))
             assignments.append(assignment)
             for n, j in np.argwhere(assignment.a).tolist():
-                placed[n].append(users[j])
-                pair_costs[(n, users[j])] = costs[n, j]
-        total = _final_power(config, channels, placed, architecture,
-                             pair_costs)
+                placed[n].append(int(users[j]))
+        total = _final_power(config, h, placed, architecture, assignments)
     except np.linalg.LinAlgError as exc:
         return infeasible(f"numerical failure (LinAlgError: {exc})")
     if not math.isfinite(total):
@@ -264,8 +261,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     power_db = 10.0 * math.log10(total / config.noise_variance)
     return DropResult(architecture=architecture, feasible=True,
                       partition=partition, assignments=tuple(assignments),
-                      total_power=total, power_db=power_db,
-                      pair_costs=pair_costs)
+                      total_power=total, power_db=power_db)
 
 
 def _sweep_drop(args):

@@ -1,5 +1,10 @@
-"""Exhaustive and iterative oracles the tests compare the solvers and
-closed forms against."""
+"""Exhaustive, iterative and scalar oracles the tests compare the
+solvers, closed forms and batched pricing against.
+
+The scalar pricers price one (subcarrier, candidate) pair or one
+subcarrier's stack at a time, with one SVD or QR per matrix, the way
+the pipeline did before its pricing was batched per stack size.
+"""
 
 import itertools
 import math
@@ -7,6 +12,9 @@ import math
 import numpy as np
 
 from thpalloc.assignment import Assignment, InfeasibleAssignmentError
+from thpalloc.baselines import Architecture, restrict_rows
+from thpalloc.loading import INFEASIBLE_COST, effective_gains, loading_cost
+from thpalloc.precoding import RANK_TOL, effective_channel, null_space_basis
 
 
 def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
@@ -79,3 +87,101 @@ def bisect_nu(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
         if hi / lo - 1.0 < tol:
             break
     return math.sqrt(lo * hi)
+
+
+def projected_cost(h: np.ndarray, basis, gamma_k: float, n_k: int,
+                   noise_variance: float, streams: int) -> float:
+    """Least power for user channel h transmitted in the null space
+    `basis`; infinite when the projected channel cannot carry L
+    streams."""
+    lam = effective_gains(effective_channel(h, basis), streams)
+    if lam is None:
+        return INFEASIBLE_COST
+    return loading_cost(lam ** -0.5, gamma_k, n_k, noise_variance)
+
+
+def _billed(inverse_gains, budgets, quotas, noise_variance):
+    """Closed-form power of each user from its row of inverse gains."""
+    return [loading_cost(g, gamma_k, n_k, noise_variance)
+            for g, gamma_k, n_k in zip(inverse_gains, budgets, quotas)]
+
+
+def zf_bills(channels: np.ndarray, budgets, quotas, noise_variance: float,
+             streams: int) -> list[float]:
+    """Per-user power of the channel-inversion precoder on one stack
+    (c, N_R, N_T): each user is billed through its own columns of the
+    pseudo-inverse of the stacked L-row channels."""
+    h = restrict_rows(channels, streams).reshape(-1, channels.shape[-1])
+    s = np.linalg.svd(h, compute_uv=False)
+    if s.size < h.shape[0] or s[-1] <= RANK_TOL * s[0]:
+        return [INFEASIBLE_COST] * len(channels)
+    col_norms = np.linalg.norm(np.linalg.pinv(h), axis=0)
+    return _billed(col_norms.reshape(len(channels), streams), budgets, quotas,
+                   noise_variance)
+
+
+def thp_bills(channels: np.ndarray, budgets, quotas, noise_variance: float,
+              streams: int) -> list[float]:
+    """Per-user power of the QR-based THP precoder on one stack: user i
+    is billed on its diagonal slice of |r_ll| of H^H = Q R."""
+    h = restrict_rows(channels, streams).reshape(-1, channels.shape[-1])
+    diag = np.abs(np.linalg.qr(h.conj().T, mode="r").diagonal())
+    if diag.size < h.shape[0] or diag.min() <= RANK_TOL * diag.max():
+        return [INFEASIBLE_COST] * len(channels)
+    return _billed((1.0 / diag).reshape(len(channels), streams), budgets,
+                   quotas, noise_variance)
+
+
+def linear_bills(channels: np.ndarray, budgets, quotas, noise_variance: float,
+                 streams: int) -> list[float]:
+    """Per-user power of mutual block-diagonalization on one stack: each
+    user is projected off every co-channel user's full channel."""
+    tx = channels.shape[-1]
+    users = range(len(channels))
+    return [projected_cost(
+        channels[i],
+        null_space_basis(channels[[j for j in users if j != i]]
+                         .reshape(-1, tx), tx),
+        budgets[i], quotas[i], noise_variance, streams) for i in users]
+
+
+def bills(config, h_all, users, architecture) -> list[float]:
+    """A baseline's per-user bills of `users` stacked in placement order
+    on the subcarrier with channels h_all."""
+    fn = (zf_bills if architecture is Architecture.ZF_TX else
+          thp_bills if architecture is Architecture.THP_TX else
+          linear_bills)
+    return fn(h_all[users], [config.mse_budget[k] for k in users],
+              [config.quota[k] for k in users], config.noise_variance,
+              config.streams_per_user)
+
+
+def stack_power(config, h_all, users, architecture) -> float:
+    """Total of `bills`; zero on an empty subcarrier."""
+    return sum(bills(config, h_all, users, architecture)) if users else 0.0
+
+
+def cost_row(config, h_all, placed, users, architecture) -> list[float]:
+    """Price each candidate in `users` on one subcarrier given the users
+    `placed` there by earlier groups, one candidate at a time."""
+    if architecture is Architecture.THP_TX_LIN_RX:
+        basis = null_space_basis(h_all[placed].reshape(-1, config.tx_antennas),
+                                 config.tx_antennas)
+        return [projected_cost(h_all[k], basis, config.mse_budget[k],
+                               config.quota[k], config.noise_variance,
+                               config.streams_per_user) for k in users]
+    if architecture is Architecture.LIN_TX_LIN_RX:
+        base = stack_power(config, h_all, placed, architecture)
+        return [stack_power(config, h_all, placed + [k], architecture) - base
+                for k in users]
+    fixed = [] if architecture is Architecture.THP_TX else placed
+    return [bills(config, h_all, fixed + [k], architecture)[-1]
+            for k in users]
+
+
+def baseline_final_power(config, channels, placed, architecture) -> float:
+    """A baseline's total transmit power on its final per-subcarrier
+    stacks, linear scale."""
+    return config.symbol_variance * sum(
+        stack_power(config, channels.matrices[n], placed[n], architecture)
+        for n in range(config.num_subcarriers))

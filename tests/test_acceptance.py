@@ -40,7 +40,13 @@ def random_complex(rng, shape):
 # --------------------------------------------------------------------------
 
 def _diagonal_oracle(lam, gamma, n_k, s2, rng):
-    """Numerically minimize sum(lambda_U) under the equality MSE budget."""
+    """Numerically minimize sum(lambda_U) under the equality MSE budget.
+
+    SLSQP gets the exact gradients of cost and constraint: with
+    finite-difference gradients it stopped short of its tolerance from
+    every start on some instances, depending on the BLAS thread count.
+    The third start, equal per-stream MSEs, lies on the constraint and
+    owes nothing to the closed form."""
     target = gamma / n_k
 
     def cost(x):
@@ -49,12 +55,17 @@ def _diagonal_oracle(lam, gamma, n_k, s2, rng):
     def constraint(x):
         return float(np.sum(s2 / (np.exp(x) * lam))) - target
 
+    def constraint_grad(x):
+        return -s2 / (np.exp(x) * lam)
+
     closed = power_loading(lam, gamma, n_k, s2)
     best = math.inf
     for start in (np.log(closed.lambda_u) + 0.4 * rng.standard_normal(lam.size),
-                  np.log(np.full(lam.size, closed.cost / lam.size))):
-        res = minimize(cost, start, method="SLSQP",
-                       constraints=[{"type": "eq", "fun": constraint}],
+                  np.log(np.full(lam.size, closed.cost / lam.size)),
+                  np.log(s2 * lam.size / (target * lam))):
+        res = minimize(cost, start, jac=np.exp, method="SLSQP",
+                       constraints=[{"type": "eq", "fun": constraint,
+                                     "jac": constraint_grad}],
                        options={"maxiter": 300, "ftol": 1e-14})
         if res.success:
             best = min(best, res.fun)

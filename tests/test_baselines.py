@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thpalloc.baselines import (Architecture, linear_bills, restrict_rows,
-                                thp_bills, zf_bills)
+from oracles import linear_bills, thp_bills, zf_bills
+from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import INFEASIBLE_COST, loading_cost
 
 

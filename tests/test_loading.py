@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import bisect_nu
+from oracles import bisect_nu, projected_cost
 from thpalloc.loading import (INFEASIBLE_COST, effective_gains,
                               equalizing_rotation, loading_cost,
-                              power_loading, projected_cost, receiver_matrix,
+                              power_loading, receiver_matrix,
                               transmit_matrix)
 from thpalloc.precoding import effective_channel, null_space_basis
 

@@ -1,0 +1,166 @@
+"""Batched pricing against the scalar references of `oracles`.
+
+`run_drop` prices each group round with one batched call per stack
+size. These tests replay every round with the one-pair-at-a-time
+references and require the same cost matrices (rel 1e-12 and identical
++inf masks) and the same final power, for all four architectures, on
+small valid scenarios beyond the presets (Q = 3 and 4, L < N_R, mixed
+quotas and budgets) and on rank-deficient channels.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from thpalloc import baselines, sim
+from thpalloc.baselines import Architecture
+from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
+
+# (N_T, N_R, L): Q = 2, 3 and 4, with L = N_R and L < N_R
+ANTENNAS = [(4, 2, 2), (4, 2, 1), (6, 2, 2), (6, 2, 1), (4, 1, 1),
+            (8, 4, 2), (2, 1, 1)]
+
+
+@st.composite
+def scenarios(draw):
+    tx, rx, streams = draw(st.sampled_from(ANTENNAS))
+    q = tx // rx
+    per_group = draw(st.integers(1, 3))
+    k_users = q * per_group
+    n_sub = draw(st.integers(3 * per_group, 12))
+    quota = tuple(draw(st.lists(st.integers(1, 3), min_size=k_users,
+                                max_size=k_users)))
+    budget = tuple(draw(st.lists(st.floats(0.2, 2.0), min_size=k_users,
+                                 max_size=k_users)))
+    return ScenarioConfig(num_subcarriers=n_sub, num_users=k_users,
+                          tx_antennas=tx, rx_antennas=rx,
+                          streams_per_user=streams, quota=quota,
+                          mse_budget=budget,
+                          rng_seed=draw(st.integers(0, 1000)))
+
+
+def degrade(channels, how):
+    """Make some channels rank deficient: user 1 copies user 0's channel,
+    or user 0's channel is zero, on every other subcarrier."""
+    h = channels.matrices.copy()
+    if how == "duplicate":
+        h[::2, 1] = h[::2, 0]
+    elif how == "zero":
+        h[::2, 0] = 0.0
+    return ChannelSet(matrices=h, user_positions=channels.user_positions,
+                      drop_id=channels.drop_id)
+
+
+def replay(config, channels, architecture):
+    """Run the pipeline, recording each round's cost matrix and
+    assignment, and price the same rounds with the scalar references.
+    Returns (result, batched matrices, reference matrices, reference
+    final power)."""
+    seen, solved = [], []
+    solve = sim.solve_assignment
+
+    def spy(costs, quotas):
+        seen.append(np.array(costs))
+        solved.append(solve(costs, quotas))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "solve_assignment", spy)
+        result = sim.run_drop(config, channels, architecture)
+    placed = [[] for _ in range(config.num_subcarriers)]
+    reference, committed = [], 0.0
+    for users, assignment in itertools.zip_longest(
+            result.partition.groups[:len(seen)], solved):
+        costs = np.array([oracles.cost_row(config, channels.matrices[n],
+                                           placed[n], list(users),
+                                           architecture)
+                          for n in range(config.num_subcarriers)])
+        reference.append(costs)
+        if assignment is not None:
+            chosen = assignment.a.astype(bool)
+            committed += float(np.sum(costs[chosen]))
+            for n, j in np.argwhere(chosen).tolist():
+                placed[n].append(users[j])
+    if architecture is Architecture.THP_TX_LIN_RX:
+        final = config.symbol_variance * committed
+    else:
+        final = oracles.baseline_final_power(config, channels, placed,
+                                             architecture)
+    return result, seen, reference, final
+
+
+def assert_same_prices(batched, reference):
+    assert len(batched) == len(reference)
+    for got, want in zip(batched, reference):
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                   equal_nan=True)
+
+
+def assert_same_final_power(result, reference_power):
+    if result.feasible:
+        assert result.total_power == pytest.approx(reference_power,
+                                                   rel=1e-12)
+    elif not result.infeasible_reason.startswith("quotas"):
+        # every group was placed: the final stack itself was unpriceable
+        assert not math.isfinite(reference_power)
+
+
+@settings(max_examples=50)
+@given(config=scenarios(), drop=st.integers(0, 20),
+       how=st.sampled_from(["none", "duplicate", "zero"]))
+@pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.value)
+def test_rounds_match_scalar_references(arch, config, drop, how):
+    channels = degrade(generate_drop(config, drop), how)
+    result, batched, reference, final = replay(config, channels, arch)
+    assert_same_prices(batched, reference)
+    assert_same_final_power(result, final)
+
+
+@pytest.mark.parametrize("how", ["duplicate", "zero"])
+@pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.value)
+def test_rank_deficient_channels_price_infinite(arch, how):
+    # the two users of the fixture sit in different groups, so the second
+    # group is priced against a rank-deficient stack; ThpTx prices blind
+    # and meets it only in its final stack
+    config = ScenarioConfig(num_subcarriers=8, num_users=2, tx_antennas=4,
+                            rx_antennas=2, streams_per_user=2, quota=(4, 4),
+                            mse_budget=(1.0, 1.0), rng_seed=3)
+    channels = degrade(generate_drop(config, 0), how)
+    result, batched, reference, final = replay(config, channels, arch)
+    assert len(batched) == 2
+    assert np.isinf(np.concatenate(reference)).any() or math.isinf(final)
+    assert_same_prices(batched, reference)
+    assert_same_final_power(result, final)
+
+
+@settings(max_examples=100)
+@given(stacks=st.integers(1, 4), size=st.integers(1, 4),
+       antennas=st.sampled_from(ANTENNAS), seed=st.integers(0, 10_000),
+       how=st.sampled_from(["none", "duplicate", "zero"]))
+def test_bills_match_scalar_references(stacks, size, antennas, seed, how):
+    tx, rx, streams = antennas
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((stacks, size, rx, tx))
+         + 1j * rng.standard_normal((stacks, size, rx, tx)))
+    if how == "duplicate" and size > 1:
+        h[0, -1] = h[0, 0]
+    elif how == "zero":
+        h[0, -1] = 0.0
+    budgets = rng.uniform(0.2, 2.0, (stacks, size))
+    quotas = rng.integers(1, 4, (stacks, size))
+    pairs = [(baselines.zf_bills, oracles.zf_bills),
+             (baselines.thp_bills, oracles.thp_bills)]
+    if (size - 1) * rx < tx:  # the scalar null-space basis needs room
+        pairs.append((baselines.linear_bills, oracles.linear_bills))
+    for batched, scalar in pairs:
+        got = batched(h, budgets, quotas, 0.7, streams)
+        want = np.array([scalar(h[b], budgets[b], quotas[b], 0.7, streams)
+                         for b in range(stacks)])
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

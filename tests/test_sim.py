@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thpalloc import sim
-from thpalloc.baselines import Architecture, thp_bills
+from oracles import thp_bills
+from thpalloc.baselines import Architecture
 from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
                               scenario_preset)
 from thpalloc.sim import (build_plans, link_level_verify, qam_symbols,
@@ -44,8 +45,9 @@ class TestRunDrop:
         channels = generate_drop(cfg, 0)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
         assert res.feasible
-        assert len(res.pair_costs) == 16
-        total = cfg.symbol_variance * sum(res.pair_costs.values())
+        assert sum(int(a.a.sum()) for a in res.assignments) == 16
+        total = cfg.symbol_variance * sum(a.total_cost
+                                          for a in res.assignments)
         assert res.total_power == pytest.approx(total, rel=1e-9)
 
     def test_quota_satisfied_per_user(self):
@@ -55,8 +57,10 @@ class TestRunDrop:
             res = run_drop(cfg, channels, arch)
             assert res.feasible
             counts = {k: 0 for k in range(cfg.num_users)}
-            for (_, k) in res.pair_costs:
-                counts[k] += 1
+            for users, assignment in zip(res.partition.groups,
+                                         res.assignments):
+                for k, placed in zip(users, assignment.a.sum(axis=0)):
+                    counts[k] += int(placed)
             assert all(counts[k] == cfg.quota[k] for k in counts)
 
     def test_analytic_mse_equals_budget(self):
@@ -139,8 +143,9 @@ class TestRunDrop:
                 [list(g) for g in a.partition.groups]
             for ga, gb in zip(a.assignments, b.assignments):
                 np.testing.assert_array_equal(ga.a, gb.a)
-            assert {(n, perm[i]) for n, i in b.pair_costs} == \
-                set(a.pair_costs)
+            assert [gb.total_cost for gb in b.assignments] == \
+                pytest.approx([ga.total_cost for ga in a.assignments],
+                              rel=1e-12)
             assert b.power_db == pytest.approx(a.power_db, rel=1e-12)
 
     def test_proposed_never_above_linear(self):
