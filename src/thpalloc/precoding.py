@@ -51,13 +51,10 @@ class EffectiveChannel:
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
-    out = v.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        pivot = out[i, j]
-        if np.abs(pivot) > 0:
-            out[:, j] *= np.conj(pivot) / np.abs(pivot)
-    return out
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    mags = np.abs(pivots)
+    return v * np.divide(pivots.conj(), mags, where=mags > 0,
+                         out=np.ones_like(pivots))
 
 
 def null_space_basis(stacked: np.ndarray, tx_antennas: int) -> NullSpaceBasis:
@@ -110,18 +107,27 @@ def feedback_matrix(t_blocks: list[list[np.ndarray | None]],
     return c - np.eye(q * streams)
 
 
-def modulo(x: np.ndarray | complex, constellation_size: int):
-    """Fold complex values into the square (-sqrt(M), sqrt(M)] per axis.
-
-    Returns (y, shift) with y = x + shift and shift = 2*sqrt(M)*xi for
-    a unique Gaussian integer xi.
-    """
+def fold(x: np.ndarray, constellation_size: int) -> np.ndarray:
+    """Fold the complex array x (its last axis contiguous) into the square
+    (-sqrt(M), sqrt(M)] per axis, in place: x += 2r*floor((r - x)/(2r)) on
+    each float component, r = sqrt(M). Returns the shift that was added."""
     root_m = np.sqrt(constellation_size)
-    x = np.asarray(x, dtype=complex)
-    xi = (np.floor((root_m - x.real) / (2 * root_m))
-          + 1j * np.floor((root_m - x.imag) / (2 * root_m)))
-    shift = 2 * root_m * xi
-    return x + shift, shift
+    parts = x.view(float)
+    shift = root_m - parts  # the one temporary; the rest runs in place
+    shift /= 2 * root_m
+    np.floor(shift, out=shift)
+    shift *= 2 * root_m
+    parts += shift
+    return shift.view(complex)
+
+
+def modulo(x: np.ndarray | complex, constellation_size: int):
+    """Fold complex values into the square (-sqrt(M), sqrt(M)] per axis:
+    (y, shift) with y = x + shift and shift = 2*sqrt(M)*xi for a unique
+    Gaussian integer xi; x is not modified."""
+    y = np.array(x, dtype=complex, order="C")
+    shift = fold(y.reshape(-1), constellation_size).reshape(y.shape)
+    return y[()], shift[()]
 
 
 def thp_precode(d: np.ndarray, b_matrix: np.ndarray, streams: int,
@@ -132,20 +138,13 @@ def thp_precode(d: np.ndarray, b_matrix: np.ndarray, streams: int,
     (b, v) with v = d + shift and C b = v exactly, C = B + I.
     """
     d = np.asarray(d, dtype=complex)
-    squeeze = d.ndim == 1
-    if squeeze:
-        d = d[:, None]
-    q = d.shape[0] // streams
-    b = np.empty_like(d)
-    v = np.empty_like(d)
-    for i in range(q):
+    d2 = d[:, None] if d.ndim == 1 else d
+    b = d2.copy()
+    v = np.empty_like(b)
+    for i in range(b.shape[0] // streams):
         rows = slice(i * streams, (i + 1) * streams)
-        acc = d[rows].copy()
         for j in range(i):
             cols = slice(j * streams, (j + 1) * streams)
-            acc -= b_matrix[rows, cols] @ b[cols]
-        b[rows], shift = modulo(acc, constellation_size)
-        v[rows] = d[rows] + shift
-    if squeeze:
-        return b[:, 0], v[:, 0]
-    return b, v
+            b[rows] -= b_matrix[rows, cols] @ b[cols]
+        np.add(d2[rows], fold(b[rows], constellation_size), out=v[rows])
+    return b.reshape(d.shape), v.reshape(d.shape)

@@ -38,7 +38,7 @@ from thpalloc.loading import (effective_gains, equalizing_rotation,
                               power_loading, projected_costs,
                               receiver_matrix, transmit_matrix)
 from thpalloc.partition import GroupPartition, channel_quality, partition_worst_first
-from thpalloc.precoding import (effective_channel, feedback_matrix, modulo,
+from thpalloc.precoding import (effective_channel, feedback_matrix, fold,
                                 null_space_basis, thp_precode)
 
 
@@ -196,7 +196,6 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
             continue
         h_all = channels.matrices[n]
         pairs = []
-        forwards = []
         for pos, k in enumerate(users):
             basis = null_space_basis(
                 h_all[users[:pos]].reshape(-1, config.tx_antennas),
@@ -206,12 +205,10 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
             loading = power_loading(lam, config.mse_budget[k],
                                     config.quota[k], config.noise_variance)
             u = transmit_matrix(eff.right[:, :ell], loading, rotation)
-            f = basis.v0 @ u
-            g = receiver_matrix(eff.hp, u)
-            pairs.append(PairTransceiver(user=k, forward=f, inner=u,
-                                         receiver=g, cost=loading.cost))
-            forwards.append(f)
-        t_blocks = [[h_all[users[p]] @ forwards[i] if i <= p else None
+            pairs.append(PairTransceiver(
+                user=k, forward=basis.v0 @ u, inner=u,
+                receiver=receiver_matrix(eff.hp, u), cost=loading.cost))
+        t_blocks = [[h_all[users[p]] @ pairs[i].forward if i <= p else None
                      for i in range(len(users))] for p in range(len(users))]
         b = feedback_matrix(t_blocks, ell)
         plans.append(SubcarrierPlan(users=tuple(users), pairs=tuple(pairs),
@@ -322,11 +319,13 @@ def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
 
 def qam_symbols(rng: np.random.Generator, constellation_size: int,
                 shape) -> np.ndarray:
-    """Uniform square M-QAM symbols with variance 2(M-1)/3."""
-    levels = np.arange(-(math.isqrt(constellation_size) - 1),
-                       math.isqrt(constellation_size), 2)
-    return (rng.choice(levels, size=shape)
-            + 1j * rng.choice(levels, size=shape))
+    """Uniform square M-QAM symbols with variance 2(M-1)/3; the real, then
+    the imaginary parts are the draws of `rng.choice(levels, shape)`."""
+    side = math.isqrt(constellation_size)
+    levels = np.arange(-(side - 1), side, 2)
+    symbols = (levels[:, None] + 1j * levels).ravel()  # at re * side + im
+    index = rng.integers(0, side, shape) * side + rng.integers(0, side, shape)
+    return symbols.take(index)
 
 
 def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
@@ -340,8 +339,13 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
     measures E|z - d|^2 per stream, summed over each user's assigned
     subcarriers. Valid where modulo folding of noise is negligible.
     The plans come from `build_plans`, so `drop_result` must be a
-    feasible result of the proposed architecture.
+    feasible result of the proposed architecture. Subcarriers run one at
+    a time, their co-channel users stacked in one array per stage; the
+    draws are the QAM real and imaginary parts, then each user's noise
+    real and imaginary parts.
     """
+    if num_symbols < 1:
+        raise ValueError(f"num_symbols must be at least 1, got {num_symbols}")
     plans = build_plans(config, channels, drop_result)
     rng = np.random.default_rng(seed)
     ell = config.streams_per_user
@@ -350,21 +354,18 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
     for n, plan in enumerate(plans):
         if plan is None:
             continue
-        q = len(plan.users)
-        d = qam_symbols(rng, m, (q * ell, num_symbols))
+        users = list(plan.users)
+        d = qam_symbols(rng, m, (len(users) * ell, num_symbols))
         b, _ = thp_precode(d, plan.b_matrix, ell, m)
-        tx = np.zeros((config.tx_antennas, num_symbols), dtype=complex)
-        for pos in range(q):
-            tx += plan.pairs[pos].forward @ b[pos * ell:(pos + 1) * ell]
-        for pos, k in enumerate(plan.users):
-            h = channels.matrices[n][k]
-            x = h @ tx
-            if not noiseless:
-                noise = (rng.standard_normal((h.shape[0], num_symbols))
-                         + 1j * rng.standard_normal((h.shape[0], num_symbols)))
-                x = x + math.sqrt(config.noise_variance / 2.0) * noise
-            y = plan.pairs[pos].receiver @ x
-            z, _ = modulo(y, m)
-            err = z - d[pos * ell:(pos + 1) * ell]
-            sq_err[k] += float(np.mean(np.abs(err) ** 2, axis=1).sum())
+        forward = np.hstack([pair.forward for pair in plan.pairs])
+        x = (channels.matrices[n, users] @ forward) @ b  # (users, N_R, S)
+        if not noiseless:
+            noise = rng.standard_normal((len(users), 2) + x.shape[1:])
+            noise *= math.sqrt(config.noise_variance / 2.0)
+            x.real += noise[:, 0]
+            x.imag += noise[:, 1]
+        z = np.stack([pair.receiver for pair in plan.pairs]) @ x
+        fold(z, m)
+        err = np.subtract(z, d.reshape(z.shape), out=z).view(float)
+        sq_err[users] += np.einsum("kij,kij->k", err, err) / num_symbols
     return sq_err

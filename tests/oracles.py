@@ -4,6 +4,11 @@ solvers, closed forms and batched pricing against.
 The scalar pricers price one (subcarrier, candidate) pair or one
 subcarrier's stack at a time, with one SVD or QR per matrix, the way
 the pipeline did before its pricing was batched per stack size.
+
+The link-level references run the THP chain one user position at a
+time, with the complex-arithmetic modulo and `rng.choice` QAM draws,
+the way `sim.link_level_verify` did before it stacked each subcarrier's
+users into one array per stage.
 """
 
 import itertools
@@ -15,6 +20,7 @@ from thpalloc.assignment import Assignment, InfeasibleAssignmentError
 from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import INFEASIBLE_COST, effective_gains, loading_cost
 from thpalloc.precoding import RANK_TOL, effective_channel, null_space_basis
+from thpalloc.sim import build_plans
 
 
 def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
@@ -185,3 +191,79 @@ def baseline_final_power(config, channels, placed, architecture) -> float:
     return config.symbol_variance * sum(
         stack_power(config, channels.matrices[n], placed[n], architecture)
         for n in range(config.num_subcarriers))
+
+
+def modulo(x, constellation_size: int):
+    """Fold complex values into (-sqrt(M), sqrt(M)] per axis with complex
+    arithmetic: (x + shift, shift), shift = 2*sqrt(M)*xi."""
+    root_m = np.sqrt(constellation_size)
+    x = np.asarray(x, dtype=complex)
+    xi = (np.floor((root_m - x.real) / (2 * root_m))
+          + 1j * np.floor((root_m - x.imag) / (2 * root_m)))
+    shift = 2 * root_m * xi
+    return x + shift, shift
+
+
+def thp_precode(d: np.ndarray, b_matrix: np.ndarray, streams: int,
+                constellation_size: int):
+    """The modulo-feedback recursion on copied row blocks: (b, v) with
+    v = d + shift and (B + I) b = v."""
+    d = np.asarray(d, dtype=complex)
+    squeeze = d.ndim == 1
+    if squeeze:
+        d = d[:, None]
+    q = d.shape[0] // streams
+    b = np.empty_like(d)
+    v = np.empty_like(d)
+    for i in range(q):
+        rows = slice(i * streams, (i + 1) * streams)
+        acc = d[rows].copy()
+        for j in range(i):
+            cols = slice(j * streams, (j + 1) * streams)
+            acc -= b_matrix[rows, cols] @ b[cols]
+        b[rows], shift = modulo(acc, constellation_size)
+        v[rows] = d[rows] + shift
+    if squeeze:
+        return b[:, 0], v[:, 0]
+    return b, v
+
+
+def qam_symbols(rng: np.random.Generator, constellation_size: int,
+                shape) -> np.ndarray:
+    """Uniform square M-QAM symbols drawn with `rng.choice`."""
+    levels = np.arange(-(math.isqrt(constellation_size) - 1),
+                       math.isqrt(constellation_size), 2)
+    return (rng.choice(levels, size=shape)
+            + 1j * rng.choice(levels, size=shape))
+
+
+def link_level_verify(config, channels, drop_result, num_symbols: int,
+                      seed: int = 0, noiseless: bool = False) -> np.ndarray:
+    """Empirical per-user sum-MSE of the THP chain, one user position at
+    a time: the same draws, in the same order, as the stacked chain."""
+    plans = build_plans(config, channels, drop_result)
+    rng = np.random.default_rng(seed)
+    ell = config.streams_per_user
+    m = config.constellation_size
+    sq_err = np.zeros(config.num_users)
+    for n, plan in enumerate(plans):
+        if plan is None:
+            continue
+        q = len(plan.users)
+        d = qam_symbols(rng, m, (q * ell, num_symbols))
+        b, _ = thp_precode(d, plan.b_matrix, ell, m)
+        tx = np.zeros((config.tx_antennas, num_symbols), dtype=complex)
+        for pos in range(q):
+            tx += plan.pairs[pos].forward @ b[pos * ell:(pos + 1) * ell]
+        for pos, k in enumerate(plan.users):
+            h = channels.matrices[n][k]
+            x = h @ tx
+            if not noiseless:
+                noise = (rng.standard_normal((h.shape[0], num_symbols))
+                         + 1j * rng.standard_normal((h.shape[0], num_symbols)))
+                x = x + math.sqrt(config.noise_variance / 2.0) * noise
+            y = plan.pairs[pos].receiver @ x
+            z, _ = modulo(y, m)
+            err = z - d[pos * ell:(pos + 1) * ell]
+            sq_err[k] += float(np.mean(np.abs(err) ** 2, axis=1).sum())
+    return sq_err

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from thpalloc.precoding import (RankDeficientError, effective_channel,
-                                feedback_matrix, modulo, null_space_basis,
-                                thp_precode)
+                                feedback_matrix, fold, modulo,
+                                null_space_basis, thp_precode)
 
 
 def random_complex(rng, shape):
@@ -168,6 +169,72 @@ class TestModulo:
             np.testing.assert_allclose(x + shift, y, atol=1e-9)
 
 
+def same_bits(a, b):
+    """Equal type, shape and bytes (so equal signs of zero too)."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+class TestFoldMatchesComplexFormula:
+    """modulo folds in place on the float view; the complex-arithmetic
+    formula in tests/oracles.py must give the same bits."""
+
+    @staticmethod
+    def check(x, m):
+        before = np.array(x, copy=True)
+        y, shift = modulo(x, m)
+        y_ref, shift_ref = oracles.modulo(x, m)
+        assert same_bits(y, y_ref) and same_bits(shift, shift_ref)
+        np.testing.assert_array_equal(x, before)  # input left untouched
+
+    @pytest.mark.parametrize("x", [5 + 0j, np.complex128(-4 - 3.5j),
+                                   np.array(7.25 - 9j), 3.0, -2])
+    def test_zero_dimensional(self, x):
+        for m in (4, 16, 64, 256):
+            self.check(x, m)
+
+    def test_non_contiguous(self):
+        rng = np.random.default_rng(11)
+        x = 12 * random_complex(rng, (6, 9))
+        for view in (x[::2, 1::3], x.T, x[:, 4], x.T[::-1]):
+            assert not view.flags.c_contiguous
+            for m in (4, 16, 64, 256):
+                self.check(view, m)
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_region_boundaries(self, m):
+        r = np.sqrt(m)
+        axis = [-r, r, -r - 2 * r, r + 2 * r, 0.0, -0.0]
+        x = np.array([a + 1j * b for a in axis for b in axis])
+        self.check(x, m)
+        y, _ = modulo(x, m)
+        assert np.all(y.real > -r) and np.all(y.real <= r)
+        assert np.all(y.imag > -r) and np.all(y.imag <= r)
+        assert y[0] == r + 1j * r  # -r - rj folds onto the closed corner
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_random(self, m):
+        rng = np.random.default_rng(m)
+        x = 30 * random_complex(rng, (4, 500))
+        self.check(x, m)
+        self.check(x.real, m)
+
+    def test_in_place_fold_returns_shift(self):
+        rng = np.random.default_rng(12)
+        x = 20 * random_complex(rng, (3, 4, 5))
+        y_ref, shift_ref = oracles.modulo(x, 16)
+        shift = fold(x, 16)
+        assert same_bits(x, y_ref) and same_bits(shift, shift_ref)
+        # any layout with a contiguous last axis folds in place
+        x = 20 * random_complex(rng, (3, 4, 5))
+        y_ref, shift_ref = oracles.modulo(x[::2].transpose(1, 0, 2), 16)
+        shift = fold(x[::2].transpose(1, 0, 2), 16)
+        assert same_bits(x[::2].transpose(1, 0, 2), y_ref)
+        assert same_bits(shift, shift_ref)
+        with pytest.raises(ValueError):  # a strided last axis cannot
+            fold(x.T, 16)
+
+
 class TestThpPrecode:
     def test_no_feedback(self):
         d = np.array([1 + 1j, -1 - 1j])
@@ -215,3 +282,15 @@ class TestThpPrecode:
             b_vec, v_vec = thp_precode(d[:, s], b_matrix, 1, 16)
             np.testing.assert_allclose(b_vec, b_mat[:, s], atol=1e-14)
             np.testing.assert_allclose(v_vec, v_mat[:, s], atol=1e-14)
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_matches_copied_block_recursion_bitwise(self, m):
+        rng = np.random.default_rng(13 + m)
+        q, ell = 3, 2
+        b_matrix = np.tril(random_complex(rng, (q * ell, q * ell)), -ell)
+        for d in (3 * random_complex(rng, (q * ell, 40)),
+                  3 * random_complex(rng, q * ell),
+                  np.asfortranarray(3 * random_complex(rng, (q * ell, 7)))):
+            for got, want in zip(thp_precode(d, b_matrix, ell, m),
+                                 oracles.thp_precode(d, b_matrix, ell, m)):
+                assert same_bits(got, want)

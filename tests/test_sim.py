@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from thpalloc import sim
 from oracles import thp_bills
 from thpalloc.baselines import Architecture
@@ -286,6 +287,19 @@ class TestRunSweep:
         assert res.feasible.tolist() == [[False, True, True]]
 
 
+# link-level scenarios by name, built for a constellation size M: the
+# three presets and one with Q = 3 co-channel users per subcarrier
+LINK_SCENARIOS = {
+    "S1": lambda m: scenario_preset("S1", rng_seed=21, constellation_size=m),
+    "S2": lambda m: scenario_preset("S2", rho=0.05, rng_seed=55,
+                                    constellation_size=m),
+    "S3": lambda m: scenario_preset("S3", rng_seed=23, constellation_size=m),
+    "Q3": lambda m: tiny_config(num_users=6, tx_antennas=6, quota=(4,) * 6,
+                                mse_budget=(0.5,) * 6, rng_seed=24,
+                                constellation_size=m),
+}
+
+
 class TestLinkLevel:
     def test_qam_symbol_variance(self):
         rng = np.random.default_rng(0)
@@ -293,6 +307,50 @@ class TestLinkLevel:
             d = qam_symbols(rng, m, 200000)
             assert np.mean(np.abs(d) ** 2) == pytest.approx(
                 2 * (m - 1) / 3, rel=0.02)
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    @pytest.mark.parametrize("shape", [7, (3, 50), (2, 0)])
+    def test_qam_draws_equal_rng_choice(self, m, shape):
+        # the link-level reference results depend on this draw stream
+        rng, ref = np.random.default_rng(m), np.random.default_rng(m)
+        levels = np.arange(-(math.isqrt(m) - 1), math.isqrt(m), 2)
+        d = qam_symbols(rng, m, shape)
+        want = (ref.choice(levels, shape)
+                + 1j * ref.choice(levels, shape))
+        assert d.shape == want.shape and d.dtype == want.dtype
+        assert d.tobytes() == want.tobytes()
+        assert rng.standard_normal(4).tobytes() == \
+            ref.standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    @pytest.mark.parametrize("scenario", sorted(LINK_SCENARIOS))
+    def test_stacked_chain_matches_per_position_reference(self, scenario, m):
+        cfg = LINK_SCENARIOS[scenario](m)
+        channels = generate_drop(cfg, m % 5)
+        res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
+        assert res.feasible
+        assert max(len(p.users) for p in build_plans(cfg, channels, res)
+                   if p is not None) == cfg.group_count
+        noisy = link_level_verify(cfg, channels, res, num_symbols=150, seed=m)
+        np.testing.assert_allclose(
+            noisy, oracles.link_level_verify(cfg, channels, res, 150, seed=m),
+            rtol=1e-12, atol=0)
+        # noiseless errors are rounding residue, so compare on the scale
+        # of the noisy errors
+        exact = link_level_verify(cfg, channels, res, num_symbols=150,
+                                  seed=m, noiseless=True)
+        ref = oracles.link_level_verify(cfg, channels, res, 150, seed=m,
+                                        noiseless=True)
+        np.testing.assert_allclose(exact, ref, rtol=0,
+                                   atol=1e-12 * noisy.min())
+
+    @pytest.mark.parametrize("num_symbols", [0, -1])
+    def test_rejects_fewer_than_one_symbol(self, num_symbols):
+        cfg = tiny_config(rng_seed=11)
+        channels = generate_drop(cfg, 0)
+        res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
+        with pytest.raises(ValueError, match="num_symbols"):
+            link_level_verify(cfg, channels, res, num_symbols)
 
     def test_noiseless_chain_is_exact(self):
         cfg = tiny_config(rng_seed=11)
