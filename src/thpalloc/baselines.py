@@ -14,9 +14,9 @@ Every bill is the closed form of `loading.loading_cost`,
 
     sigma^2 * (n/gamma) * (sum_l 1/g_l)^2,
 
-with 1/g_l equal to ||f_l|| (ZF columns), 1/|r_ll| (QR diagonal) or
-lambda^{-1/2} (squared singular values of the channel projected off
-all co-channel users).
+with 1/g_l equal to ||f_l|| (column norms of F from U and s of one
+thin SVD), 1/|r_ll| (QR diagonal) or lambda^{-1/2} (squared singular
+values of the channel projected off all co-channel users).
 """
 
 from __future__ import annotations
@@ -62,11 +62,12 @@ def _joint_bills(factor, stacks, budgets, quotas, noise_variance, streams):
 def zf_bills(stacks, budgets, quotas, noise_variance, streams):
     """Per-user power of the channel-inversion precoder: F is the right
     pseudo-inverse of the stacked (L-row) channels and the receiver is
-    the identity, so each user is billed through its own columns of F."""
+    the identity, so each user is billed through its own columns of F:
+    ||f_l|| = sqrt(sum_j |U_lj|^2 / s_j^2) for the thin SVD h = U S V^H."""
     def factor(h):
-        s = np.linalg.svd(h, compute_uv=False)
+        u, s, _ = np.linalg.svd(h, full_matrices=False)
         full = s[..., -1] > RANK_TOL * s[..., 0]
-        return full, np.linalg.norm(np.linalg.pinv(h[full]), axis=-2)
+        return full, np.linalg.norm(u[full] / s[full][:, None, :], axis=-1)
     return _joint_bills(factor, stacks, budgets, quotas, noise_variance,
                         streams)
 
@@ -87,16 +88,19 @@ def thp_bills(stacks, budgets, quotas, noise_variance, streams):
                         streams)
 
 
-def linear_bills(stacks, budgets, quotas, noise_variance, streams):
-    """Per-user power of mutual block-diagonalization: each user's
-    precoder is confined to the null space of every co-channel user's
-    full channel, so no receiver sees interference without THP
-    feedback."""
+def linear_bills(stacks, budgets, quotas, noise_variance, streams,
+                 first=None):
+    """Per-user power of mutual block-diagonalization, for the first
+    `first` users of each stack (all by default): each user's precoder
+    is confined to the null space of every co-channel user's full
+    channel, so no receiver sees interference without THP feedback."""
     *lead, c, rx, tx = stacks.shape
-    others = stacks[..., [[j for j in range(c) if j != i] for i in range(c)],
-                    :, :].reshape(*lead, c, max(c - 1, 0) * rx, tx)
-    return projected_costs(others, stacks[..., None, :, :], budgets[..., None],
-                           quotas[..., None], noise_variance, streams)[..., 0]
+    billed = range(c)[:first]
+    others = stacks[..., [[j for j in range(c) if j != i] for i in billed],
+                    :, :].reshape(*lead, len(billed), max(c - 1, 0) * rx, tx)
+    return projected_costs(others, stacks[..., :first, None, :, :],
+                           budgets[..., :first, None], quotas[..., :first, None],
+                           noise_variance, streams)[..., 0]
 
 
 def restrict_rows(h: np.ndarray, streams: int) -> np.ndarray:

@@ -90,17 +90,17 @@ def feedback_matrix(t_blocks: list[list[np.ndarray | None]],
     receiver k. Off-diagonal blocks of the unit-diagonal factor are
     pinv(T_kk) @ T_ki; the pseudo-inverse covers diagonal blocks that
     are tall (N_R > L), whose Gram matrix is singular. Returns B = C - I
-    with C the unit-diagonal lower-triangular factor.
+    with C the unit-diagonal lower-triangular factor. One SVD of conj(T_kk)
+    gives its rank and pinv(T_kk), formed as `numpy.linalg.pinv` does.
     """
     q = len(t_blocks)
     c = np.eye(q * streams, dtype=complex)
     for k in range(q):
-        t_kk = t_blocks[k][k]
-        s = np.linalg.svd(t_kk, compute_uv=False)
+        u, s, vt = np.linalg.svd(t_blocks[k][k].conj(), full_matrices=False)
         if s.size < streams or s[-1] <= RANK_TOL * s[0]:
             raise RankDeficientError(
                 f"diagonal block for position {k} is rank deficient")
-        pinv = np.linalg.pinv(t_kk, rcond=RANK_TOL)
+        pinv = vt.T @ ((1 / s)[:, None] * u.T)
         for i in range(k):
             c[k * streams:(k + 1) * streams, i * streams:(i + 1) * streams] = \
                 pinv @ t_blocks[k][i]

@@ -18,7 +18,7 @@ Pricing is stateless and batched: a price depends only on the users
 already placed on the subcarrier, so each round prices the subcarriers
 in one array-shaped call per placed count, with loading.projected_costs
 for the proposed scheme and each baseline's billing function in
-`baselines` (also for its final power, per final stack size).
+`baselines` (carried stack power; only ThpTx re-bills).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class SweepResult:
         return 1.0 - self.feasible.mean(axis=1)
 
 
-def _bills(config, h, rows, users, architecture) -> np.ndarray:
+def _bills(config, h, rows, users, architecture, **extra) -> np.ndarray:
     """Each user's power under a baseline's precoder, for the stacks of
     users (b, ..., c), in placement order, on the subcarriers rows (b,)."""
     # looked up per call, so a wrapper set on `baselines` sees every call
@@ -119,7 +119,7 @@ def _bills(config, h, rows, users, architecture) -> np.ndarray:
     stacks = h[rows.reshape((-1,) + (1,) * (users.ndim - 1)), users]
     return bills(stacks, np.asarray(config.mse_budget)[users],
                  np.asarray(config.quota)[users], config.noise_variance,
-                 config.streams_per_user)
+                 config.streams_per_user, **extra)
 
 
 def _buckets(placed):
@@ -129,44 +129,50 @@ def _buckets(placed):
         yield rows, np.array([placed[n] for n in rows], dtype=int)
 
 
-def _cost_matrix(config, h, placed, users, architecture) -> np.ndarray:
+def _cost_matrix(config, h, placed, power, users, architecture):
     """(N, U) price of each candidate in `users` on each subcarrier given
-    the users `placed` there by earlier groups, one batch per count: in
-    the null space of the placed users for the proposed scheme (an exact
-    share of the final power), within the placed stack plus itself for
-    ZfTx and ThpTx (spatially blind, so priced once per drop with no
-    placement), and by the growth of the stack's power for LinTxLinRx."""
+    the users `placed` there by earlier groups, one batch per count, and
+    the (N, U) total bill of each grown stack (None for the proposed
+    scheme). The price is: in the null space of the placed users for the
+    proposed scheme (an exact share of the final power); within the
+    placed stack plus itself for ZfTx and ThpTx (spatially blind, so
+    priced once per drop with no placement); for LinTxLinRx, the grown
+    stack's bill less the placed stack's carried bill `power` (N,), with
+    the candidate's own term priced as for the proposed scheme."""
     costs = np.empty((config.num_subcarriers, users.size))
+    grown_power = np.empty_like(costs)
     for rows, stack in _buckets(placed):
-        if architecture is Architecture.THP_TX_LIN_RX:
-            below = h[rows[:, None], stack].reshape(rows.size, -1, h.shape[-1])
-            costs[rows] = projected_costs(
-                below, h[rows[:, None], users],
-                np.asarray(config.mse_budget)[users],
-                np.asarray(config.quota)[users], config.noise_variance,
-                config.streams_per_user)
-            continue
         grown = np.empty((rows.size, users.size, stack.shape[1] + 1), int)
         grown[..., :-1], grown[..., -1] = stack[:, None], users  # (b, U, c+1)
-        bills = _bills(config, h, rows, grown, architecture)
-        if architecture is Architecture.LIN_TX_LIN_RX:
-            base = _bills(config, h, rows, stack, architecture).sum(axis=-1)
-            costs[rows] = bills.sum(axis=-1) - base[:, None]
-        else:
-            costs[rows] = bills[..., -1]
-    return costs
+        if architecture in (Architecture.ZF_TX, Architecture.THP_TX):
+            bills = _bills(config, h, rows, grown, architecture)
+            costs[rows], grown_power[rows] = bills[..., -1], bills.sum(axis=-1)
+            continue
+        below = h[rows[:, None], stack].reshape(rows.size, -1, h.shape[-1])
+        costs[rows] = projected_costs(
+            below, h[rows[:, None], users], np.asarray(config.mse_budget)[users],
+            np.asarray(config.quota)[users], config.noise_variance,
+            config.streams_per_user)
+        if architecture is Architecture.LIN_TX_LIN_RX:  # + placed users' bills
+            grown_power[rows] = costs[rows] + _bills(
+                config, h, rows, grown, architecture,
+                first=stack.shape[1]).sum(axis=-1)
+            costs[rows] = grown_power[rows] - power[rows, None]
+    return costs, (None if architecture is Architecture.THP_TX_LIN_RX
+                   else grown_power)
 
 
-def _final_power(config, h, placed, architecture, assignments):
+def _final_power(config, h, placed, power, architecture, assignments):
     """Total transmit power of the finished plan, linear scale: the
-    proposed scheme's committed costs, or a baseline's final-stack bills."""
+    proposed scheme's committed costs, else the carried stack power
+    `power`; only ThpTx, priced blind, re-bills its final stacks."""
     if architecture is Architecture.THP_TX_LIN_RX:
         return config.symbol_variance * sum(a.total_cost for a in assignments)
-    per_subcarrier = np.zeros(config.num_subcarriers)
-    for rows, stack in _buckets(placed):
-        per_subcarrier[rows] = _bills(config, h, rows, stack,
-                                      architecture).sum(axis=-1)
-    return config.symbol_variance * sum(per_subcarrier.tolist())
+    if architecture is Architecture.THP_TX:
+        for rows, stack in _buckets(placed):
+            power[rows] = _bills(config, h, rows, stack,
+                                 architecture).sum(axis=-1)
+    return config.symbol_variance * sum(power.tolist())
 
 
 def build_plans(config: ScenarioConfig, channels: ChannelSet,
@@ -233,14 +239,16 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
 
     h = channels.matrices
     placed: list[list[int]] = [[] for _ in range(config.num_subcarriers)]
+    power = np.zeros(config.num_subcarriers)  # carried bill of each stack
     assignments = []
     try:
-        blind = (_cost_matrix(config, h, [[]] * config.num_subcarriers,
-                              np.arange(config.num_users), architecture)
+        blind = (_cost_matrix(config, h, [[]] * config.num_subcarriers, power,
+                              np.arange(config.num_users), architecture)[0]
                  if architecture is Architecture.THP_TX else None)
         for users in map(np.asarray, partition.groups):
-            costs = (blind[:, users] if blind is not None else
-                     _cost_matrix(config, h, placed, users, architecture))
+            costs, grown = ((blind[:, users], None) if blind is not None else
+                            _cost_matrix(config, h, placed, power, users,
+                                         architecture))
             try:
                 assignment = solve_assignment(
                     costs, [config.quota[k] for k in users])
@@ -249,7 +257,10 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
             assignments.append(assignment)
             for n, j in np.argwhere(assignment.a).tolist():
                 placed[n].append(int(users[j]))
-        total = _final_power(config, h, placed, architecture, assignments)
+                if grown is not None:
+                    power[n] = grown[n, j]
+        total = _final_power(config, h, placed, power, architecture,
+                             assignments)
     except np.linalg.LinAlgError as exc:
         return infeasible(f"numerical failure (LinAlgError: {exc})")
     if not math.isfinite(total):

@@ -20,6 +20,7 @@ import oracles
 from thpalloc import baselines, sim
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
+from thpalloc.precoding import RANK_TOL
 
 # (N_T, N_R, L): Q = 2, 3 and 4, with L = N_R and L < N_R
 ANTENNAS = [(4, 2, 2), (4, 2, 1), (6, 2, 2), (6, 2, 1), (4, 1, 1),
@@ -164,3 +165,49 @@ def test_bills_match_scalar_references(stacks, size, antennas, seed, how):
                          for b in range(stacks)])
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def conditioned_stacks(rng, antennas, users, conds):
+    """One stack (users, N_R, N_T) per condition number in `conds`: the
+    stacked first-L rows have singular values geometric from 1 to
+    1/cond; the rows past L (ignored by ZfTx) are random."""
+    tx, rx, streams = antennas
+    rows = users * streams
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    out = gaussian(len(conds), users, rx, tx)
+    for b, cond in enumerate(conds):
+        u = np.linalg.qr(gaussian(rows, rows))[0]
+        v = np.linalg.qr(gaussian(tx, rows))[0]
+        h = (u * np.geomspace(1.0, 1.0 / cond, rows)) @ v.conj().T
+        out[b, :, :streams] = h.reshape(users, streams, tx)
+    return out
+
+
+# (N_T, N_R, L): Q = 2 and 3, with L = N_R and L < N_R
+@pytest.mark.parametrize("antennas", [(4, 2, 2), (4, 2, 1), (8, 4, 4),
+                                      (8, 4, 2), (6, 2, 2), (6, 2, 1),
+                                      (3, 1, 1)])
+def test_zf_bills_match_pseudo_inverse_columns(antennas):
+    # ZfTx bills from U and s of one SVD; the oracle takes the column
+    # norms of pinv(h). They must agree up to condition number 1e11, and
+    # split full rank from deficient at the same RANK_TOL cut.
+    tx, rx, streams = antennas
+    rng = np.random.default_rng(tx * 100 + rx * 10 + streams)
+    conds = list(np.geomspace(1e2, 1e11, 10))
+    edge = [1.0 / (1.1 * RANK_TOL), 1.0 / (0.9 * RANK_TOL)]
+    for users in range(1, tx // rx + 1):
+        if users * streams < 2:  # one row has no condition number
+            continue
+        stacks = conditioned_stacks(rng, antennas, users, conds + edge)
+        budgets = rng.uniform(0.2, 2.0, stacks.shape[:2])
+        quotas = rng.integers(1, 4, stacks.shape[:2])
+        got = baselines.zf_bills(stacks, budgets, quotas, 0.7, streams)
+        want = np.array([oracles.zf_bills(stacks[b], budgets[b], quotas[b],
+                                          0.7, streams)
+                         for b in range(len(stacks))])
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        assert np.isinf(got).any(axis=-1).tolist() == [False] * 11 + [True]
+        np.testing.assert_allclose(got[:10], want[:10], rtol=1e-12, atol=0.0)

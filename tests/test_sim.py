@@ -27,6 +27,16 @@ def tiny_config(**overrides):
 ALL_ARCHS = tuple(Architecture)
 
 
+def placement(result, num_subcarriers):
+    """The users of a result on each subcarrier, in placement order."""
+    placed = [[] for _ in range(num_subcarriers)]
+    for users, assignment in zip(result.partition.groups,
+                                 result.assignments):
+        for n, j in np.argwhere(assignment.a).tolist():
+            placed[n].append(users[j])
+    return placed
+
+
 @pytest.fixture
 def solve_counts(monkeypatch):
     """Count the sweep's calls of sim.generate_drop and sim.run_drop."""
@@ -208,6 +218,43 @@ class TestRunDrop:
         res = run_drop(cfg, channels, arch)
         assert not res.feasible
         assert "LinAlgError" in res.infeasible_reason
+
+    @pytest.mark.parametrize("preset", ["S1", "S2", "S3"])
+    def test_carried_power_bills_final_stacks(self, preset):
+        # ZfTx and LinTxLinRx carry each stack's bill from the round that
+        # grew it instead of billing the final stacks again; LinTxLinRx's
+        # prices are the growth of that bill, so they add up to it
+        cfg = scenario_preset(preset, num_users=16)
+        for drop in range(3):
+            channels = generate_drop(cfg, drop)
+            for arch in (Architecture.ZF_TX, Architecture.LIN_TX_LIN_RX):
+                res = run_drop(cfg, channels, arch)
+                assert res.feasible
+                assert res.total_power == pytest.approx(
+                    oracles.baseline_final_power(
+                        cfg, channels, placement(res, cfg.num_subcarriers),
+                        arch), rel=1e-12)
+                if arch is Architecture.LIN_TX_LIN_RX:
+                    assert res.total_power == pytest.approx(
+                        cfg.symbol_variance * sum(a.total_cost
+                                                  for a in res.assignments),
+                        rel=1e-12)
+
+    @pytest.mark.parametrize("preset", ["S1", "S2", "S3"])
+    def test_no_pseudo_inverse(self, preset, monkeypatch):
+        # every stack and THP diagonal block is factored once; pinv would
+        # factor it a second time
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.pinv called")
+
+        monkeypatch.setattr(np.linalg, "pinv", refuse)
+        cfg = scenario_preset(preset, num_users=8)
+        channels = generate_drop(cfg, 0)
+        results = {arch: run_drop(cfg, channels, arch) for arch in ALL_ARCHS}
+        assert all(res.feasible for res in results.values())
+        plans = build_plans(cfg, channels,
+                            results[Architecture.THP_TX_LIN_RX])
+        assert any(plan is not None for plan in plans)
 
 
 class TestRunSweep:
