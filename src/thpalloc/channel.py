@@ -9,6 +9,7 @@ with unit total energy.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -78,10 +79,10 @@ class ScenarioConfig:
             users = range(g * per_group, (g + 1) * per_group)
             if sum(self.quota[k] for k in users) > self.num_subcarriers:
                 raise ValueError("group quota sum exceeds number of subcarriers")
-        if any(g <= 0 for g in self.mse_budget):
-            raise ValueError("mse_budget entries must be positive")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not all(0 < g < math.inf for g in self.mse_budget):
+            raise ValueError("mse_budget entries must be finite and positive")
+        if not 0 < self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be finite and positive")
         if self.constellation_size not in _VALID_QAM:
             raise ValueError(f"constellation_size must be one of {_VALID_QAM}")
 

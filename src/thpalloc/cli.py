@@ -20,9 +20,8 @@ from thpalloc.sim import SweepResult, run_sweep
 
 _WORKERS_ENV = "THPALLOC_WORKERS"
 
-_INT_FIELDS = {"num_subcarriers", "num_users", "tx_antennas", "rx_antennas",
-               "streams_per_user", "constellation_size", "pdp_taps",
-               "rng_seed"}
+_INT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)
+               if f.type == "int"}
 
 
 def load_config_file(path: str) -> ScenarioConfig:
@@ -101,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--detail", metavar="FILE", default=None,
                        help="also write per-drop detail CSV")
+    # a string default goes through `type`, so a bad value is a usage error
     sweep.add_argument("--workers", type=int,
-                       default=int(os.environ.get(_WORKERS_ENV, "1")),
+                       default=os.environ.get(_WORKERS_ENV, "1"),
                        help="parallel drop workers (default from "
                             f"${_WORKERS_ENV} or 1)")
     return parser
@@ -184,9 +184,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    mean = result.mean_power_db
     for p, axis in enumerate(result.axis_values):
         row = ", ".join(
-            f"{arch.value}={result.mean_power_db[p, a]:.2f} dB"
+            f"{arch.value}={mean[p, a]:.2f} dB"
             for a, arch in enumerate(result.architectures))
         print(f"{result.axis_name}={axis:g}: {row}")
     return 0

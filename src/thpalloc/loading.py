@@ -15,29 +15,21 @@ Every architecture prices a (subcarrier, user) pair with the same
 closed form, `loading_cost`, fed the inverse per-stream gains of its
 own precoder. `projected_costs` is that price for batches of channels
 confined to null spaces: the proposed scheme's candidate costs, and
-each user's bill in the LinTxLinRx baseline.
+each user's bill in the LinTxLinRx baseline. Its null-space step,
+`_null_spaces`, also gives `sim.build_plans` the bases V0 of its
+transceivers; the loading and transceiver helpers below broadcast over
+leading (pair) axes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from thpalloc.precoding import RANK_TOL, EffectiveChannel
+from thpalloc.precoding import RANK_TOL
 
 INFEASIBLE_COST = math.inf
-
-
-@dataclass(frozen=True)
-class PowerLoading:
-    """Diagonal power allocation meeting the MSE budget with equality."""
-
-    lambda_u: np.ndarray   # length L, positive
-    nu: float
-    cost: float            # sum(lambda_u) = tr(U^H U)
-    per_stream_mse: float  # epsilon = gamma/(n*L)
 
 
 def equalizing_rotation(streams: int) -> np.ndarray:
@@ -45,20 +37,17 @@ def equalizing_rotation(streams: int) -> np.ndarray:
     return np.fft.fft(np.eye(streams), norm="ortho")
 
 
-def power_loading(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
-                  noise_variance: float) -> PowerLoading:
-    """Closed-form water-filling diagonal for one (subcarrier, user) pair."""
+def power_loading(lambda_hp: np.ndarray, gamma_k, n_k,
+                  noise_variance: float) -> np.ndarray:
+    """Closed-form water-filling diagonal lambda_U (last axis) from the
+    gains lambda_H' (last axis); its sum is tr(U^H U). Leading axes
+    broadcast against gamma_k and n_k."""
     lam = np.asarray(lambda_hp, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("effective channel gains must be positive")
-    streams = lam.size
-    per_sc = gamma_k / n_k
-    inv_root = np.sum(lam ** -0.5)
-    sqrt_nu = math.sqrt(noise_variance) * inv_root / per_sc
-    lambda_u = sqrt_nu * np.sqrt(noise_variance / lam)
-    return PowerLoading(lambda_u=lambda_u, nu=sqrt_nu ** 2,
-                        cost=float(np.sum(lambda_u)),
-                        per_stream_mse=per_sc / streams)
+    sqrt_nu = (math.sqrt(noise_variance) * np.sum(lam ** -0.5, axis=-1)
+               / np.divide(gamma_k, n_k))
+    return np.expand_dims(sqrt_nu, -1) * np.sqrt(noise_variance / lam)
 
 
 def loading_cost(inverse_gains: np.ndarray, gamma_k, n_k,
@@ -75,28 +64,33 @@ def loading_cost(inverse_gains: np.ndarray, gamma_k, n_k,
             * np.sum(inverse_gains, axis=-1) ** 2)
 
 
-def transmit_matrix(v1: np.ndarray, loading: PowerLoading,
+def transmit_matrix(v1: np.ndarray, lambda_u: np.ndarray,
                     rotation: np.ndarray) -> np.ndarray:
-    """U = V1 diag(lambda_U)^(1/2) S^H."""
-    return (v1 * np.sqrt(loading.lambda_u)) @ rotation.conj().T
+    """U = V1 diag(lambda_U)^(1/2) S^H, over leading axes."""
+    return (v1 * np.expand_dims(np.sqrt(lambda_u), -2)) @ rotation.conj().T
 
 
 def receiver_matrix(hp: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Minimum-norm zero-forcing receiver: G H' U = I."""
+    """Minimum-norm zero-forcing receiver, G H' U = I, over leading axes."""
     hu = hp @ u
-    gram = hu.conj().T @ hu
+    hu_h = hu.conj().swapaxes(-1, -2)
     try:
-        g = np.linalg.solve(gram, hu.conj().T)
+        return np.linalg.solve(hu_h @ hu, hu_h)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("H'U Gram matrix is singular") from exc
-    return g
 
 
-def effective_gains(eff: EffectiveChannel, streams: int) -> np.ndarray | None:
-    """Top-L squared singular values of H', or None if rank < L."""
-    if eff.rank() < streams:
-        return None
-    return eff.singular_values[:streams] ** 2
+def _null_spaces(placed: np.ndarray):
+    """(selection, V0) per null-space rank r of the stacks of placed rows
+    (..., R, N_T), from one SVD: V0 (b, N_T, N_T - r) spans the null
+    space of the b selected stacks, with r the count of singular values
+    above RANK_TOL * s[0] (a rank-deficient stack widens its basis);
+    V0 = I for an empty stack."""
+    _, s, vh = np.linalg.svd(placed)
+    rank = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
+    for r in np.unique(rank):
+        sel = rank == r
+        yield sel, vh[sel][:, r:].conj().swapaxes(-1, -2)
 
 
 def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
@@ -104,15 +98,14 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
                     streams: int) -> np.ndarray:
     """Least power of each candidate channel (..., m, N_R, N_T) sent in
     the null space of its stack of placed rows (..., R, N_T); +inf where
-    the projected channel cannot carry L streams. Ranks are cut as in
-    `null_space_basis` and `EffectiveChannel.rank`."""
+    the projected channel cannot carry L streams: fewer than L singular
+    values above RANK_TOL * max(s[0], ||h||), so a channel the
+    projection annihilates does not read as rounding noise of full
+    rank."""
     out = np.full(candidates.shape[:-2], INFEASIBLE_COST)
-    _, s, vh = np.linalg.svd(placed)  # V = I for an empty stack
-    rank = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
-    for r in np.unique(rank):
-        sel = rank == r
+    for sel, v0 in _null_spaces(placed):
         h = candidates[sel]
-        hp = h @ vh[sel][:, None, r:].conj().swapaxes(-1, -2)
+        hp = h @ v0[:, None]
         s = np.linalg.svd(hp, compute_uv=False)  # descending, maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0),
                          np.linalg.norm(h, axis=(-2, -1)))

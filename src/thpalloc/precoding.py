@@ -1,13 +1,12 @@
-"""Interference-eliminating structures on a single subcarrier.
+"""THP structures on a single subcarrier.
 
-Null-space bases protect already-placed users from later transmissions;
+Later-placed users transmit in the null space of the earlier ones (the
+bases come from `loading._null_spaces`, shared by pricing and plans);
 the block-triangular feedback matrix plus the modulo recursion remove
 the interference caused by earlier-placed users at the transmitter.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,75 +17,11 @@ class RankDeficientError(Exception):
     """A matrix that must have full rank does not."""
 
 
-@dataclass(frozen=True)
-class NullSpaceBasis:
-    """Orthonormal basis of the null space of a stack of user channels."""
-
-    v0: np.ndarray              # (N_T, m)
-    rank_deficient: bool = False
-
-
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Projected channel H' = H V0 with its SVD factors."""
-
-    hp: np.ndarray              # (N_R, m)
-    left: np.ndarray            # Omega, (N_R, r)
-    singular_values: np.ndarray  # descending, length r
-    right: np.ndarray           # V1, (m, r)
-    scale: float = 0.0          # norm of the unprojected channel
-
-    def rank(self, tol_factor: float = RANK_TOL) -> int:
-        s = self.singular_values
-        if s.size == 0:
-            return 0
-        # judge against the unprojected channel too, so a channel the
-        # projection annihilates reads as rank zero rather than as a
-        # full-rank matrix of rounding noise
-        ref = max(float(s[0]), self.scale)
-        if ref == 0.0:
-            return 0
-        return int(np.count_nonzero(s > tol_factor * ref))
-
-
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    mags = np.abs(pivots)
-    return v * np.divide(pivots.conj(), mags, where=mags > 0,
-                         out=np.ones_like(pivots))
-
-
-def null_space_basis(stacked: np.ndarray, tx_antennas: int) -> NullSpaceBasis:
-    """Basis of the null space of the stacked channels of placed users.
-
-    For an empty stack (first position on the subcarrier) returns the
-    identity. A rank-deficient stack widens the basis and sets a flag.
-    """
-    if stacked.size == 0:
-        return NullSpaceBasis(v0=np.eye(tx_antennas, dtype=complex))
-    rows = stacked.shape[0]
-    if rows >= tx_antennas:
-        raise ValueError("stacked channel leaves no transmit null space")
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
-    v0 = vh[rank:].conj().T
-    return NullSpaceBasis(v0=_fix_column_phases(v0), rank_deficient=rank < rows)
-
-
-def effective_channel(h: np.ndarray, basis: NullSpaceBasis) -> EffectiveChannel:
-    """Project the user channel onto the null space and factor it."""
-    hp = h @ basis.v0
-    left, s, vh = np.linalg.svd(hp, full_matrices=False)
-    return EffectiveChannel(hp=hp, left=left, singular_values=s,
-                            right=vh.conj().T, scale=float(np.linalg.norm(h)))
-
-
-def feedback_matrix(t_blocks: list[list[np.ndarray | None]],
-                    streams: int) -> np.ndarray:
+def feedback_matrix(t_blocks, streams: int) -> np.ndarray:
     """THP feedback matrix B from the lower-triangular block family T.
 
-    t_blocks[k][i] (k >= i) is the coupling of transmission i into
+    t_blocks[k][i] (k >= i; nested lists or a (q, q, N_R, L) array whose
+    blocks above the diagonal are not read) is the coupling of transmission i into
     receiver k. Off-diagonal blocks of the unit-diagonal factor are
     pinv(T_kk) @ T_ki; the pseudo-inverse covers diagonal blocks that
     are tall (N_R > L), whose Gram matrix is singular. Returns B = C - I

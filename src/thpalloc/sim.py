@@ -5,7 +5,9 @@ per-group cost matrices -> per-group exact assignment (groups
 in order, so later groups see the users already placed) -> final
 power. The proposed scheme's transceivers and THP feedback are built
 on demand from a finished result by `build_plans` (which
-`link_level_verify` calls), never by the pipeline itself.
+`link_level_verify` calls), never by the pipeline itself: one batched
+pass per user position, with the null-space bases of the pricing
+(`loading._null_spaces`), then the feedback matrix per subcarrier.
 
 Sweeps repeat this over drops and target-MSE (or user-count) axes with
 all architectures paired on identical drops. Every cost is homogeneous
@@ -34,32 +36,22 @@ from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
                                  solve_assignment)
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
-from thpalloc.loading import (effective_gains, equalizing_rotation,
+from thpalloc.loading import (_null_spaces, equalizing_rotation,
                               power_loading, projected_costs,
                               receiver_matrix, transmit_matrix)
 from thpalloc.partition import GroupPartition, channel_quality, partition_worst_first
-from thpalloc.precoding import (effective_channel, feedback_matrix, fold,
-                                null_space_basis, thp_precode)
-
-
-@dataclass(frozen=True)
-class PairTransceiver:
-    """Matrices of one assigned (subcarrier, user) pair."""
-
-    user: int
-    forward: np.ndarray   # F = V0 U, (N_T, L)
-    inner: np.ndarray     # U, (m, L)
-    receiver: np.ndarray  # G, (L, N_R)
-    cost: float           # tr(U^H U)
+from thpalloc.precoding import feedback_matrix, fold, thp_precode
 
 
 @dataclass(frozen=True)
 class SubcarrierPlan:
-    """Ordered co-channel users on one subcarrier with THP feedback."""
+    """Ordered co-channel users on one subcarrier with their transceivers
+    and THP feedback."""
 
-    users: tuple[int, ...]            # group order
-    pairs: tuple[PairTransceiver, ...]
-    b_matrix: np.ndarray              # strictly block lower triangular
+    users: tuple[int, ...]  # group order, c users
+    forward: np.ndarray     # F = V0 U per user, (c, N_T, L)
+    receiver: np.ndarray    # G per user, (c, L, N_R)
+    b_matrix: np.ndarray    # strictly block lower triangular
 
 
 @dataclass(frozen=True)
@@ -175,51 +167,72 @@ def _final_power(config, h, placed, power, architecture, assignments):
     return config.symbol_variance * sum(power.tolist())
 
 
+def _fix_column_phases(v: np.ndarray) -> np.ndarray:
+    """Rotate each column of the matrices v (..., m, k) so its
+    largest-magnitude entry is real positive."""
+    pivots = np.take_along_axis(
+        v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    mags = np.abs(pivots)
+    return v * np.divide(pivots.conj(), mags, where=mags > 0,
+                         out=np.ones_like(pivots))
+
+
 def build_plans(config: ScenarioConfig, channels: ChannelSet,
                 drop_result: DropResult) -> tuple[SubcarrierPlan | None, ...]:
     """Transceivers and THP feedback of a feasible proposed-scheme result,
     one plan per subcarrier (None where no user is placed).
 
     The placement is rebuilt from the result's groups and assignments in
-    group order, as `run_drop` placed it.
+    group order, as `run_drop` placed it. Position p of all subcarriers
+    with more than p users is built in one batched pass: the null-space
+    bases V0 of the earlier users (column phases fixed), one SVD of
+    H' = H V0 per null-space rank, the loading, F = V0 U and G; then B
+    is formed per subcarrier from the couplings T[p, i] = H_p F_i.
     """
     if (not drop_result.feasible
             or drop_result.architecture is not Architecture.THP_TX_LIN_RX):
         raise ValueError("THP plans need a feasible result of the proposed "
                          "architecture")
-    placed: list[list[int]] = [[] for _ in range(config.num_subcarriers)]
-    for users, assignment in zip(drop_result.partition.groups,
-                                 drop_result.assignments):
-        for n, j in np.argwhere(assignment.a).tolist():
-            placed[n].append(users[j])
-    ell = config.streams_per_user
+    num_sc, ell, tx = (config.num_subcarriers, config.streams_per_user,
+                       config.tx_antennas)
+    # order[n, i]: the i-th user placed on subcarrier n, -1 past its count
+    order = np.full((num_sc, len(drop_result.assignments)), -1)
+    for g, (users, assignment) in enumerate(zip(drop_result.partition.groups,
+                                                drop_result.assignments)):
+        hit = assignment.a.any(axis=1)
+        order[hit, g] = np.asarray(users)[assignment.a[hit].argmax(axis=1)]
+    order = np.take_along_axis(
+        order, np.argsort(order < 0, axis=1, kind="stable"), axis=1)
+    counts = np.count_nonzero(order >= 0, axis=1)
+    h = channels.matrices
+    budgets, quotas = np.asarray(config.mse_budget), np.asarray(config.quota)
     rotation = equalizing_rotation(ell)
-    plans = []
-    for n in range(config.num_subcarriers):
-        users = placed[n]
-        if not users:
-            plans.append(None)
-            continue
-        h_all = channels.matrices[n]
-        pairs = []
-        for pos, k in enumerate(users):
-            basis = null_space_basis(
-                h_all[users[:pos]].reshape(-1, config.tx_antennas),
-                config.tx_antennas)
-            eff = effective_channel(h_all[k], basis)
-            lam = effective_gains(eff, ell)
-            loading = power_loading(lam, config.mse_budget[k],
-                                    config.quota[k], config.noise_variance)
-            u = transmit_matrix(eff.right[:, :ell], loading, rotation)
-            pairs.append(PairTransceiver(
-                user=k, forward=basis.v0 @ u, inner=u,
-                receiver=receiver_matrix(eff.hp, u), cost=loading.cost))
-        t_blocks = [[h_all[users[p]] @ pairs[i].forward if i <= p else None
-                     for i in range(len(users))] for p in range(len(users))]
-        b = feedback_matrix(t_blocks, ell)
-        plans.append(SubcarrierPlan(users=tuple(users), pairs=tuple(pairs),
-                                    b_matrix=b))
-    return tuple(plans)
+    q = order.shape[1]
+    forward = np.zeros((num_sc, q, tx, ell), dtype=complex)
+    receiver = np.zeros((num_sc, q, ell, config.rx_antennas), dtype=complex)
+    coupling = np.zeros((num_sc, q, q, config.rx_antennas, ell),
+                        dtype=complex)
+    for p in range(counts.max(initial=0)):
+        rows = np.flatnonzero(counts > p)
+        below = h[rows[:, None], order[rows, :p]].reshape(rows.size, -1, tx)
+        for sel, v0 in _null_spaces(below):
+            n, k = rows[sel], order[rows[sel], p]
+            v0 = _fix_column_phases(v0)
+            hp = h[n, k] @ v0
+            _, s, vh = np.linalg.svd(hp, full_matrices=False)
+            u = transmit_matrix(
+                vh[:, :ell].conj().swapaxes(-1, -2),
+                power_loading(s[:, :ell] ** 2, budgets[k], quotas[k],
+                              config.noise_variance), rotation)
+            forward[n, p] = v0 @ u
+            receiver[n, p] = receiver_matrix(hp, u)
+        coupling[rows, p, :p + 1] = (h[rows, order[rows, p]][:, None]
+                                     @ forward[rows, :p + 1])
+    return tuple(
+        SubcarrierPlan(users=tuple(order[n, :c].tolist()),
+                       forward=forward[n, :c], receiver=receiver[n, :c],
+                       b_matrix=feedback_matrix(coupling[n, :c, :c], ell))
+        if c else None for n, c in enumerate(counts.tolist()))
 
 
 def run_drop(config: ScenarioConfig, channels: ChannelSet,
@@ -303,7 +316,8 @@ def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
               architectures, axis_name: str = "rho",
               workers: int = 1) -> SweepResult:
     """Paired Monte Carlo over identical drop indices for all
-    architectures and axis points."""
+    architectures and axis points. The pool gets at most one worker per
+    drop; a single worker runs the drops in this process."""
     archs = tuple(architectures)
     configs = [cfg for _, cfg in points]
     seed = configs[0].rng_seed if configs else 0
@@ -311,6 +325,7 @@ def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
     feasible = np.ones((len(points), drops), dtype=bool)
 
     tasks = [(configs, archs, d) for d in range(drops)]
+    workers = min(workers, drops)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_drop, tasks))
@@ -368,14 +383,14 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
         users = list(plan.users)
         d = qam_symbols(rng, m, (len(users) * ell, num_symbols))
         b, _ = thp_precode(d, plan.b_matrix, ell, m)
-        forward = np.hstack([pair.forward for pair in plan.pairs])
+        forward = np.hstack(plan.forward)
         x = (channels.matrices[n, users] @ forward) @ b  # (users, N_R, S)
         if not noiseless:
             noise = rng.standard_normal((len(users), 2) + x.shape[1:])
             noise *= math.sqrt(config.noise_variance / 2.0)
             x.real += noise[:, 0]
             x.imag += noise[:, 1]
-        z = np.stack([pair.receiver for pair in plan.pairs]) @ x
+        z = plan.receiver @ x
         fold(z, m)
         err = np.subtract(z, d.reshape(z.shape), out=z).view(float)
         sq_err[users] += np.einsum("kij,kij->k", err, err) / num_symbols

@@ -5,6 +5,11 @@ The scalar pricers price one (subcarrier, candidate) pair or one
 subcarrier's stack at a time, with one SVD or QR per matrix, the way
 the pipeline did before its pricing was batched per stack size.
 
+The scalar plan builder projects, factors and loads one (subcarrier,
+user) pair at a time and forms B with `numpy.linalg.pinv`, the way
+`sim.build_plans` did before it was batched per position; its null
+space and projected channel also back `projected_cost`.
+
 The link-level references run the THP chain one user position at a
 time, with the complex-arithmetic modulo and `rng.choice` QAM draws,
 the way `sim.link_level_verify` did before it stacked each subcarrier's
@@ -18,9 +23,9 @@ import numpy as np
 
 from thpalloc.assignment import Assignment, InfeasibleAssignmentError
 from thpalloc.baselines import Architecture, restrict_rows
-from thpalloc.loading import INFEASIBLE_COST, effective_gains, loading_cost
-from thpalloc.precoding import RANK_TOL, effective_channel, null_space_basis
-from thpalloc.sim import build_plans
+from thpalloc.loading import INFEASIBLE_COST, loading_cost
+from thpalloc.precoding import RANK_TOL
+from thpalloc.sim import SubcarrierPlan
 
 
 def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
@@ -95,15 +100,41 @@ def bisect_nu(lambda_hp: np.ndarray, gamma_k: float, n_k: int,
     return math.sqrt(lo * hi)
 
 
-def projected_cost(h: np.ndarray, basis, gamma_k: float, n_k: int,
-                   noise_variance: float, streams: int) -> float:
-    """Least power for user channel h transmitted in the null space
-    `basis`; infinite when the projected channel cannot carry L
-    streams."""
-    lam = effective_gains(effective_channel(h, basis), streams)
-    if lam is None:
+def null_space(stacked: np.ndarray, tx_antennas: int) -> np.ndarray:
+    """Orthonormal basis V0 (N_T, m) of the null space of the stacked
+    rows (ranks cut at RANK_TOL * s[0]), each column's largest-magnitude
+    entry real positive; the identity for an empty stack."""
+    if stacked.size == 0:
+        return np.eye(tx_antennas, dtype=complex)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+    v0 = vh[rank:].conj().T
+    pivots = v0[np.argmax(np.abs(v0), axis=0), np.arange(v0.shape[1])]
+    mags = np.abs(pivots)
+    return v0 * np.divide(pivots.conj(), mags, where=mags > 0,
+                          out=np.ones_like(pivots))
+
+
+def projected(h: np.ndarray, v0: np.ndarray, streams: int):
+    """(H', s, V1, carries L streams) of H' = h V0 = Omega diag(s) V1^H;
+    s is cut at RANK_TOL * max(s[0], ||h||), so a channel the projection
+    annihilates does not read as rounding noise of full rank."""
+    hp = h @ v0
+    _, s, vh = np.linalg.svd(hp, full_matrices=False)
+    ref = max(s.max(initial=0.0), float(np.linalg.norm(h)))
+    return hp, s, vh.conj().T, np.count_nonzero(s > RANK_TOL * ref) >= streams
+
+
+def projected_cost(h: np.ndarray, placed: np.ndarray, gamma_k: float,
+                   n_k: int, noise_variance: float, streams: int) -> float:
+    """Least power for user channel h transmitted in the null space of
+    the stacked rows `placed`; infinite when the projected channel cannot
+    carry L streams."""
+    _, s, _, full = projected(h, null_space(placed, h.shape[-1]), streams)
+    if not full:
         return INFEASIBLE_COST
-    return loading_cost(lam ** -0.5, gamma_k, n_k, noise_variance)
+    return loading_cost((s[:streams] ** 2) ** -0.5, gamma_k, n_k,
+                        noise_variance)
 
 
 def _billed(inverse_gains, budgets, quotas, noise_variance):
@@ -145,9 +176,7 @@ def linear_bills(channels: np.ndarray, budgets, quotas, noise_variance: float,
     tx = channels.shape[-1]
     users = range(len(channels))
     return [projected_cost(
-        channels[i],
-        null_space_basis(channels[[j for j in users if j != i]]
-                         .reshape(-1, tx), tx),
+        channels[i], channels[[j for j in users if j != i]].reshape(-1, tx),
         budgets[i], quotas[i], noise_variance, streams) for i in users]
 
 
@@ -171,9 +200,8 @@ def cost_row(config, h_all, placed, users, architecture) -> list[float]:
     """Price each candidate in `users` on one subcarrier given the users
     `placed` there by earlier groups, one candidate at a time."""
     if architecture is Architecture.THP_TX_LIN_RX:
-        basis = null_space_basis(h_all[placed].reshape(-1, config.tx_antennas),
-                                 config.tx_antennas)
-        return [projected_cost(h_all[k], basis, config.mse_budget[k],
+        below = h_all[placed].reshape(-1, config.tx_antennas)
+        return [projected_cost(h_all[k], below, config.mse_budget[k],
                                config.quota[k], config.noise_variance,
                                config.streams_per_user) for k in users]
     if architecture is Architecture.LIN_TX_LIN_RX:
@@ -191,6 +219,51 @@ def baseline_final_power(config, channels, placed, architecture) -> float:
     return config.symbol_variance * sum(
         stack_power(config, channels.matrices[n], placed[n], architecture)
         for n in range(config.num_subcarriers))
+
+
+def build_plans(config, channels, drop_result) -> tuple:
+    """Plans of a feasible proposed-scheme result, one (subcarrier, user)
+    pair at a time: V0 of the users placed before it, H' = H V0, the
+    closed-form loading lambda_U = sqrt(nu) sqrt(sigma^2/lambda_H'),
+    U = V1 diag(lambda_U)^(1/2) S^H, F = V0 U, G = (H'U)^+, then
+    B = C - I with C_ki = pinv(T_kk) T_ki, T_ki = H_k F_i."""
+    placed = [[] for _ in range(config.num_subcarriers)]
+    for users, assignment in zip(drop_result.partition.groups,
+                                 drop_result.assignments):
+        for n, j in np.argwhere(assignment.a).tolist():
+            placed[n].append(users[j])
+    ell, tx, s2 = (config.streams_per_user, config.tx_antennas,
+                   config.noise_variance)
+    rotation = np.fft.fft(np.eye(ell), norm="ortho")
+    plans = []
+    for n, users in enumerate(placed):
+        if not users:
+            plans.append(None)
+            continue
+        h_all = channels.matrices[n]
+        forward, receiver = [], []
+        for pos, k in enumerate(users):
+            v0 = null_space(h_all[users[:pos]].reshape(-1, tx), tx)
+            hp, s, v1, _ = projected(h_all[k], v0, ell)
+            lam = s[:ell] ** 2
+            sqrt_nu = (math.sqrt(s2) * np.sum(lam ** -0.5)
+                       / (config.mse_budget[k] / config.quota[k]))
+            u = (v1[:, :ell] * np.sqrt(sqrt_nu * np.sqrt(s2 / lam))
+                 ) @ rotation.conj().T
+            hu = hp @ u
+            forward.append(v0 @ u)
+            receiver.append(np.linalg.solve(hu.conj().T @ hu, hu.conj().T))
+        q = len(users)
+        c = np.eye(q * ell, dtype=complex)
+        for k in range(q):
+            pinv = np.linalg.pinv(h_all[users[k]] @ forward[k])
+            for i in range(k):
+                c[k * ell:(k + 1) * ell, i * ell:(i + 1) * ell] = \
+                    pinv @ (h_all[users[k]] @ forward[i])
+        plans.append(SubcarrierPlan(
+            users=tuple(users), forward=np.array(forward),
+            receiver=np.array(receiver), b_matrix=c - np.eye(q * ell)))
+    return tuple(plans)
 
 
 def modulo(x, constellation_size: int):
@@ -254,7 +327,7 @@ def link_level_verify(config, channels, drop_result, num_symbols: int,
         b, _ = thp_precode(d, plan.b_matrix, ell, m)
         tx = np.zeros((config.tx_antennas, num_symbols), dtype=complex)
         for pos in range(q):
-            tx += plan.pairs[pos].forward @ b[pos * ell:(pos + 1) * ell]
+            tx += plan.forward[pos] @ b[pos * ell:(pos + 1) * ell]
         for pos, k in enumerate(plan.users):
             h = channels.matrices[n][k]
             x = h @ tx
@@ -262,7 +335,7 @@ def link_level_verify(config, channels, drop_result, num_symbols: int,
                 noise = (rng.standard_normal((h.shape[0], num_symbols))
                          + 1j * rng.standard_normal((h.shape[0], num_symbols)))
                 x = x + math.sqrt(config.noise_variance / 2.0) * noise
-            y = plan.pairs[pos].receiver @ x
+            y = plan.receiver[pos] @ x
             z, _ = modulo(y, m)
             err = z - d[pos * ell:(pos + 1) * ell]
             sq_err[k] += float(np.mean(np.abs(err) ** 2, axis=1).sum())

@@ -58,10 +58,10 @@ def _diagonal_oracle(lam, gamma, n_k, s2, rng):
     def constraint_grad(x):
         return -s2 / (np.exp(x) * lam)
 
-    closed = power_loading(lam, gamma, n_k, s2)
+    closed = power_loading(lam, gamma, n_k, s2)  # lambda_U
     best = math.inf
-    for start in (np.log(closed.lambda_u) + 0.4 * rng.standard_normal(lam.size),
-                  np.log(np.full(lam.size, closed.cost / lam.size)),
+    for start in (np.log(closed) + 0.4 * rng.standard_normal(lam.size),
+                  np.log(np.full(lam.size, closed.sum() / lam.size)),
                   np.log(s2 * lam.size / (target * lam))):
         res = minimize(cost, start, jac=np.exp, method="SLSQP",
                        constraints=[{"type": "eq", "fun": constraint,
@@ -69,7 +69,7 @@ def _diagonal_oracle(lam, gamma, n_k, s2, rng):
                        options={"maxiter": 300, "ftol": 1e-14})
         if res.success:
             best = min(best, res.fun)
-    return closed.cost, best
+    return closed.sum(), best
 
 
 def _full_matrix_oracle(lam_gen_rng, ell, m, gamma, n_k):
@@ -129,11 +129,12 @@ def test_criterion_1_proposition1_oracle():
         worst = max(worst, max(0.0, (closed - best) / closed))
         full_checked += 1
 
+    # lambda_U = sqrt(nu sigma^2 / lambda_H'), so nu = lambda_U^2 lambda_H'
     hand = power_loading(np.array([1.0, 4.0]), gamma_k=0.75, n_k=1,
                          noise_variance=1.0)
-    hand_ok = (hand.nu == pytest.approx(4.0, abs=1e-12)
-               and np.allclose(hand.lambda_u, [2.0, 1.0], atol=1e-12)
-               and hand.cost == pytest.approx(3.0, abs=1e-12))
+    hand_ok = (np.allclose(hand ** 2 * [1.0, 4.0], 4.0, rtol=0, atol=1e-12)
+               and np.allclose(hand, [2.0, 1.0], atol=1e-12)
+               and hand.sum() == pytest.approx(3.0, abs=1e-12))
     elapsed = time.monotonic() - start
     ok = worst < 1e-5 and hand_ok and full_checked >= 8 and elapsed < 30
     verdict(1, "closed-form loading matches numerical minimizer "
@@ -200,7 +201,7 @@ def test_criterion_3_interference_elimination():
                 if plan is None:
                     continue
                 h_all = channels.matrices[n]
-                forwards = [p.forward for p in plan.pairs]
+                forwards = plan.forward
                 # null-space exactness and zero-forcing receivers
                 for pos, k in enumerate(plan.users):
                     f = forwards[pos]
@@ -209,7 +210,7 @@ def test_criterion_3_interference_elimination():
                                            for i in plan.users[:pos]])
                         resid = np.linalg.norm(stack @ f) / np.linalg.norm(f)
                         worst = max(worst, resid)
-                    g = plan.pairs[pos].receiver
+                    g = plan.receiver[pos]
                     eye_resid = np.linalg.norm(g @ h_all[k] @ f - np.eye(ell))
                     worst = max(worst, eye_resid)
                 # feedback factorization D C = T
@@ -265,12 +266,11 @@ def test_criterion_4_equal_mse_and_tightness():
             for plan in build_plans(cfg, channels, res):
                 if plan is None:
                     continue
-                for pair in plan.pairs:
-                    mse = cfg.noise_variance * np.diag(
-                        pair.receiver @ pair.receiver.conj().T).real
-                    dev = np.max(np.abs(mse - eps[pair.user])) / eps[pair.user]
+                for k, g in zip(plan.users, plan.receiver):
+                    mse = cfg.noise_variance * np.diag(g @ g.conj().T).real
+                    dev = np.max(np.abs(mse - eps[k])) / eps[k]
                     worst_eq = max(worst_eq, float(dev))
-                    sums[pair.user] += float(mse.sum())
+                    sums[k] += float(mse.sum())
             worst_sum = max(worst_sum, float(np.max(
                 np.abs(sums - np.asarray(cfg.mse_budget))
                 / np.asarray(cfg.mse_budget))))

@@ -88,6 +88,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive"):
             small_config(mse_budget=(1.0, 0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget(self, budget):
+        # NaN compares False with everything, so `g <= 0` let it through
+        with pytest.raises(ValueError, match="mse_budget.*finite"):
+            small_config(mse_budget=(1.0, budget, 1.0, 1.0))
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise_variance(self, noise):
+        with pytest.raises(ValueError, match="noise_variance.*finite"):
+            small_config(noise_variance=noise)
+
     def test_bad_constellation(self):
         with pytest.raises(ValueError, match="constellation_size"):
             small_config(constellation_size=32)

@@ -52,6 +52,18 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_arch_list("Nonsense")
 
+    def test_bad_workers_env_is_usage_error(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv("THPALLOC_WORKERS", "abc")
+        assert run_main(["--help"]) == 0
+        out = tmp_path / "o.csv"
+        argv = ["sweep", "--scenario", "S3", "--drops", "1",
+                "--arch", "ThpTxLinRx", "--out", str(out)]
+        assert run_main(argv) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_main(argv + ["--workers", "1"]) == 0  # flag beats env
+
     def test_drops_must_be_positive(self, tmp_path, capsys):
         code = run_main(["sweep", "--scenario", "S1", "--drops", "0",
                          "--out", str(tmp_path / "o.csv")])
@@ -156,6 +168,28 @@ class TestEndToEnd:
         assert proc.returncode == 2
         assert "error" in proc.stderr
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_exits_2(self, tmp_path, capsys, rho):
+        out = tmp_path / "o.csv"
+        code = run_main(["sweep", "--scenario", "S1", "--rho", rho,
+                         "--drops", "2", "--out", str(out)])
+        assert code == 2
+        assert "mse_budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_noise_variance_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("num_subcarriers = 8\nnum_users = 4\n"
+                        "tx_antennas = 4\nrx_antennas = 2\n"
+                        "streams_per_user = 2\nquota = 2\n"
+                        "mse_budget = 1.0\nnoise_variance = nan\n")
+        out = tmp_path / "o.csv"
+        code = run_main(["sweep", "--config", str(path), "--drops", "2",
+                         "--out", str(out)])
+        assert code == 2
+        assert "noise_variance" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError("singular"),
                                        RankDeficientError("rank deficient")])

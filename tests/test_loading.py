@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import bisect_nu, projected_cost
-from thpalloc.loading import (INFEASIBLE_COST, effective_gains,
-                              equalizing_rotation, loading_cost,
-                              power_loading, receiver_matrix,
+from oracles import bisect_nu, null_space, projected, projected_cost
+from thpalloc.loading import (INFEASIBLE_COST, equalizing_rotation,
+                              loading_cost, power_loading, receiver_matrix,
                               transmit_matrix)
-from thpalloc.precoding import effective_channel, null_space_basis
 
 
 def random_complex(rng, shape):
@@ -39,25 +37,29 @@ class TestEqualizingRotation:
 
 
 class TestPowerLoading:
+    # power_loading returns lambda_U; nu is read back from the water-filling
+    # form lambda_U = sqrt(nu sigma^2 / lambda_H'), tr(U^H U) is its sum
     def test_single_stream(self):
-        res = power_loading(np.array([1.0]), gamma_k=0.5, n_k=1,
-                            noise_variance=1.0)
-        assert res.lambda_u[0] == pytest.approx(2.0)
-        assert res.cost == pytest.approx(2.0)
-        assert res.per_stream_mse == pytest.approx(0.5)
+        lambda_u = power_loading(np.array([1.0]), gamma_k=0.5, n_k=1,
+                                 noise_variance=1.0)
+        assert lambda_u[0] == pytest.approx(2.0)
+        assert lambda_u.sum() == pytest.approx(2.0)
+        # per-stream MSE sigma^2 / (lambda_U lambda_H') = gamma / (n L)
+        assert 1.0 / lambda_u[0] == pytest.approx(0.5)
 
     def test_two_stream_hand_example(self):
-        res = power_loading(np.array([1.0, 4.0]), gamma_k=0.75, n_k=1,
-                            noise_variance=1.0)
-        assert res.nu == pytest.approx(4.0)
-        np.testing.assert_allclose(res.lambda_u, [2.0, 1.0], rtol=1e-12)
-        assert res.cost == pytest.approx(3.0)
+        lam = np.array([1.0, 4.0])
+        lambda_u = power_loading(lam, gamma_k=0.75, n_k=1, noise_variance=1.0)
+        np.testing.assert_allclose(lambda_u ** 2 * lam, 4.0, rtol=1e-12)
+        np.testing.assert_allclose(lambda_u, [2.0, 1.0], rtol=1e-12)
+        assert lambda_u.sum() == pytest.approx(3.0)
 
     def test_equal_gains_specialization(self):
         lam0, n_k, gamma = 2.5, 3, 0.6
         for ell in (1, 2, 4):
-            res = power_loading(np.full(ell, lam0), gamma, n_k, 1.0)
-            assert res.cost == pytest.approx(n_k * ell ** 2 / (gamma * lam0))
+            lambda_u = power_loading(np.full(ell, lam0), gamma, n_k, 1.0)
+            assert lambda_u.sum() == pytest.approx(
+                n_k * ell ** 2 / (gamma * lam0))
 
     def test_constraint_met_with_equality(self):
         rng = np.random.default_rng(1)
@@ -66,30 +68,41 @@ class TestPowerLoading:
             lam = rng.uniform(0.05, 10.0, ell)
             gamma, n_k, s2 = rng.uniform(0.1, 2.0), rng.integers(1, 9), \
                 rng.uniform(0.2, 3.0)
-            res = power_loading(lam, gamma, int(n_k), s2)
-            mse_sum = np.sum(s2 / (res.lambda_u * lam))
+            lambda_u = power_loading(lam, gamma, int(n_k), s2)
+            mse_sum = np.sum(s2 / (lambda_u * lam))
             assert mse_sum == pytest.approx(gamma / n_k, rel=1e-9)
-            np.testing.assert_allclose(res.lambda_u,
-                                       np.sqrt(res.nu * s2 / lam), rtol=1e-9)
+            nu = lambda_u ** 2 * lam / s2
+            np.testing.assert_allclose(lambda_u, np.sqrt(nu[0] * s2 / lam),
+                                       rtol=1e-9)
 
     def test_closed_form_matches_bisection(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             lam = rng.uniform(0.05, 10.0, rng.integers(1, 5))
             gamma, n_k, s2 = rng.uniform(0.1, 2.0), 2, rng.uniform(0.2, 3.0)
-            res = power_loading(lam, gamma, n_k, s2)
+            lambda_u = power_loading(lam, gamma, n_k, s2)
             root = bisect_nu(lam, gamma, n_k, s2)
-            assert root == pytest.approx(res.nu, rel=1e-9)
+            assert root == pytest.approx(lambda_u[0] ** 2 * lam[0] / s2,
+                                         rel=1e-9)
 
     def test_nonpositive_gain_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             power_loading(np.array([1.0, 0.0]), 0.5, 1, 1.0)
 
+    def test_batched_rows_equal_single_calls(self):
+        rng = np.random.default_rng(10)
+        lam = rng.uniform(0.05, 10.0, (5, 3))
+        gamma, n_k = rng.uniform(0.1, 2.0, 5), rng.integers(1, 9, 5)
+        batched = power_loading(lam, gamma, n_k, 1.7)
+        for i in range(5):
+            np.testing.assert_array_equal(
+                batched[i], power_loading(lam[i], gamma[i], n_k[i], 1.7))
+
     def test_loading_cost_shortcut(self):
         rng = np.random.default_rng(3)
         lam = rng.uniform(0.1, 4.0, 3)
         assert loading_cost(lam ** -0.5, 0.7, 2, 1.3) == pytest.approx(
-            power_loading(lam, 0.7, 2, 1.3).cost, rel=1e-12)
+            power_loading(lam, 0.7, 2, 1.3).sum(), rel=1e-12)
 
     def test_cost_scaling_laws(self):
         inv = np.array([0.5, 2.0, 3.0]) ** -0.5
@@ -108,14 +121,14 @@ class TestTransceiverMatrices:
     def test_isometry_power(self):
         rng = np.random.default_rng(4)
         v1, _ = np.linalg.qr(random_complex(rng, (4, 2)))
-        loading = power_loading(np.array([1.0, 1.0]), 2.0, 1, 1.0)
-        u = transmit_matrix(v1, loading, np.eye(2))
-        assert np.trace(u.conj().T @ u).real == pytest.approx(loading.cost,
+        lambda_u = power_loading(np.array([1.0, 1.0]), 2.0, 1, 1.0)
+        u = transmit_matrix(v1, lambda_u, np.eye(2))
+        assert np.trace(u.conj().T @ u).real == pytest.approx(lambda_u.sum(),
                                                               rel=1e-9)
 
     def test_single_stream_power(self):
-        loading = power_loading(np.array([1.0]), 0.5, 1, 1.0)
-        u = transmit_matrix(np.array([[1.0]]), loading, np.array([[1.0]]))
+        lambda_u = power_loading(np.array([1.0]), 0.5, 1, 1.0)
+        u = transmit_matrix(np.array([[1.0]]), lambda_u, np.array([[1.0]]))
         assert np.linalg.norm(u) ** 2 == pytest.approx(2.0)
 
     def test_receiver_scalar(self):
@@ -124,23 +137,35 @@ class TestTransceiverMatrices:
 
     def test_receiver_zero_forcing_and_mse(self):
         rng = np.random.default_rng(5)
-        basis = null_space_basis(random_complex(rng, (2, 4)), 4)
-        h = random_complex(rng, (2, 4))
-        eff = effective_channel(h, basis)
-        lam = effective_gains(eff, 2)
-        loading = power_loading(lam, 0.8, 2, 1.0)
+        v0 = null_space(random_complex(rng, (2, 4)), 4)
+        hp, sv, v1, _ = projected(random_complex(rng, (2, 4)), v0, 2)
+        lambda_u = power_loading(sv[:2] ** 2, 0.8, 2, 1.0)
         s = equalizing_rotation(2)
-        u = transmit_matrix(eff.right[:, :2], loading, s)
-        g = receiver_matrix(eff.hp, u)
-        np.testing.assert_allclose(g @ eff.hp @ u, np.eye(2), atol=1e-9)
+        u = transmit_matrix(v1[:, :2], lambda_u, s)
+        g = receiver_matrix(hp, u)
+        np.testing.assert_allclose(g @ hp @ u, np.eye(2), atol=1e-9)
         # equal per-stream MSEs at epsilon = gamma/(n L)
         mse = np.diag(g @ g.conj().T).real  # sigma^2 = 1
-        np.testing.assert_allclose(mse, loading.per_stream_mse, rtol=1e-9)
+        np.testing.assert_allclose(mse, 0.8 / (2 * 2), rtol=1e-9)
         assert mse.sum() == pytest.approx(0.8 / 2, rel=1e-9)
 
     def test_receiver_singular_gram(self):
         with pytest.raises(np.linalg.LinAlgError):
             receiver_matrix(np.zeros((2, 2)), np.eye(2))
+
+    def test_batched_matrices_equal_single_calls(self):
+        rng = np.random.default_rng(11)
+        hp = random_complex(rng, (3, 2, 4))
+        v1 = np.linalg.qr(random_complex(rng, (3, 4, 2)))[0]
+        lambda_u = rng.uniform(0.5, 2.0, (3, 2))
+        s = equalizing_rotation(2)
+        u = transmit_matrix(v1, lambda_u, s)
+        g = receiver_matrix(hp, u)
+        for i in range(3):
+            u_i = transmit_matrix(v1[i], lambda_u[i], s)
+            np.testing.assert_allclose(u[i], u_i, rtol=1e-14)
+            np.testing.assert_allclose(g[i], receiver_matrix(hp[i], u_i),
+                                       rtol=1e-12)
 
 
 class TestSubcarrierCost:
@@ -149,10 +174,8 @@ class TestSubcarrierCost:
 
     @staticmethod
     def cost(h, placed, k, gamma_k, n_k, noise_variance, streams):
-        tx = h.shape[-1]
-        basis = null_space_basis(h[placed].reshape(-1, tx), tx)
-        return projected_cost(h[k], basis, gamma_k, n_k, noise_variance,
-                              streams)
+        return projected_cost(h[k], h[placed].reshape(-1, h.shape[-1]),
+                              gamma_k, n_k, noise_variance, streams)
 
     def test_unit_row_channel(self):
         h = np.array([[[1.0, 0.0]]], dtype=complex)
@@ -173,10 +196,9 @@ class TestSubcarrierCost:
     def test_matches_power_loading_on_projected_gains(self):
         h = random_complex(np.random.default_rng(8), (2, 2, 6))
         cost = self.cost(h, [0], 1, 0.9, 3, 1.0, 2)
-        basis = null_space_basis(h[0], 6)
-        lam = effective_gains(effective_channel(h[1], basis), 2)
-        assert cost == pytest.approx(power_loading(lam, 0.9, 3, 1.0).cost,
-                                     rel=1e-12)
+        _, sv, _, _ = projected(h[1], null_space(h[0], 6), 2)
+        assert cost == pytest.approx(
+            power_loading(sv[:2] ** 2, 0.9, 3, 1.0).sum(), rel=1e-12)
 
 
 class TestOptimality:

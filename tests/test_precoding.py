@@ -2,90 +2,106 @@ import numpy as np
 import pytest
 
 import oracles
-from thpalloc.precoding import (RankDeficientError, effective_channel,
-                                feedback_matrix, fold, modulo,
-                                null_space_basis, thp_precode)
+from thpalloc.loading import (INFEASIBLE_COST, _null_spaces, loading_cost,
+                              projected_costs)
+from thpalloc.precoding import (RankDeficientError, feedback_matrix, fold,
+                                modulo, thp_precode)
+from thpalloc.sim import _fix_column_phases
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def basis(stacked):
+    """The null-space basis of one stack of rows as `build_plans` takes
+    it: the shared batched null-space step, then the column phases."""
+    (_, v0), = _null_spaces(np.asarray(stacked, dtype=complex)[None])
+    return _fix_column_phases(v0[0])
+
+
+def price(stacked, h, streams=None):
+    """`projected_costs` of one channel h in the null space of one stack,
+    with unit budget, quota and noise."""
+    streams = h.shape[0] if streams is None else streams
+    return projected_costs(np.asarray(stacked, dtype=complex)[None],
+                           np.asarray(h, dtype=complex)[None, None], 1.0, 1,
+                           1.0, streams)[0, 0]
+
+
 class TestNullSpaceBasis:
     def test_axis_aligned(self):
-        basis = null_space_basis(np.array([[1.0, 0.0]]), 2)
-        assert basis.v0.shape == (2, 1)
-        assert abs(basis.v0[0, 0]) < 1e-12
-        assert basis.v0[1, 0] == pytest.approx(1.0)  # phase fixed positive
-        assert not basis.rank_deficient
+        v0 = basis(np.array([[1.0, 0.0]]))
+        assert v0.shape == (2, 1)  # full rank: N_T - 1 columns
+        assert abs(v0[0, 0]) < 1e-12
+        assert v0[1, 0] == pytest.approx(1.0)  # phase fixed positive
 
     def test_empty_stack_identity(self):
-        basis = null_space_basis(np.empty((0, 4)), 4)
-        np.testing.assert_array_equal(basis.v0, np.eye(4))
+        np.testing.assert_array_equal(basis(np.empty((0, 4))), np.eye(4))
 
     def test_random_stack_residual(self):
         rng = np.random.default_rng(0)
         stacked = random_complex(rng, (4, 8))
-        basis = null_space_basis(stacked, 8)
-        assert basis.v0.shape == (8, 4)
-        assert np.linalg.norm(stacked @ basis.v0) < 1e-10
-        np.testing.assert_allclose(basis.v0.conj().T @ basis.v0, np.eye(4),
-                                   atol=1e-10)
+        v0 = basis(stacked)
+        assert v0.shape == (8, 4)
+        assert np.linalg.norm(stacked @ v0) < 1e-10
+        np.testing.assert_allclose(v0.conj().T @ v0, np.eye(4), atol=1e-10)
 
-    def test_rank_deficient_widens_and_flags(self):
+    def test_rank_deficient_widens(self):
         row = np.array([[1.0, 2.0, 0.0, 1.0]])
         stacked = np.vstack([row, 2 * row])
-        basis = null_space_basis(stacked, 4)
-        assert basis.rank_deficient
-        assert basis.v0.shape == (4, 3)
-        assert np.linalg.norm(stacked @ basis.v0) < 1e-10
+        v0 = basis(stacked)
+        assert v0.shape == (4, 3)  # rank 1 of 2 rows
+        assert np.linalg.norm(stacked @ v0) < 1e-10
 
     def test_no_null_space_left(self):
-        with pytest.raises(ValueError, match="null space"):
-            null_space_basis(np.eye(3), 3)
+        assert basis(np.eye(3)).shape == (3, 0)
+        assert price(np.eye(3), np.ones((1, 3))) == INFEASIBLE_COST
 
     def test_deterministic_phase(self):
         rng = np.random.default_rng(1)
         stacked = random_complex(rng, (2, 4))
-        a = null_space_basis(stacked, 4)
-        b = null_space_basis(stacked.copy(), 4)
-        np.testing.assert_array_equal(a.v0, b.v0)
-        for j in range(a.v0.shape[1]):
-            pivot = a.v0[np.argmax(np.abs(a.v0[:, j])), j]
+        a = basis(stacked)
+        np.testing.assert_array_equal(a, basis(stacked.copy()))
+        for j in range(a.shape[1]):
+            pivot = a[np.argmax(np.abs(a[:, j])), j]
             assert pivot.imag == pytest.approx(0.0, abs=1e-12)
             assert pivot.real > 0
 
 
 class TestEffectiveChannel:
+    """The projected channel H' = H V0 behind `projected_costs`."""
+
     def test_identity_projection(self):
         rng = np.random.default_rng(2)
         h = random_complex(rng, (2, 4))
-        eff = effective_channel(h, null_space_basis(np.empty((0, 4)), 4))
-        np.testing.assert_array_equal(eff.hp, h)
+        s = np.linalg.svd(h, compute_uv=False)
+        assert price(np.empty((0, 4)), h) == loading_cost(
+            (s ** 2) ** -0.5, 1.0, 1, 1.0)
 
     def test_scalar_product(self):
-        basis = null_space_basis(np.array([[1.0, 0.0]]), 2)
-        eff = effective_channel(np.array([[1.0, 1.0]]), basis)
-        assert eff.hp.shape == (1, 1)
-        assert abs(eff.hp[0, 0]) == pytest.approx(1.0)
-        assert eff.singular_values[0] == pytest.approx(1.0)
+        # H' = [1, 1] V0 with V0 = e_2: one stream of unit gain
+        assert price(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]])) == \
+            pytest.approx(1.0)
 
     def test_svd_reconstruction(self):
+        # H V0 V0^H is H with the stack's row space removed
         rng = np.random.default_rng(3)
         stacked = random_complex(rng, (2, 4))
         h = random_complex(rng, (2, 4))
-        eff = effective_channel(h, null_space_basis(stacked, 4))
-        rebuilt = eff.left @ np.diag(eff.singular_values) @ eff.right.conj().T
-        assert np.linalg.norm(rebuilt - eff.hp) < 1e-9 * np.linalg.norm(eff.hp)
-        assert np.all(np.diff(eff.singular_values) <= 1e-12)
+        v0 = basis(stacked)
+        off_rows = h - h @ np.linalg.pinv(stacked) @ stacked
+        assert np.linalg.norm(h @ v0 @ v0.conj().T - off_rows) < \
+            1e-9 * np.linalg.norm(h)
 
     def test_rank_detection(self):
-        basis = null_space_basis(np.empty((0, 4)), 4)
-        eff = effective_channel(np.zeros((2, 4)), basis)
-        assert eff.rank() == 0
         rng = np.random.default_rng(4)
-        eff2 = effective_channel(random_complex(rng, (2, 4)), basis)
-        assert eff2.rank() == 2
+        h = random_complex(rng, (2, 4))
+        assert price(np.empty((0, 4)), np.zeros((2, 4))) == INFEASIBLE_COST
+        assert np.isfinite(price(np.empty((0, 4)), h))
+        # a channel inside the stack's row space projects to rounding
+        # noise, judged against its own norm
+        assert price(h, 3 * h) == INFEASIBLE_COST
 
 
 class TestFeedbackMatrix:

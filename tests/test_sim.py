@@ -84,9 +84,8 @@ class TestRunDrop:
         for plan in build_plans(cfg, channels, res):
             if plan is None:
                 continue
-            for pair in plan.pairs:
-                g = pair.receiver
-                sums[pair.user] += cfg.noise_variance * float(
+            for k, g in zip(plan.users, plan.receiver):
+                sums[k] += cfg.noise_variance * float(
                     np.trace(g @ g.conj().T).real)
         np.testing.assert_allclose(sums, cfg.mse_budget, rtol=1e-9)
 
@@ -94,10 +93,11 @@ class TestRunDrop:
         cfg = tiny_config(rng_seed=3)
         channels = generate_drop(cfg, 0)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
-        tr_sum = sum(float(np.trace(p.inner.conj().T @ p.inner).real)
+        # tr(U^H U) = tr(F^H F), as F = V0 U with orthonormal V0
+        tr_sum = sum(float(np.trace(f.conj().T @ f).real)
                      for plan in build_plans(cfg, channels, res)
                      if plan is not None
-                     for p in plan.pairs)
+                     for f in plan.forward)
         assert res.total_power == pytest.approx(
             cfg.symbol_variance * tr_sum, rel=1e-9)
         assert res.power_db == pytest.approx(
@@ -327,6 +327,33 @@ class TestRunSweep:
                     np.testing.assert_array_equal(res.power_db[p, :, d],
                                                   direct)
 
+    def test_pool_sized_to_drops(self, monkeypatch):
+        # a pool forks no more workers than there are drops, and a single
+        # worker runs in this process; the fake pool forks nothing
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakePool)
+        cfg = tiny_config(rng_seed=9)
+        pts = [(0.5, cfg.with_rho(0.5))]
+        for drops, workers in ((2, 64), (1, 8), (3, 2)):
+            res = run_sweep(pts, drops=drops, architectures=ALL_ARCHS,
+                            workers=workers)
+            assert res.feasible.shape == (1, drops)
+        assert sizes == [2, 2]
+
     def test_numerical_failure_does_not_abort_sweep(self, fail_first_svd):
         cfg = tiny_config(rng_seed=14)
         res = run_sweep([(0.5, cfg.with_rho(0.5))], drops=3,
@@ -345,6 +372,32 @@ LINK_SCENARIOS = {
                                 mse_budget=(0.5,) * 6, rng_seed=24,
                                 constellation_size=m),
 }
+
+
+class TestBuildPlans:
+    @pytest.mark.parametrize("scenario", sorted(LINK_SCENARIOS))
+    def test_plans_match_scalar_reference(self, scenario):
+        # the batched plans equal the one-pair-at-a-time reference: same
+        # users in the same order, F, G and B within rel 1e-12
+        cfg = LINK_SCENARIOS[scenario](16)
+        for drop in range(3):
+            channels = generate_drop(cfg, drop)
+            res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
+            assert res.feasible
+            got = build_plans(cfg, channels, res)
+            want = oracles.build_plans(cfg, channels, res)
+            assert len(got) == len(want) == cfg.num_subcarriers
+            assert max(len(p.users) for p in got
+                       if p is not None) == cfg.group_count
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if g is None:
+                    continue
+                assert g.users == w.users
+                for a, b in ((g.forward, w.forward), (g.receiver, w.receiver),
+                             (g.b_matrix, w.b_matrix)):
+                    assert a.shape == b.shape
+                    assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestLinkLevel:
