@@ -25,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from thpalloc.loading import INFEASIBLE_COST, loading_cost, projected_costs
-from thpalloc.precoding import RANK_TOL
+from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, loading_cost,
+                              projected_costs)
 
 
 class Architecture(str, Enum):

@@ -15,7 +15,6 @@ import numpy as np
 
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ScenarioConfig, scenario_preset
-from thpalloc.precoding import RankDeficientError
 from thpalloc.sim import SweepResult, run_sweep
 
 _WORKERS_ENV = "THPALLOC_WORKERS"
@@ -173,7 +172,7 @@ def main(argv=None) -> int:
         return 1
     try:
         result = run_from_spec(args)
-    except (ValueError, OSError, RankDeficientError) as exc:
+    except (ValueError, OSError) as exc:
         # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

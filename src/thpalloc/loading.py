@@ -27,9 +27,8 @@ import math
 
 import numpy as np
 
-from thpalloc.precoding import RANK_TOL
-
 INFEASIBLE_COST = math.inf
+RANK_TOL = 1e-12
 
 
 def equalizing_rotation(streams: int) -> np.ndarray:

@@ -1,45 +1,14 @@
-"""THP structures on a single subcarrier.
+"""The THP modulo chain on a single subcarrier.
 
-Later-placed users transmit in the null space of the earlier ones (the
-bases come from `loading._null_spaces`, shared by pricing and plans);
-the block-triangular feedback matrix plus the modulo recursion remove
-the interference caused by earlier-placed users at the transmitter.
+Later-placed users transmit in the null space of the earlier ones;
+the block-triangular feedback matrix B (built with the transceivers by
+`sim.build_plans`) plus the modulo recursion below remove the
+interference caused by earlier-placed users at the transmitter.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-RANK_TOL = 1e-12
-
-
-class RankDeficientError(Exception):
-    """A matrix that must have full rank does not."""
-
-
-def feedback_matrix(t_blocks, streams: int) -> np.ndarray:
-    """THP feedback matrix B from the lower-triangular block family T.
-
-    t_blocks[k][i] (k >= i; nested lists or a (q, q, N_R, L) array whose
-    blocks above the diagonal are not read) is the coupling of transmission i into
-    receiver k. Off-diagonal blocks of the unit-diagonal factor are
-    pinv(T_kk) @ T_ki; the pseudo-inverse covers diagonal blocks that
-    are tall (N_R > L), whose Gram matrix is singular. Returns B = C - I
-    with C the unit-diagonal lower-triangular factor. One SVD of conj(T_kk)
-    gives its rank and pinv(T_kk), formed as `numpy.linalg.pinv` does.
-    """
-    q = len(t_blocks)
-    c = np.eye(q * streams, dtype=complex)
-    for k in range(q):
-        u, s, vt = np.linalg.svd(t_blocks[k][k].conj(), full_matrices=False)
-        if s.size < streams or s[-1] <= RANK_TOL * s[0]:
-            raise RankDeficientError(
-                f"diagonal block for position {k} is rank deficient")
-        pinv = vt.T @ ((1 / s)[:, None] * u.T)
-        for i in range(k):
-            c[k * streams:(k + 1) * streams, i * streams:(i + 1) * streams] = \
-                pinv @ t_blocks[k][i]
-    return c - np.eye(q * streams)
 
 
 def fold(x: np.ndarray, constellation_size: int) -> np.ndarray:
@@ -54,15 +23,6 @@ def fold(x: np.ndarray, constellation_size: int) -> np.ndarray:
     shift *= 2 * root_m
     parts += shift
     return shift.view(complex)
-
-
-def modulo(x: np.ndarray | complex, constellation_size: int):
-    """Fold complex values into the square (-sqrt(M), sqrt(M)] per axis:
-    (y, shift) with y = x + shift and shift = 2*sqrt(M)*xi for a unique
-    Gaussian integer xi; x is not modified."""
-    y = np.array(x, dtype=complex, order="C")
-    shift = fold(y.reshape(-1), constellation_size).reshape(y.shape)
-    return y[()], shift[()]
 
 
 def thp_precode(d: np.ndarray, b_matrix: np.ndarray, streams: int,

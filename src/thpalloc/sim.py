@@ -7,7 +7,8 @@ power. The proposed scheme's transceivers and THP feedback are built
 on demand from a finished result by `build_plans` (which
 `link_level_verify` calls), never by the pipeline itself: one batched
 pass per user position, with the null-space bases of the pricing
-(`loading._null_spaces`), then the feedback matrix per subcarrier.
+(`loading._null_spaces`); the pass's zero-forcing receivers also give
+that position's row of feedback blocks.
 
 Sweeps repeat this over drops and target-MSE (or user-count) axes with
 all architectures paired on identical drops. Every cost is homogeneous
@@ -40,7 +41,7 @@ from thpalloc.loading import (_null_spaces, equalizing_rotation,
                               power_loading, projected_costs,
                               receiver_matrix, transmit_matrix)
 from thpalloc.partition import GroupPartition, channel_quality, partition_worst_first
-from thpalloc.precoding import feedback_matrix, fold, thp_precode
+from thpalloc.precoding import fold, thp_precode
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class SubcarrierPlan:
     users: tuple[int, ...]  # group order, c users
     forward: np.ndarray     # F = V0 U per user, (c, N_T, L)
     receiver: np.ndarray    # G per user, (c, L, N_R)
-    b_matrix: np.ndarray    # strictly block lower triangular
+    b_matrix: np.ndarray    # (cL, cL), block (p, i < p) G_p H_p F_i, else 0
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,10 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
     group order, as `run_drop` placed it. Position p of all subcarriers
     with more than p users is built in one batched pass: the null-space
     bases V0 of the earlier users (column phases fixed), one SVD of
-    H' = H V0 per null-space rank, the loading, F = V0 U and G; then B
-    is formed per subcarrier from the couplings T[p, i] = H_p F_i.
+    H' = H V0 per null-space rank, the loading, F = V0 U, G and the
+    position's feedback blocks C_pi = G_p H_p F_i for i < p. G_p is the
+    minimum-norm zero-forcing receiver of the full-column-rank
+    T_pp = H_p F_p, so it equals pinv(T_pp) and C_pi = pinv(T_pp) T_pi.
     """
     if (not drop_result.feasible
             or drop_result.architecture is not Architecture.THP_TX_LIN_RX):
@@ -210,8 +213,8 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
     q = order.shape[1]
     forward = np.zeros((num_sc, q, tx, ell), dtype=complex)
     receiver = np.zeros((num_sc, q, ell, config.rx_antennas), dtype=complex)
-    coupling = np.zeros((num_sc, q, q, config.rx_antennas, ell),
-                        dtype=complex)
+    # feedback[n, p, :, i] = C_pi for i < p, the blocks of B = C - I
+    feedback = np.zeros((num_sc, q, ell, q, ell), dtype=complex)
     for p in range(counts.max(initial=0)):
         rows = np.flatnonzero(counts > p)
         below = h[rows[:, None], order[rows, :p]].reshape(rows.size, -1, tx)
@@ -226,12 +229,14 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
                               config.noise_variance), rotation)
             forward[n, p] = v0 @ u
             receiver[n, p] = receiver_matrix(hp, u)
-        coupling[rows, p, :p + 1] = (h[rows, order[rows, p]][:, None]
-                                     @ forward[rows, :p + 1])
+        feedback[rows, p, :, :p] = (
+            receiver[rows, p, None] @ (h[rows, order[rows, p]][:, None]
+                                       @ forward[rows, :p])).swapaxes(1, 2)
+    feedback = feedback.reshape(num_sc, q * ell, q * ell)
     return tuple(
         SubcarrierPlan(users=tuple(order[n, :c].tolist()),
                        forward=forward[n, :c], receiver=receiver[n, :c],
-                       b_matrix=feedback_matrix(coupling[n, :c, :c], ell))
+                       b_matrix=feedback[n, :c * ell, :c * ell])
         if c else None for n, c in enumerate(counts.tolist()))
 
 

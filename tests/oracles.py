@@ -23,8 +23,7 @@ import numpy as np
 
 from thpalloc.assignment import Assignment, InfeasibleAssignmentError
 from thpalloc.baselines import Architecture, restrict_rows
-from thpalloc.loading import INFEASIBLE_COST, loading_cost
-from thpalloc.precoding import RANK_TOL
+from thpalloc.loading import INFEASIBLE_COST, RANK_TOL, loading_cost
 from thpalloc.sim import SubcarrierPlan
 
 

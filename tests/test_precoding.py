@@ -4,8 +4,7 @@ import pytest
 import oracles
 from thpalloc.loading import (INFEASIBLE_COST, _null_spaces, loading_cost,
                               projected_costs)
-from thpalloc.precoding import (RankDeficientError, feedback_matrix, fold,
-                                modulo, thp_precode)
+from thpalloc.precoding import fold, thp_precode
 from thpalloc.sim import _fix_column_phases
 
 
@@ -18,6 +17,14 @@ def basis(stacked):
     it: the shared batched null-space step, then the column phases."""
     (_, v0), = _null_spaces(np.asarray(stacked, dtype=complex)[None])
     return _fix_column_phases(v0[0])
+
+
+def fold_copy(x, constellation_size):
+    """`fold` on a C-ordered complex copy of x: (folded, shift), with
+    0-d inputs giving numpy scalars as `oracles.modulo` does."""
+    y = np.array(x, dtype=complex, order="C")
+    shift = fold(y.reshape(-1), constellation_size).reshape(y.shape)
+    return y[()], shift[()]
 
 
 def price(stacked, h, streams=None):
@@ -104,70 +111,19 @@ class TestEffectiveChannel:
         assert price(h, 3 * h) == INFEASIBLE_COST
 
 
-class TestFeedbackMatrix:
-    def test_scalar_hand_example(self):
-        t = [[np.array([[2.0]]), None],
-             [np.array([[1.0]]), np.array([[3.0]])]]
-        b = feedback_matrix(t, 1)
-        c = b + np.eye(2)
-        assert b[1, 0] == pytest.approx(1.0 / 3.0)
-        d = np.diag([2.0, 3.0])
-        t_full = np.array([[2.0, 0.0], [1.0, 3.0]])
-        np.testing.assert_allclose(d @ c, t_full, rtol=1e-12)
-
-    def test_no_coupling(self):
-        rng = np.random.default_rng(5)
-        t = [[random_complex(rng, (2, 2)), None],
-             [np.zeros((2, 2)), random_complex(rng, (2, 2))]]
-        b = feedback_matrix(t, 2)
-        assert np.linalg.norm(b) == pytest.approx(0.0, abs=1e-12)
-
-    def test_random_blocks_factorization(self):
-        # D C = T with D the block-diagonal of T, tall diagonal blocks
-        rng = np.random.default_rng(6)
-        q, n_r, ell = 2, 2, 2
-        t = [[random_complex(rng, (n_r, ell)) if i <= k else None
-              for i in range(q)] for k in range(q)]
-        b = feedback_matrix(t, ell)
-        c = b + np.eye(q * ell)
-        t_full = np.block([[t[k][i] if i <= k else np.zeros((n_r, ell))
-                            for i in range(q)] for k in range(q)])
-        d_full = np.block([[t[k][k] if i == k else np.zeros((n_r, ell))
-                            for i in range(q)] for k in range(q)])
-        resid = np.linalg.norm(d_full @ c - t_full)
-        assert resid < 1e-9 * np.linalg.norm(t_full)
-
-    def test_strictly_block_lower_triangular(self):
-        rng = np.random.default_rng(7)
-        q, ell = 3, 2
-        t = [[random_complex(rng, (2, 2)) if i <= k else None
-              for i in range(q)] for k in range(q)]
-        b = feedback_matrix(t, ell)
-        for k in range(q):
-            for i in range(k, q):
-                block = b[k * ell:(k + 1) * ell, i * ell:(i + 1) * ell]
-                assert np.linalg.norm(block) < 1e-12
-
-    def test_rank_deficient_diagonal_raises(self):
-        t = [[np.zeros((2, 2)), None],
-             [np.eye(2), np.eye(2)]]
-        with pytest.raises(RankDeficientError, match="position 0"):
-            feedback_matrix(t, 2)
-
-
 class TestModulo:
     def test_mod16_positive(self):
-        y, shift = modulo(5 + 0j, 16)
+        y, shift = fold_copy(5 + 0j, 16)
         assert y == pytest.approx(-3 + 0j)
         assert shift == pytest.approx(-8 + 0j)
 
     def test_mod16_open_left_boundary(self):
-        y, shift = modulo(-4 + 0j, 16)
+        y, shift = fold_copy(-4 + 0j, 16)
         assert y == pytest.approx(4 + 0j)
         assert shift == pytest.approx(8 + 0j)
 
     def test_mod4_both_axes(self):
-        y, shift = modulo(-2 - 2j, 4)
+        y, shift = fold_copy(-2 - 2j, 4)
         assert y == pytest.approx(2 + 2j)
         assert shift == pytest.approx(4 + 4j)
 
@@ -175,7 +131,7 @@ class TestModulo:
         rng = np.random.default_rng(8)
         x = 20 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
         for m in (4, 16, 64):
-            y, shift = modulo(x, m)
+            y, shift = fold_copy(x, m)
             root = np.sqrt(m)
             assert np.all(y.real > -root) and np.all(y.real <= root)
             assert np.all(y.imag > -root) and np.all(y.imag <= root)
@@ -192,13 +148,13 @@ def same_bits(a, b):
 
 
 class TestFoldMatchesComplexFormula:
-    """modulo folds in place on the float view; the complex-arithmetic
+    """fold works in place on the float view; the complex-arithmetic
     formula in tests/oracles.py must give the same bits."""
 
     @staticmethod
     def check(x, m):
         before = np.array(x, copy=True)
-        y, shift = modulo(x, m)
+        y, shift = fold_copy(x, m)
         y_ref, shift_ref = oracles.modulo(x, m)
         assert same_bits(y, y_ref) and same_bits(shift, shift_ref)
         np.testing.assert_array_equal(x, before)  # input left untouched
@@ -223,7 +179,7 @@ class TestFoldMatchesComplexFormula:
         axis = [-r, r, -r - 2 * r, r + 2 * r, 0.0, -0.0]
         x = np.array([a + 1j * b for a in axis for b in axis])
         self.check(x, m)
-        y, _ = modulo(x, m)
+        y, _ = fold_copy(x, m)
         assert np.all(y.real > -r) and np.all(y.real <= r)
         assert np.all(y.imag > -r) and np.all(y.imag <= r)
         assert y[0] == r + 1j * r  # -r - rj folds onto the closed corner

@@ -20,7 +20,7 @@ import oracles
 from thpalloc import baselines, sim
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
-from thpalloc.precoding import RANK_TOL
+from thpalloc.loading import RANK_TOL
 
 # (N_T, N_R, L): Q = 2, 3 and 4, with L = N_R and L < N_R
 ANTENNAS = [(4, 2, 2), (4, 2, 1), (6, 2, 2), (6, 2, 1), (4, 1, 1),

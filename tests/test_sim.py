@@ -371,6 +371,13 @@ LINK_SCENARIOS = {
     "Q3": lambda m: tiny_config(num_users=6, tx_antennas=6, quota=(4,) * 6,
                                 mse_budget=(0.5,) * 6, rng_seed=24,
                                 constellation_size=m),
+    # L < N_R: tall diagonal blocks H_p F_p, Q = 2 and Q = 3
+    "4x2-L1": lambda m: tiny_config(streams_per_user=1, quota=(4,) * 4,
+                                    rng_seed=25, constellation_size=m),
+    "6x2-L1": lambda m: tiny_config(num_users=6, tx_antennas=6,
+                                    streams_per_user=1, quota=(4,) * 6,
+                                    mse_budget=(0.5,) * 6, rng_seed=26,
+                                    constellation_size=m),
 }
 
 
