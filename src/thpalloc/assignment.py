@@ -3,21 +3,24 @@
 The per-group linear integer program (quota equality per user,
 exclusivity per subcarrier) is a transportation problem. Repeating
 user k's cost column quota[k] times turns it into a rectangular
-assignment of one subcarrier to every slot, solved exactly by scipy's
-Jonker-Volgenant matcher (LAPJVsp) on the usable (finite-cost) pairs.
-The sparse matcher is used instead of scipy.optimize's dense one
-because importing scipy.optimize adds ~20 MB and ~0.2 s to a process;
-scipy.sparse.csgraph adds ~4 MB and ~35 ms, so it is imported on first
-use rather than with the package.
+assignment of one subcarrier to every slot, solved exactly (+inf on
+unusable pairs) by scipy's compiled dense shortest-augmenting-path core
+(Jonker-Volgenant, as implemented by Crouse), without the ~45 MB of
+RSS that importing scipy.optimize adds (csgraph's matcher adds ~30 MB).
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
 
-_LEAST = np.nextafter(0.0, 1.0)
+_LSAP = "scipy.optimize._lsap"
 
 
 class InfeasibleAssignmentError(Exception):
@@ -36,6 +39,22 @@ class Assignment:
     total_cost: float
 
 
+@functools.cache
+def _linear_sum_assignment():
+    """scipy's LSAP solver, from the bare `_lsap` extension if one exists."""
+    if _LSAP not in sys.modules:
+        root = find_spec("scipy").submodule_search_locations[0]
+        paths = [p for p in (os.path.join(root, "optimize", "_lsap" + s)
+                             for s in EXTENSION_SUFFIXES) if os.path.isfile(p)]
+        if not paths:
+            from scipy.optimize import linear_sum_assignment
+            return linear_sum_assignment
+        loader = ExtensionFileLoader(_LSAP, paths[0])
+        sys.modules[_LSAP] = module_from_spec(spec_from_loader(_LSAP, loader))
+        loader.exec_module(sys.modules[_LSAP])
+    return sys.modules[_LSAP].linear_sum_assignment
+
+
 def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
     """Minimum-total-cost assignment meeting every quota exactly.
 
@@ -48,33 +67,26 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
     quotas = [int(q) for q in quotas]
 
     usable = np.isfinite(costs)
+    cols = np.repeat(np.arange(n_users), quotas)  # slot -> user
     blocking = [k for k in range(n_users)
                 if np.count_nonzero(usable[:, k]) < quotas[k]]
-    if sum(quotas) > n_sub or blocking:
-        if not blocking:
-            blocking = list(range(n_users))
+    if cols.size > n_sub and not blocking:
+        blocking = list(range(n_users))
+    if not blocking:
+        solve = _linear_sum_assignment()
+        try:
+            _, rows = solve(np.where(usable, costs, np.inf)[:, cols].T)
+        except ValueError:
+            # counting passed, so some user set has too few usable
+            # subcarriers (Hall); on 0/1 costs the slots left on unusable
+            # pairs are the unmatched slots of a maximum matching
+            _, rows = solve(1.0 - usable[:, cols].T)
+            blocking = sorted({int(k) for k in cols[~usable[rows, cols]]})
+    if blocking:
         raise InfeasibleAssignmentError(
             f"quotas cannot be met for users {blocking}", blocking)
 
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import (maximum_bipartite_matching,
-                                      min_weight_full_bipartite_matching)
-
-    cols = np.repeat(np.arange(n_users), quotas)  # slot -> user
-    # one edge per usable (subcarrier, slot) pair; the least subnormal
-    # keeps zero costs as edges and leaves every normal cost unchanged
-    graph = csr_matrix(np.where(usable, costs + _LEAST, 0.0)[:, cols])
-    try:
-        rows, slots = min_weight_full_bipartite_matching(graph)
-    except ValueError:
-        # counting passed, so some user set has too few usable
-        # subcarriers (Hall); name the owners of unmatched slots
-        match = maximum_bipartite_matching(graph, perm_type="row")
-        unmet = sorted({int(k) for k in cols[match < 0]})
-        raise InfeasibleAssignmentError(
-            f"quotas cannot be met for users {unmet}", unmet) from None
-
     a = np.zeros((n_sub, n_users), dtype=np.uint8)
-    a[rows, cols[slots]] = 1
+    a[rows, cols] = 1
     total = float(np.sum(np.where(a.astype(bool), costs, 0.0)))
     return Assignment(a=a, total_cost=total)

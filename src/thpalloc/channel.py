@@ -130,14 +130,6 @@ class ChannelSet:
         if not np.all(np.isfinite(self.matrices)):
             raise ValueError("channel matrices contain non-finite entries")
 
-    @property
-    def num_subcarriers(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.matrices.shape[1]
-
 
 _PRESETS = {
     "S1": dict(tx_antennas=2, rx_antennas=1, bandwidth_hz=10e6,

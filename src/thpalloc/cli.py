@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -128,9 +127,8 @@ def emit_detail_csv(result: SweepResult, path: str) -> None:
     for p, axis in enumerate(result.axis_values):
         for a, arch in enumerate(result.architectures):
             for d in range(result.drops):
-                val = result.power_db[p, a, d]
-                val_str = f"{val:.9g}" if math.isfinite(val) else "nan"
-                lines.append(f"{axis:.9g},{arch.value},{d},{val_str},"
+                lines.append(f"{axis:.9g},{arch.value},{d},"
+                             f"{result.power_db[p, a, d]:.9g},"
                              f"{int(result.feasible[p, d])}")
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
@@ -141,8 +139,8 @@ def run_from_spec(args) -> SweepResult:
         base = scenario_preset(args.scenario, rho=args.rho[0],
                                rng_seed=args.seed)
     else:
-        base = load_config_file(args.config)
-        base = dataclasses.replace(base, rng_seed=args.seed)
+        base = dataclasses.replace(load_config_file(args.config),
+                                   rng_seed=args.seed)
 
     if args.users:
         rho = args.rho[0]
@@ -162,8 +160,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap to documented code 1
         return 0 if not exc.code else 1
-    if isinstance(args.arch, str):
-        args.arch = parse_arch_list(args.arch)
     if not args.arch:
         print("error: at least one architecture required", file=sys.stderr)
         return 1
@@ -189,6 +185,10 @@ def main(argv=None) -> int:
             f"{arch.value}={mean[p, a]:.2f} dB"
             for a, arch in enumerate(result.architectures))
         print(f"{result.axis_name}={axis:g}: {row}")
+        if not result.feasible[p].any():
+            print(f"warning: {result.axis_name}={axis:g}: no feasible drop "
+                  f"(infeasible rate {result.infeasible_rate[p]:g})",
+                  file=sys.stderr)
     return 0
 
 

@@ -33,12 +33,9 @@ def partition_worst_first(quality: np.ndarray, group_count: int) -> GroupPartiti
     The first K/Q users form group 0, the next K/Q group 1, etc.
     """
     quality = np.asarray(quality, dtype=float)
-    k_users = quality.size
-    if k_users % group_count != 0:
-        raise ValueError(
-            f"user count {k_users} not divisible by group count {group_count}")
-    order = sorted(range(k_users), key=lambda k: (quality[k], k))
-    per_group = k_users // group_count
-    groups = tuple(tuple(order[g * per_group:(g + 1) * per_group])
-                   for g in range(group_count))
-    return GroupPartition(groups=groups, quality=quality)
+    if quality.size % group_count != 0:
+        raise ValueError(f"user count {quality.size} not divisible by "
+                         f"group count {group_count}")
+    order = np.argsort(quality, kind="stable").reshape(group_count, -1)
+    return GroupPartition(groups=tuple(map(tuple, order.tolist())),
+                          quality=quality)

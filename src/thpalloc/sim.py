@@ -40,7 +40,7 @@ from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
 from thpalloc.loading import (_null_spaces, equalizing_rotation,
                               power_loading, projected_costs,
                               receiver_matrix, transmit_matrix)
-from thpalloc.partition import GroupPartition, channel_quality, partition_worst_first
+from thpalloc.partition import GroupPartition, partition_worst_first
 from thpalloc.precoding import fold, thp_precode
 
 
@@ -83,18 +83,17 @@ class SweepResult:
     @property
     def mean_power_db(self) -> np.ndarray:
         return np.array([[np.mean(self.power_db[p, a][self.feasible[p]])
+                          if self.feasible[p].any() else math.nan
                           for a in range(len(self.architectures))]
                          for p in range(len(self.axis_values))])
 
     @property
     def stderr_db(self) -> np.ndarray:
-        out = np.empty((len(self.axis_values), len(self.architectures)))
+        out = np.zeros((len(self.axis_values), len(self.architectures)))
         for p in range(len(self.axis_values)):
             vals = self.power_db[p][:, self.feasible[p]]
-            if vals.shape[1] < 2:
-                out[p] = 0.0
-                continue
-            out[p] = np.std(vals, axis=1, ddof=1) / math.sqrt(vals.shape[1])
+            if vals.shape[1] >= 2:
+                out[p] = np.std(vals, axis=1, ddof=1) / math.sqrt(vals.shape[1])
         return out
 
     @property
@@ -247,15 +246,15 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     An unmet quota or a numerical failure while pricing or billing makes
     the drop infeasible, with the cause in `infeasible_reason`.
     """
-    quality = np.array([channel_quality(channels, k)
-                        for k in range(config.num_users)])
-    partition = partition_worst_first(quality, config.group_count)
+    h = channels.matrices
+    # every user's channel_quality bit for bit: contiguous rows, same sums
+    quality = np.ascontiguousarray(np.sum(np.abs(h) ** 2, axis=(2, 3)).T)
+    partition = partition_worst_first(quality.mean(axis=1), config.group_count)
 
     def infeasible(reason):
         return DropResult(architecture=architecture, feasible=False,
                           partition=partition, infeasible_reason=reason)
 
-    h = channels.matrices
     placed: list[list[int]] = [[] for _ in range(config.num_subcarriers)]
     power = np.zeros(config.num_subcarriers)  # carried bill of each stack
     assignments = []

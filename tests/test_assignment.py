@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thpalloc
 from oracles import brute_force_assignment
+from thpalloc import assignment
 from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
                                  solve_assignment)
 
@@ -128,6 +133,96 @@ class TestSolveAssignment:
         a = solve_assignment(costs, [2, 2])
         b = solve_assignment(costs.copy(), [2, 2])
         np.testing.assert_array_equal(a.a, b.a)
+
+
+def lsap_cases():
+    """Rectangular (slots x subcarriers) matrices: random, tie-heavy,
+    wide-range and with +inf patterns that leave a full matching."""
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        rows = int(rng.integers(1, 17))
+        shape = (rows, rows + int(rng.integers(0, 9)))
+        yield rng.uniform(0.0, 10.0, shape)
+        yield rng.integers(0, 3, shape).astype(float)
+        yield 10.0 ** rng.uniform(-3.0, 2.0, shape)
+        costs = rng.uniform(0.0, 10.0, shape)
+        costs[rng.uniform(size=shape) < 0.4] = math.inf
+        costs[np.arange(rows), rng.permutation(shape[1])[:rows]] = 1.0
+        yield costs
+
+
+class TestSolver:
+    def test_loaded_solver_is_scipys(self):
+        from scipy.optimize import linear_sum_assignment
+        solve = assignment._linear_sum_assignment()
+        for costs in lsap_cases():
+            got, want = solve(costs), linear_sum_assignment(costs)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_scipy_optimize_fallback(self, monkeypatch):
+        # with no standalone extension found, scipy.optimize's function
+        # solves, with the same assignments
+        rng = np.random.default_rng(3)
+        cases = []
+        for _ in range(30):
+            quotas = [int(q) for q in rng.integers(1, 4, 4)]
+            costs = rng.uniform(0.0, 10.0, (sum(quotas) + 3, 4))
+            costs[rng.uniform(size=costs.shape) < 0.2] = math.inf
+            cases.append((costs, quotas))
+
+        def solve_all():
+            out = []
+            for costs, quotas in cases:
+                try:
+                    out.append(solve_assignment(costs, quotas))
+                except InfeasibleAssignmentError as exc:
+                    out.append(exc.blocking_users)
+            return out
+
+        standalone = solve_all()
+        assignment._linear_sum_assignment.cache_clear()
+        monkeypatch.setattr(assignment, "EXTENSION_SUFFIXES", [])
+        monkeypatch.delitem(sys.modules, assignment._LSAP, raising=False)
+        try:
+            from scipy.optimize import linear_sum_assignment
+            assert assignment._linear_sum_assignment() is \
+                linear_sum_assignment
+            fallback = solve_all()
+        finally:
+            assignment._linear_sum_assignment.cache_clear()
+        assert len(fallback) == len(standalone)
+        for got, want in zip(fallback, standalone):
+            if isinstance(want, list):
+                assert got == want
+            else:
+                np.testing.assert_array_equal(got.a, want.a)
+                assert got.total_cost == want.total_cost
+
+
+def test_solve_imports_neither_csgraph_nor_scipy_optimize():
+    # scipy.sparse and the scipy.optimize package cost tens of MB of
+    # RSS; a solve loads only the compiled LSAP extension
+    from importlib.util import find_spec
+    optimize = os.path.join(
+        find_spec("scipy").submodule_search_locations[0], "optimize")
+    if not any(os.path.isfile(os.path.join(optimize, "_lsap" + suffix))
+               for suffix in assignment.EXTENSION_SUFFIXES):
+        pytest.skip("scipy ships no standalone _lsap extension")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(thpalloc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy as np, thpalloc.cli\n"
+         "from thpalloc.assignment import solve_assignment\n"
+         "solve_assignment(np.array([[1.0, 2.0], [3.0, 1.0]]), [1, 1])\n"
+         "print(*(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "scipy.optimize._lsap" in loaded
+    assert "scipy.optimize" not in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
 class TestBruteForce:

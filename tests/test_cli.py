@@ -9,6 +9,7 @@ import thpalloc
 from thpalloc.baselines import Architecture
 from thpalloc.channel import scenario_preset
 from thpalloc.cli import build_parser, load_config_file, main, parse_arch_list
+from thpalloc.sim import DropResult
 
 
 def run_main(args):
@@ -146,6 +147,29 @@ class TestEndToEnd:
         assert run_main(argv + ["--workers", "1", "--out", str(a)]) == 0
         assert run_main(argv + ["--workers", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.filterwarnings("error")  # the warning line, not numpy's
+    def test_point_without_feasible_drop_warns(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the point keeps its nan row and the exit code stays 0, but
+        # stderr names it with its infeasible rate
+        run_drop = thpalloc.sim.run_drop
+
+        def infeasible_at_16_users(config, channels, architecture):
+            if config.num_users == 16:
+                return DropResult(architecture=architecture, feasible=False)
+            return run_drop(config, channels, architecture)
+
+        monkeypatch.setattr(thpalloc.sim, "run_drop", infeasible_at_16_users)
+        out = tmp_path / "o.csv"
+        code = run_main(["sweep", "--scenario", "S3", "--users", "8,16",
+                         "--drops", "2", "--arch", "ZfTx", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: users=16: no feasible drop (infeasible rate 1)"]
+        rows = out.read_text().splitlines()
+        assert rows[1].startswith("8,ZfTx,") and "nan" not in rows[1]
+        assert rows[2] == "16,ZfTx,nan,0,2,1,0"
 
     @pytest.mark.parametrize("bad_line", ["min_user_distance_m = 150",
                                           "pdp_taps = 0"])

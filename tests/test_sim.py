@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import thpalloc
 from thpalloc import sim
 from oracles import thp_bills
 from thpalloc.baselines import Architecture
 from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
                               scenario_preset)
+from thpalloc.partition import channel_quality
 from thpalloc.sim import (build_plans, link_level_verify, qam_symbols,
                           run_drop, run_sweep)
 
@@ -255,6 +260,47 @@ class TestRunDrop:
         plans = build_plans(cfg, channels,
                             results[Architecture.THP_TX_LIN_RX])
         assert any(plan is not None for plan in plans)
+
+    @pytest.mark.parametrize("preset, users", [("S1", 8), ("S1", 32),
+                                               ("S2", None), ("S3", 32)])
+    def test_partition_quality_is_channel_quality(self, preset, users,
+                                                  monkeypatch):
+        # run_drop's one array pass must give the per-user function's
+        # values bit for bit, so no tie in the partition can move
+        seen = []
+        partition = sim.partition_worst_first
+
+        def spy(quality, group_count):
+            seen.append(quality)
+            return partition(quality, group_count)
+
+        monkeypatch.setattr(sim, "partition_worst_first", spy)
+        cfg = scenario_preset(preset, **({"num_users": users} if users
+                                         else {}))
+        for d in range(5):
+            channels = generate_drop(cfg, d)
+            run_drop(cfg, channels, Architecture.ZF_TX)
+            loop = np.array([channel_quality(channels, k)
+                             for k in range(cfg.num_users)])
+            assert seen[-1].tobytes() == loop.tobytes()
+
+    def test_drop_that_hung_the_solver_returns(self):
+        # this S3 drop once sent the sparse matcher into an endless loop;
+        # a child process, so a hang fails on the timeout instead of
+        # stalling the suite
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(thpalloc.__file__)))
+        code = ("from thpalloc.baselines import Architecture\n"
+                "from thpalloc.channel import generate_drop, scenario_preset\n"
+                "from thpalloc.sim import run_drop\n"
+                "cfg = scenario_preset('S3', num_users=32, rng_seed=3)\n"
+                "res = run_drop(cfg, generate_drop(cfg, 5), Architecture.ZF_TX)\n"
+                "print(res.feasible, res.power_db)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        feasible, power_db = proc.stdout.split()
+        assert feasible == "True" and math.isfinite(float(power_db))
 
 
 class TestRunSweep:
