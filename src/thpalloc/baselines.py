@@ -5,10 +5,10 @@ proposed scheme; they differ in the per-subcarrier precoder, and
 therefore in the power needed to meet the same per-stream MSE budget.
 Each precoder has one billing function from stacks of co-channel users
 in placement order, (..., c, N_R, N_T), to every user's power, (..., c)
-(+inf for a whole rank-deficient stack). The solver's candidate costs
-and the final power are both read from these bills. ThpTx's allocator
-is spatially blind: it bills each candidate alone, and only its final
-stack sees the co-channel users.
+(+inf for a whole rank-deficient stack). The bills give the final
+power, ThpTx's spatially blind prices (each candidate billed alone) and
+the placed users' share of LinTxLinRx's prices; ZfTx prices a candidate
+in the placed users' null space with `zf_gains`.
 
 Every bill is the closed form of `loading.loading_cost`,
 
@@ -59,15 +59,24 @@ def _joint_bills(factor, stacks, budgets, quotas, noise_variance, streams):
     return out
 
 
+def zf_gains(h):
+    """Singular values s of the thin SVD h = U S V^H of stacked rows
+    (..., R, N_T), and the column norms of the channel-inversion
+    precoder pinv(h) = V S^-1 U^H: the row norms of U S^-1."""
+    u, s, _ = np.linalg.svd(h, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s, np.linalg.norm(u / s[..., None, :], axis=-1)
+
+
 def zf_bills(stacks, budgets, quotas, noise_variance, streams):
     """Per-user power of the channel-inversion precoder: F is the right
     pseudo-inverse of the stacked (L-row) channels and the receiver is
-    the identity, so each user is billed through its own columns of F:
-    ||f_l|| = sqrt(sum_j |U_lj|^2 / s_j^2) for the thin SVD h = U S V^H."""
+    the identity, so each user is billed through its own columns of F,
+    ||f_l|| from `zf_gains`."""
     def factor(h):
-        u, s, _ = np.linalg.svd(h, full_matrices=False)
+        s, inverse_gains = zf_gains(h)
         full = s[..., -1] > RANK_TOL * s[..., 0]
-        return full, np.linalg.norm(u[full] / s[full][:, None, :], axis=-1)
+        return full, inverse_gains[full]
     return _joint_bills(factor, stacks, budgets, quotas, noise_variance,
                         streams)
 

@@ -14,8 +14,9 @@ per-stream MSEs at gamma/(n*L).
 Every architecture prices a (subcarrier, user) pair with the same
 closed form, `loading_cost`, fed the inverse per-stream gains of its
 own precoder. `projected_costs` is that price for batches of channels
-confined to null spaces: the proposed scheme's candidate costs, and
-each user's bill in the LinTxLinRx baseline. Its null-space step,
+confined to null spaces: the proposed scheme's candidate costs, each
+user's bill in the LinTxLinRx baseline and, with the zero-forcing gains
+of `baselines.zf_gains`, ZfTx's candidate costs. Its null-space step,
 `_null_spaces`, also gives `sim.build_plans` the bases V0 of its
 transceivers; the loading and transceiver helpers below broadcast over
 leading (pair) axes.
@@ -92,27 +93,36 @@ def _null_spaces(placed: np.ndarray):
         yield sel, vh[sel][:, r:].conj().swapaxes(-1, -2)
 
 
+def singular_gains(hp: np.ndarray):
+    """Singular values s (descending) of the projected channels hp and
+    their streams' inverse gains lambda_H'^(-1/2) = 1/s (+inf at 0)."""
+    s = np.linalg.svd(hp, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        return s, (s ** 2) ** -0.5
+
+
 def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
-                    quotas, noise_variance: float,
-                    streams: int) -> np.ndarray:
+                    quotas, noise_variance: float, streams: int,
+                    gains=singular_gains) -> np.ndarray:
     """Least power of each candidate channel (..., m, N_R, N_T) sent in
     the null space of its stack of placed rows (..., R, N_T); +inf where
     the projected channel cannot carry L streams: fewer than L singular
     values above RANK_TOL * max(s[0], ||h||), so a channel the
     projection annihilates does not read as rounding noise of full
-    rank."""
+    rank. gains(hp) maps the projected channels to their singular
+    values and the inverse gains of the precoder, whose first L feed
+    `loading_cost`."""
     out = np.full(candidates.shape[:-2], INFEASIBLE_COST)
     for sel, v0 in _null_spaces(placed):
         h = candidates[sel]
-        hp = h @ v0[:, None]
-        s = np.linalg.svd(hp, compute_uv=False)  # descending, maybe empty
+        s, inverse_gains = gains(h @ v0[:, None])  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0),
                          np.linalg.norm(h, axis=(-2, -1)))
         mask = np.zeros(out.shape, dtype=bool)
         mask[sel] = np.count_nonzero(s > RANK_TOL * ref[..., None],
                                      axis=-1) >= streams
         out[mask] = loading_cost(
-            (s[mask[sel], :streams] ** 2) ** -0.5,
+            inverse_gains[mask[sel], :streams],
             np.broadcast_to(budgets, out.shape)[mask],
             np.broadcast_to(quotas, out.shape)[mask], noise_variance)
     return out

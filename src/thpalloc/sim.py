@@ -17,11 +17,12 @@ by a common factor (a budget class, e.g. the points of a rho axis)
 share one assignment: a sweep generates and solves each drop once per
 budget class and rescales the power to the other points of the class.
 
-Pricing is stateless and batched: a price depends only on the users
-already placed on the subcarrier, so each round prices the subcarriers
-in one array-shaped call per placed count, with loading.projected_costs
-for the proposed scheme and each baseline's billing function in
-`baselines` (carried stack power; only ThpTx re-bills).
+Pricing is batched: a price depends only on the users already placed
+on the subcarrier, so each round prices the subcarriers in one
+array-shaped call per placed count. Null-space prices (the proposed
+scheme, ZfTx, LinTxLinRx's candidate term) go through a per-drop memo,
+so the architectures a sweep solves on one drop price a placement once.
+LinTxLinRx carries each stack's bill; ZfTx and ThpTx re-bill.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from thpalloc.baselines import Architecture
 from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
 from thpalloc.loading import (_null_spaces, equalizing_rotation,
                               power_loading, projected_costs,
-                              receiver_matrix, transmit_matrix)
+                              receiver_matrix, singular_gains,
+                              transmit_matrix)
 from thpalloc.partition import GroupPartition, partition_worst_first
 from thpalloc.precoding import fold, thp_precode
 
@@ -121,46 +123,59 @@ def _buckets(placed):
         yield rows, np.array([placed[n] for n in rows], dtype=int)
 
 
-def _cost_matrix(config, h, placed, power, users, architecture):
+def _null_space_prices(config, h, placed, users, architecture, memo):
+    """(N, U) price of each candidate in `users` sent in the null space
+    of the users `placed` on each subcarrier by earlier groups, one batch
+    per placed count: the proposed scheme's cost, or ZfTx's bill of the
+    candidate's pseudo-inverse columns (first L rows). Kept read-only in
+    `memo` under (precoder, users, placement): alike placements price once."""
+    zf = architecture is Architecture.ZF_TX
+    key = (zf, users.tobytes(), tuple(map(tuple, placed)))
+    if key not in memo:
+        chan = baselines.restrict_rows(h, config.streams_per_user) if zf else h
+        prices = np.empty((config.num_subcarriers, users.size))
+        for rows, stack in _buckets(placed):
+            below = chan[rows[:, None], stack].reshape(rows.size, -1,
+                                                       h.shape[-1])
+            prices[rows] = projected_costs(
+                below, chan[rows[:, None], users],
+                np.asarray(config.mse_budget)[users],
+                np.asarray(config.quota)[users], config.noise_variance,
+                config.streams_per_user,
+                baselines.zf_gains if zf else singular_gains)
+        prices.flags.writeable = False
+        memo[key] = prices
+    return memo[key]
+
+
+def _cost_matrix(config, h, placed, power, users, architecture, memo):
     """(N, U) price of each candidate in `users` on each subcarrier given
-    the users `placed` there by earlier groups, one batch per count, and
-    the (N, U) total bill of each grown stack (None for the proposed
-    scheme). The price is: in the null space of the placed users for the
-    proposed scheme (an exact share of the final power); within the
-    placed stack plus itself for ZfTx and ThpTx (spatially blind, so
-    priced once per drop with no placement); for LinTxLinRx, the grown
-    stack's bill less the placed stack's carried bill `power` (N,), with
-    the candidate's own term priced as for the proposed scheme."""
-    costs = np.empty((config.num_subcarriers, users.size))
-    grown_power = np.empty_like(costs)
+    the users `placed` there by earlier groups, and for LinTxLinRx the
+    (N, U) bill of each grown stack (else None). LinTxLinRx pays the
+    grown bill less the placed stack's carried bill `power` (N,); the
+    others pay their null-space price, for the proposed scheme an exact
+    share of the final power."""
+    prices = _null_space_prices(config, h, placed, users, architecture, memo)
+    if architecture is not Architecture.LIN_TX_LIN_RX:
+        return prices, None
+    grown_power = prices.copy()
     for rows, stack in _buckets(placed):
-        grown = np.empty((rows.size, users.size, stack.shape[1] + 1), int)
-        grown[..., :-1], grown[..., -1] = stack[:, None], users  # (b, U, c+1)
-        if architecture in (Architecture.ZF_TX, Architecture.THP_TX):
-            bills = _bills(config, h, rows, grown, architecture)
-            costs[rows], grown_power[rows] = bills[..., -1], bills.sum(axis=-1)
-            continue
-        below = h[rows[:, None], stack].reshape(rows.size, -1, h.shape[-1])
-        costs[rows] = projected_costs(
-            below, h[rows[:, None], users], np.asarray(config.mse_budget)[users],
-            np.asarray(config.quota)[users], config.noise_variance,
-            config.streams_per_user)
-        if architecture is Architecture.LIN_TX_LIN_RX:  # + placed users' bills
-            grown_power[rows] = costs[rows] + _bills(
-                config, h, rows, grown, architecture,
-                first=stack.shape[1]).sum(axis=-1)
-            costs[rows] = grown_power[rows] - power[rows, None]
-    return costs, (None if architecture is Architecture.THP_TX_LIN_RX
-                   else grown_power)
+        if stack.shape[1]:  # + the placed users' bills
+            grown = np.empty((rows.size, users.size, stack.shape[1] + 1), int)
+            grown[..., :-1], grown[..., -1] = stack[:, None], users
+            grown_power[rows] += _bills(config, h, rows, grown, architecture,
+                                        first=stack.shape[1]).sum(axis=-1)
+    return grown_power - power[:, None], grown_power
 
 
 def _final_power(config, h, placed, power, architecture, assignments):
     """Total transmit power of the finished plan, linear scale: the
-    proposed scheme's committed costs, else the carried stack power
-    `power`; only ThpTx, priced blind, re-bills its final stacks."""
+    proposed scheme's committed costs, LinTxLinRx's carried stack power
+    `power`, else the bills of the final stacks (ZfTx, and ThpTx, whose
+    blind prices never saw them)."""
     if architecture is Architecture.THP_TX_LIN_RX:
         return config.symbol_variance * sum(a.total_cost for a in assignments)
-    if architecture is Architecture.THP_TX:
+    if architecture is not Architecture.LIN_TX_LIN_RX:
         for rows, stack in _buckets(placed):
             power[rows] = _bills(config, h, rows, stack,
                                  architecture).sum(axis=-1)
@@ -240,9 +255,11 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
 
 
 def run_drop(config: ScenarioConfig, channels: ChannelSet,
-             architecture: Architecture) -> DropResult:
+             architecture: Architecture, *, memo=None) -> DropResult:
     """Run the full two-layer pipeline for one architecture on one drop.
 
+    `memo` keeps the drop's null-space prices (`_null_space_prices`);
+    the architectures of one drop and budget class may share one.
     An unmet quota or a numerical failure while pricing or billing makes
     the drop infeasible, with the cause in `infeasible_reason`.
     """
@@ -250,6 +267,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     # every user's channel_quality bit for bit: contiguous rows, same sums
     quality = np.ascontiguousarray(np.sum(np.abs(h) ** 2, axis=(2, 3)).T)
     partition = partition_worst_first(quality.mean(axis=1), config.group_count)
+    memo = {} if memo is None else memo
 
     def infeasible(reason):
         return DropResult(architecture=architecture, feasible=False,
@@ -259,13 +277,15 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     power = np.zeros(config.num_subcarriers)  # carried bill of each stack
     assignments = []
     try:
-        blind = (_cost_matrix(config, h, [[]] * config.num_subcarriers, power,
-                              np.arange(config.num_users), architecture)[0]
-                 if architecture is Architecture.THP_TX else None)
+        blind = None
+        if architecture is Architecture.THP_TX:  # each user billed alone
+            alone = np.indices((config.num_subcarriers, config.num_users))
+            blind = _bills(config, h, alone[0, :, 0], alone[1, ..., None],
+                           architecture)[..., 0]
         for users in map(np.asarray, partition.groups):
             costs, grown = ((blind[:, users], None) if blind is not None else
                             _cost_matrix(config, h, placed, power, users,
-                                         architecture))
+                                         architecture, memo))
             try:
                 assignment = solve_assignment(
                     costs, [config.quota[k] for k in users])
@@ -304,7 +324,8 @@ def _sweep_drop(args):
                                                for g in config.mse_budget))
         if key not in solved:
             channels = generate_drop(config, drop_index)
-            solved[key] = (scale, [run_drop(config, channels, arch)
+            memo = {}  # the null-space prices of this drop and class
+            solved[key] = (scale, [run_drop(config, channels, arch, memo=memo)
                                    for arch in archs])
         solved_scale, results = solved[key]
         for a, result in enumerate(results):

@@ -155,10 +155,11 @@ class TestEndToEnd:
         # stderr names it with its infeasible rate
         run_drop = thpalloc.sim.run_drop
 
-        def infeasible_at_16_users(config, channels, architecture):
+        def infeasible_at_16_users(config, channels, architecture, *,
+                                   memo=None):
             if config.num_users == 16:
                 return DropResult(architecture=architecture, feasible=False)
-            return run_drop(config, channels, architecture)
+            return run_drop(config, channels, architecture, memo=memo)
 
         monkeypatch.setattr(thpalloc.sim, "run_drop", infeasible_at_16_users)
         out = tmp_path / "o.csv"

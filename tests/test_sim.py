@@ -54,6 +54,28 @@ def solve_counts(monkeypatch):
     return counts
 
 
+# scenarios whose architectures share null-space prices: the three
+# presets (Q = 2) and one with Q = 3, where LinTxLinRx's third round
+# meets another placement than the proposed scheme's
+SHARING_SCENARIOS = {
+    "S1": lambda: scenario_preset("S1", num_users=16),
+    "S2": lambda: scenario_preset("S2"),
+    "S3": lambda: scenario_preset("S3", num_users=16),
+    "Q3": lambda: tiny_config(num_users=6, tx_antennas=6, quota=(4,) * 6,
+                              mse_budget=(0.5,) * 6, rng_seed=24),
+}
+
+
+def assert_same_result(got, want):
+    """Equal feasibility, assignments and total power, bit for bit."""
+    assert got.feasible == want.feasible
+    assert len(got.assignments) == len(want.assignments)
+    for a, b in zip(got.assignments, want.assignments):
+        np.testing.assert_array_equal(a.a, b.a)
+    assert got.total_power == want.total_power or (
+        math.isnan(got.total_power) and math.isnan(want.total_power))
+
+
 class TestRunDrop:
     def test_forced_assignment(self):
         # one user per group, quota = N: every subcarrier is forced
@@ -226,9 +248,10 @@ class TestRunDrop:
 
     @pytest.mark.parametrize("preset", ["S1", "S2", "S3"])
     def test_carried_power_bills_final_stacks(self, preset):
-        # ZfTx and LinTxLinRx carry each stack's bill from the round that
-        # grew it instead of billing the final stacks again; LinTxLinRx's
-        # prices are the growth of that bill, so they add up to it
+        # LinTxLinRx carries each stack's bill from the round that grew it
+        # and ZfTx, priced in null spaces, bills its final stacks; both
+        # equal the oracle's bill, and LinTxLinRx's prices are the growth
+        # of that bill, so they add up to it
         cfg = scenario_preset(preset, num_users=16)
         for drop in range(3):
             channels = generate_drop(cfg, drop)
@@ -283,6 +306,29 @@ class TestRunDrop:
             loop = np.array([channel_quality(channels, k)
                              for k in range(cfg.num_users)])
             assert seen[-1].tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("scenario", sorted(SHARING_SCENARIOS))
+    def test_shared_memo_matches_lone_solves(self, scenario):
+        # a sweep prices each drop through one memo for all architectures;
+        # in either order every result equals the architecture's lone solve
+        cfg = SHARING_SCENARIOS[scenario]()
+        diverged = False
+        for drop in range(3):
+            channels = generate_drop(cfg, drop)
+            lone = {arch: run_drop(cfg, channels, arch) for arch in ALL_ARCHS}
+            keys = {}
+            for arch in ALL_ARCHS:
+                run_drop(cfg, channels, arch, memo=keys.setdefault(arch, {}))
+            for order in (ALL_ARCHS, ALL_ARCHS[::-1]):
+                memo = {}
+                for arch in order:
+                    assert_same_result(run_drop(cfg, channels, arch,
+                                                memo=memo), lone[arch])
+                assert memo.keys() == set().union(*keys.values())
+                assert len(memo) < sum(map(len, keys.values()))
+            diverged |= (keys[Architecture.THP_TX_LIN_RX].keys()
+                         != keys[Architecture.LIN_TX_LIN_RX].keys())
+        assert diverged == (cfg.group_count > 2)
 
     def test_drop_that_hung_the_solver_returns(self):
         # this S3 drop once sent the sparse matcher into an endless loop;
@@ -372,6 +418,27 @@ class TestRunSweep:
                               for arch in ALL_ARCHS]
                     np.testing.assert_array_equal(res.power_db[p, :, d],
                                                   direct)
+
+    def test_memo_shared_within_one_budget_class(self, monkeypatch):
+        # the architectures of one drop and budget class share a memo; a
+        # memo never serves another class, drop or config
+        seen = []
+        lone = sim.run_drop
+
+        def spy(config, channels, architecture, *, memo=None):
+            seen.append((config, channels.drop_id, memo))
+            return lone(config, channels, architecture, memo=memo)
+
+        monkeypatch.setattr(sim, "run_drop", spy)
+        cfg = tiny_config(rng_seed=15)
+        uneven = dataclasses.replace(cfg, mse_budget=(2.0, 1.0, 1.0, 1.0))
+        pts = [(0.5, cfg.with_rho(0.5)), (1.0, uneven), (2.0, cfg)]
+        run_sweep(pts, drops=2, architectures=ALL_ARCHS)
+        memos = {id(memo): memo for _, _, memo in seen}
+        assert len(memos) == 2 * 2 and None not in memos.values()
+        for memo in memos.values():
+            uses = [(config, drop) for config, drop, m in seen if m is memo]
+            assert len(uses) == len(ALL_ARCHS) and len(set(uses)) == 1
 
     def test_pool_sized_to_drops(self, monkeypatch):
         # a pool forks no more workers than there are drops, and a single
