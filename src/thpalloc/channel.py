@@ -10,25 +10,11 @@ with unit total energy.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 _VALID_QAM = (4, 16, 64, 256)
-
-# Binary channel-file layout (little endian):
-#   magic b"THPC", uint32 version = 1
-#   int64 header: N, K, N_T, N_R, drop_id
-#   K x 2 float64 user positions (x, y)
-#   N*K*N_R*N_T complex entries as float64 (re, im) pairs, row-major
-#   with n outermost, then k, then the N_R x N_T matrix rows.
-_MAGIC = b"THPC"
-_VERSION = 1
-
-
-class ChannelFileError(Exception):
-    """Raised when a channel file is missing, malformed or non-finite."""
 
 
 @dataclass(frozen=True)
@@ -208,43 +194,3 @@ def generate_drop(config: ScenarioConfig, drop_index: int,
     h *= np.sqrt(gains)[None, :, None, None]
     return ChannelSet(matrices=h, user_positions=positions, drop_id=drop_index)
 
-
-def save_channels(channels: ChannelSet, path) -> None:
-    """Write a ChannelSet in the documented binary container format."""
-    n, k, n_r, n_t = channels.matrices.shape
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<5q", n, k, n_r, n_t, channels.drop_id))
-        f.write(np.ascontiguousarray(channels.user_positions, dtype="<f8").tobytes())
-        flat = np.ascontiguousarray(channels.matrices, dtype="<c16")
-        f.write(flat.tobytes())
-
-
-def load_channels(path) -> ChannelSet:
-    """Read a ChannelSet written by :func:`save_channels`, bit-exactly."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as exc:
-        raise ChannelFileError(f"cannot read channel file: {exc}") from exc
-    if len(raw) < 48 or raw[:4] != _MAGIC:
-        raise ChannelFileError("not a channel file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _VERSION:
-        raise ChannelFileError(f"unsupported channel file version {version}")
-    n, k, n_r, n_t, drop_id = struct.unpack_from("<5q", raw, 8)
-    off = 48
-    pos_bytes = k * 2 * 8
-    mat_bytes = n * k * n_r * n_t * 16
-    if len(raw) != off + pos_bytes + mat_bytes:
-        raise ChannelFileError(
-            f"dimension mismatch: header promises {off + pos_bytes + mat_bytes} "
-            f"bytes, file has {len(raw)}")
-    positions = np.frombuffer(raw, dtype="<f8", count=2 * k, offset=off).reshape(k, 2)
-    matrices = np.frombuffer(raw, dtype="<c16", count=n * k * n_r * n_t,
-                             offset=off + pos_bytes).reshape(n, k, n_r, n_t)
-    if not np.all(np.isfinite(matrices)):
-        raise ChannelFileError("channel file contains non-finite entries")
-    return ChannelSet(matrices=matrices.copy(),
-                      user_positions=positions.copy(), drop_id=int(drop_id))

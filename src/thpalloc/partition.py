@@ -21,10 +21,11 @@ class GroupPartition:
     quality: np.ndarray  # pi(k) per user
 
 
-def channel_quality(channels: ChannelSet, k: int) -> float:
-    """Average channel energy pi(k) = (1/N) sum_n tr(H^H H)."""
-    h = channels.matrices[:, k]  # (N, N_R, N_T)
-    return float(np.mean(np.sum(np.abs(h) ** 2, axis=(1, 2))))
+def channel_quality(channels: ChannelSet) -> np.ndarray:
+    """(K,) average channel energy pi(k) = (1/N) sum_n tr(H_k^H H_k)."""
+    energy = np.sum(np.abs(channels.matrices) ** 2, axis=(2, 3))  # (N, K)
+    # each user's row contiguous, so its mean sums as the scalar one does
+    return np.ascontiguousarray(energy.T).mean(axis=1)
 
 
 def partition_worst_first(quality: np.ndarray, group_count: int) -> GroupPartition:

@@ -3,10 +3,12 @@
 One drop runs: channel-quality metrics -> worst-first partition ->
 per-group cost matrices -> per-group exact assignment (groups
 in order, so later groups see the users already placed) -> final
-power. The proposed scheme's transceivers and THP feedback are built
-on demand from a finished result by `build_plans` (which
+power. The placement is carried as one (N, Q) array, `order[n, i]`
+the i-th user placed on subcarrier n (its THP precoding order), -1
+past its count. The proposed scheme's transceivers and THP feedback
+are built on demand from a finished result by `build_plans` (which
 `link_level_verify` calls), never by the pipeline itself: one batched
-pass per user position, with the null-space bases of the pricing
+pass per position of `order`, with the null-space bases of the pricing
 (`loading._null_spaces`); the pass's zero-forcing receivers also give
 that position's row of feedback blocks.
 
@@ -42,7 +44,8 @@ from thpalloc.loading import (_null_spaces, equalizing_rotation,
                               power_loading, projected_costs,
                               receiver_matrix, singular_gains,
                               transmit_matrix)
-from thpalloc.partition import GroupPartition, partition_worst_first
+from thpalloc.partition import (GroupPartition, channel_quality,
+                                partition_worst_first)
 from thpalloc.precoding import fold, thp_precode
 
 
@@ -65,6 +68,7 @@ class DropResult:
     feasible: bool
     partition: GroupPartition | None = None
     assignments: tuple[Assignment, ...] = ()
+    order: np.ndarray | None = None      # (N, Q) placement, if feasible
     total_power: float = math.nan        # linear, sigma_d^2 * sum tr(U^H U)
     power_db: float = math.nan           # 10 log10(total / sigma^2)
     infeasible_reason: str = ""
@@ -116,25 +120,27 @@ def _bills(config, h, rows, users, architecture, **extra) -> np.ndarray:
                  config.streams_per_user, **extra)
 
 
-def _buckets(placed):
+def _buckets(order):
     """(subcarriers (b,), the users placed on them (b, c)) per count c."""
-    sizes = np.array([len(users) for users in placed])
-    for rows in (np.flatnonzero(sizes == c) for c in np.unique(sizes)):
-        yield rows, np.array([placed[n] for n in rows], dtype=int)
+    sizes = np.count_nonzero(order >= 0, axis=1)
+    for c in np.unique(sizes):
+        rows = np.flatnonzero(sizes == c)
+        yield rows, order[rows, :c]
 
 
-def _null_space_prices(config, h, placed, users, architecture, memo):
+def _null_space_prices(config, h, order, users, architecture, memo):
     """(N, U) price of each candidate in `users` sent in the null space
-    of the users `placed` on each subcarrier by earlier groups, one batch
-    per placed count: the proposed scheme's cost, or ZfTx's bill of the
-    candidate's pseudo-inverse columns (first L rows). Kept read-only in
-    `memo` under (precoder, users, placement): alike placements price once."""
+    of the users `order` placed on each subcarrier by earlier groups, one
+    batch per placed count: the proposed scheme's cost, or ZfTx's bill of
+    the candidate's pseudo-inverse columns (first L rows). Kept read-only
+    in `memo` under (precoder, users, placement): alike placements price
+    once."""
     zf = architecture is Architecture.ZF_TX
-    key = (zf, users.tobytes(), tuple(map(tuple, placed)))
+    key = (zf, users.tobytes(), order.tobytes())
     if key not in memo:
         chan = baselines.restrict_rows(h, config.streams_per_user) if zf else h
         prices = np.empty((config.num_subcarriers, users.size))
-        for rows, stack in _buckets(placed):
+        for rows, stack in _buckets(order):
             below = chan[rows[:, None], stack].reshape(rows.size, -1,
                                                        h.shape[-1])
             prices[rows] = projected_costs(
@@ -148,18 +154,18 @@ def _null_space_prices(config, h, placed, users, architecture, memo):
     return memo[key]
 
 
-def _cost_matrix(config, h, placed, power, users, architecture, memo):
+def _cost_matrix(config, h, order, power, users, architecture, memo):
     """(N, U) price of each candidate in `users` on each subcarrier given
-    the users `placed` there by earlier groups, and for LinTxLinRx the
-    (N, U) bill of each grown stack (else None). LinTxLinRx pays the
+    the users `order` placed there by earlier groups, and for LinTxLinRx
+    the (N, U) bill of each grown stack (else None). LinTxLinRx pays the
     grown bill less the placed stack's carried bill `power` (N,); the
     others pay their null-space price, for the proposed scheme an exact
     share of the final power."""
-    prices = _null_space_prices(config, h, placed, users, architecture, memo)
+    prices = _null_space_prices(config, h, order, users, architecture, memo)
     if architecture is not Architecture.LIN_TX_LIN_RX:
         return prices, None
     grown_power = prices.copy()
-    for rows, stack in _buckets(placed):
+    for rows, stack in _buckets(order):
         if stack.shape[1]:  # + the placed users' bills
             grown = np.empty((rows.size, users.size, stack.shape[1] + 1), int)
             grown[..., :-1], grown[..., -1] = stack[:, None], users
@@ -168,7 +174,7 @@ def _cost_matrix(config, h, placed, power, users, architecture, memo):
     return grown_power - power[:, None], grown_power
 
 
-def _final_power(config, h, placed, power, architecture, assignments):
+def _final_power(config, h, order, power, architecture, assignments):
     """Total transmit power of the finished plan, linear scale: the
     proposed scheme's committed costs, LinTxLinRx's carried stack power
     `power`, else the bills of the final stacks (ZfTx, and ThpTx, whose
@@ -176,7 +182,7 @@ def _final_power(config, h, placed, power, architecture, assignments):
     if architecture is Architecture.THP_TX_LIN_RX:
         return config.symbol_variance * sum(a.total_cost for a in assignments)
     if architecture is not Architecture.LIN_TX_LIN_RX:
-        for rows, stack in _buckets(placed):
+        for rows, stack in _buckets(order):
             power[rows] = _bills(config, h, rows, stack,
                                  architecture).sum(axis=-1)
     return config.symbol_variance * sum(power.tolist())
@@ -197,14 +203,13 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
     """Transceivers and THP feedback of a feasible proposed-scheme result,
     one plan per subcarrier (None where no user is placed).
 
-    The placement is rebuilt from the result's groups and assignments in
-    group order, as `run_drop` placed it. Position p of all subcarriers
-    with more than p users is built in one batched pass: the null-space
-    bases V0 of the earlier users (column phases fixed), one SVD of
-    H' = H V0 per null-space rank, the loading, F = V0 U, G and the
-    position's feedback blocks C_pi = G_p H_p F_i for i < p. G_p is the
-    minimum-norm zero-forcing receiver of the full-column-rank
-    T_pp = H_p F_p, so it equals pinv(T_pp) and C_pi = pinv(T_pp) T_pi.
+    Position p of the result's `order` is built in one batched pass over
+    the subcarriers with more than p users: the null-space bases V0 of
+    the earlier users (column phases fixed), one SVD of H' = H V0 per
+    null-space rank, the loading, F = V0 U, G and the position's
+    feedback blocks C_pi = G_p H_p F_i for i < p. G_p is the minimum-norm
+    zero-forcing receiver of the full-column-rank T_pp = H_p F_p, so it
+    equals pinv(T_pp) and C_pi = pinv(T_pp) T_pi.
     """
     if (not drop_result.feasible
             or drop_result.architecture is not Architecture.THP_TX_LIN_RX):
@@ -212,14 +217,7 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
                          "architecture")
     num_sc, ell, tx = (config.num_subcarriers, config.streams_per_user,
                        config.tx_antennas)
-    # order[n, i]: the i-th user placed on subcarrier n, -1 past its count
-    order = np.full((num_sc, len(drop_result.assignments)), -1)
-    for g, (users, assignment) in enumerate(zip(drop_result.partition.groups,
-                                                drop_result.assignments)):
-        hit = assignment.a.any(axis=1)
-        order[hit, g] = np.asarray(users)[assignment.a[hit].argmax(axis=1)]
-    order = np.take_along_axis(
-        order, np.argsort(order < 0, axis=1, kind="stable"), axis=1)
+    order = drop_result.order
     counts = np.count_nonzero(order >= 0, axis=1)
     h = channels.matrices
     budgets, quotas = np.asarray(config.mse_budget), np.asarray(config.quota)
@@ -264,16 +262,16 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     the drop infeasible, with the cause in `infeasible_reason`.
     """
     h = channels.matrices
-    # every user's channel_quality bit for bit: contiguous rows, same sums
-    quality = np.ascontiguousarray(np.sum(np.abs(h) ** 2, axis=(2, 3)).T)
-    partition = partition_worst_first(quality.mean(axis=1), config.group_count)
+    partition = partition_worst_first(channel_quality(channels),
+                                      config.group_count)
     memo = {} if memo is None else memo
 
     def infeasible(reason):
         return DropResult(architecture=architecture, feasible=False,
                           partition=partition, infeasible_reason=reason)
 
-    placed: list[list[int]] = [[] for _ in range(config.num_subcarriers)]
+    order = np.full((config.num_subcarriers, config.group_count), -1)
+    counts = np.zeros(config.num_subcarriers, dtype=int)  # users placed
     power = np.zeros(config.num_subcarriers)  # carried bill of each stack
     assignments = []
     try:
@@ -284,7 +282,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
                            architecture)[..., 0]
         for users in map(np.asarray, partition.groups):
             costs, grown = ((blind[:, users], None) if blind is not None else
-                            _cost_matrix(config, h, placed, power, users,
+                            _cost_matrix(config, h, order, power, users,
                                          architecture, memo))
             try:
                 assignment = solve_assignment(
@@ -292,11 +290,12 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
             except InfeasibleAssignmentError as exc:
                 return infeasible(str(exc))
             assignments.append(assignment)
-            for n, j in np.argwhere(assignment.a).tolist():
-                placed[n].append(int(users[j]))
-                if grown is not None:
-                    power[n] = grown[n, j]
-        total = _final_power(config, h, placed, power, architecture,
+            n, j = np.nonzero(assignment.a)
+            order[n, counts[n]] = users[j]
+            counts[n] += 1
+            if grown is not None:
+                power[n] = grown[n, j]
+        total = _final_power(config, h, order, power, architecture,
                              assignments)
     except np.linalg.LinAlgError as exc:
         return infeasible(f"numerical failure (LinAlgError: {exc})")
@@ -306,7 +305,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     power_db = 10.0 * math.log10(total / config.noise_variance)
     return DropResult(architecture=architecture, feasible=True,
                       partition=partition, assignments=tuple(assignments),
-                      total_power=total, power_db=power_db)
+                      order=order, total_power=total, power_db=power_db)
 
 
 def _sweep_drop(args):

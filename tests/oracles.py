@@ -10,6 +10,10 @@ user) pair at a time and forms B with `numpy.linalg.pinv`, the way
 `sim.build_plans` did before it was batched per position; its null
 space and projected channel also back `projected_cost`.
 
+The per-user `channel_quality` averages one user's channel energy at a
+time, the way `partition.channel_quality` did before it returned every
+user's value in one array pass.
+
 The link-level references run the THP chain one user position at a
 time, with the complex-arithmetic modulo and `rng.choice` QAM draws,
 the way `sim.link_level_verify` did before it stacked each subcarrier's
@@ -70,6 +74,12 @@ def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
             a[n, k] = 1
     total = float(np.sum(np.where(a.astype(bool), costs, 0.0)))
     return Assignment(a=a, total_cost=total)
+
+
+def channel_quality(channels, k: int) -> float:
+    """Average channel energy pi(k) = (1/N) sum_n tr(H^H H) of user k."""
+    h = channels.matrices[:, k]  # (N, N_R, N_T)
+    return float(np.mean(np.sum(np.abs(h) ** 2, axis=(1, 2))))
 
 
 def bisect_nu(lambda_hp: np.ndarray, gamma_k: float, n_k: int,

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from thpalloc.channel import (ChannelFileError, ChannelSet, ScenarioConfig,
-                              generate_drop, load_channels, pdp_powers,
-                              save_channels, scenario_preset)
+from thpalloc.channel import (ScenarioConfig, generate_drop, pdp_powers,
+                              scenario_preset)
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -185,52 +184,3 @@ class TestGenerateDrop:
             acc += (np.abs(h) ** 2).mean()
         assert acc / drops == pytest.approx(1.0, rel=0.02)
 
-
-class TestChannelFile:
-    def test_round_trip(self, tmp_path):
-        cfg = small_config(rng_seed=3)
-        ch = generate_drop(cfg, 5)
-        path = tmp_path / "drop.chan"
-        save_channels(ch, path)
-        back = load_channels(path)
-        assert np.array_equal(back.matrices, ch.matrices)
-        assert np.array_equal(back.user_positions, ch.user_positions)
-        assert back.drop_id == 5
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.chan"
-        path.write_bytes(b"NOPE" + b"\x00" * 100)
-        with pytest.raises(ChannelFileError, match="magic"):
-            load_channels(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ChannelFileError, match="cannot read"):
-            load_channels(tmp_path / "absent.chan")
-
-    def test_dimension_mismatch(self, tmp_path):
-        cfg = small_config(rng_seed=3)
-        ch = generate_drop(cfg, 0)
-        path = tmp_path / "drop.chan"
-        save_channels(ch, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-16])  # drop one complex entry
-        with pytest.raises(ChannelFileError, match="dimension mismatch"):
-            load_channels(path)
-
-    def test_non_finite_rejected(self, tmp_path):
-        cfg = small_config(rng_seed=3)
-        ch = generate_drop(cfg, 0)
-        bad = ch.matrices.copy()
-        bad[0, 0, 0, 0] = np.nan
-        path = tmp_path / "drop.chan"
-        save_channels(ChannelSet(matrices=np.nan_to_num(bad),
-                                 user_positions=ch.user_positions,
-                                 drop_id=0), path)
-        # corrupt in place: overwrite first matrix entry with NaN
-        raw = bytearray(path.read_bytes())
-        off = 48 + 4 * 2 * 8
-        import struct
-        raw[off:off + 16] = struct.pack("<2d", math.nan, 0.0)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ChannelFileError, match="non-finite"):
-            load_channels(path)

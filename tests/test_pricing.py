@@ -87,6 +87,10 @@ def replay(config, channels, architecture):
             committed += float(np.sum(costs[chosen]))
             for n, j in np.argwhere(chosen).tolist():
                 placed[n].append(users[j])
+    if result.feasible:  # the carried placement, padded with -1
+        np.testing.assert_array_equal(result.order, [
+            users + [-1] * (config.group_count - len(users))
+            for users in placed])
     if architecture is Architecture.THP_TX_LIN_RX:
         final = config.symbol_variance * committed
     else:

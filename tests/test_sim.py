@@ -16,7 +16,6 @@ from oracles import thp_bills
 from thpalloc.baselines import Architecture
 from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
                               scenario_preset)
-from thpalloc.partition import channel_quality
 from thpalloc.sim import (build_plans, link_level_verify, qam_symbols,
                           run_drop, run_sweep)
 
@@ -233,6 +232,7 @@ class TestRunDrop:
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
         assert not res.feasible
         assert res.infeasible_reason
+        assert res.order is None
 
     # ThpTx is left out: its pricing and billing take no SVD
     @pytest.mark.parametrize("arch", [Architecture.THP_TX_LIN_RX,
@@ -288,8 +288,9 @@ class TestRunDrop:
                                                ("S2", None), ("S3", 32)])
     def test_partition_quality_is_channel_quality(self, preset, users,
                                                   monkeypatch):
-        # run_drop's one array pass must give the per-user function's
-        # values bit for bit, so no tie in the partition can move
+        # channel_quality's one array pass must give the per-user
+        # reference's values bit for bit, so no tie in the partition can
+        # move
         seen = []
         partition = sim.partition_worst_first
 
@@ -303,7 +304,7 @@ class TestRunDrop:
         for d in range(5):
             channels = generate_drop(cfg, d)
             run_drop(cfg, channels, Architecture.ZF_TX)
-            loop = np.array([channel_quality(channels, k)
+            loop = np.array([oracles.channel_quality(channels, k)
                              for k in range(cfg.num_users)])
             assert seen[-1].tobytes() == loop.tobytes()
 
