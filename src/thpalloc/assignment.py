@@ -68,8 +68,7 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
 
     usable = np.isfinite(costs)
     cols = np.repeat(np.arange(n_users), quotas)  # slot -> user
-    blocking = [k for k in range(n_users)
-                if np.count_nonzero(usable[:, k]) < quotas[k]]
+    blocking = np.flatnonzero(usable.sum(axis=0) < quotas).tolist()
     if cols.size > n_sub and not blocking:
         blocking = list(range(n_users))
     if not blocking:

@@ -25,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, loading_cost,
-                              projected_costs)
+from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _row_norms,
+                              loading_cost, projected_costs, singular_gains)
 
 
 class Architecture(str, Enum):
@@ -62,7 +62,10 @@ def _joint_bills(factor, stacks, budgets, quotas, noise_variance, streams):
 def zf_gains(h):
     """Singular values s of the thin SVD h = U S V^H of stacked rows
     (..., R, N_T), and the column norms of the channel-inversion
-    precoder pinv(h) = V S^-1 U^H: the row norms of U S^-1."""
+    precoder pinv(h) = V S^-1 U^H: the row norms of U S^-1. One row
+    needs no SVD: s = ||h|| and pinv(h) = h^H / ||h||^2 has norm 1/s."""
+    if h.shape[-2] == 1:
+        return singular_gains(h)
     u, s, _ = np.linalg.svd(h, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         return s, np.linalg.norm(u / s[..., None, :], axis=-1)
@@ -87,10 +90,14 @@ def thp_bills(stacks, budgets, quotas, noise_variance, streams):
     C = R^{-H} (unit-diagonal normalized) cancels the earlier users,
     leaving user i its diagonal slice of |r_ll| as per-stream gains.
     Appending later users does not change a user's slice, so the last
-    bill of the placed users plus a candidate is its final bill."""
+    bill of the placed users plus a candidate is its final bill. A
+    single column of H^H needs no QR: |r_11| = ||h||."""
     def factor(h):
-        r = np.linalg.qr(h.conj().swapaxes(-1, -2), mode="r")
-        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        if h.shape[-2] == 1:
+            diag = _row_norms(h)
+        else:
+            r = np.linalg.qr(h.conj().swapaxes(-1, -2), mode="r")
+            diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
         full = diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1)
         return full, 1.0 / diag[full]
     return _joint_bills(factor, stacks, budgets, quotas, noise_variance,

@@ -167,14 +167,13 @@ def generate_drop(config: ScenarioConfig, drop_index: int,
     n_r, n_t = config.rx_antennas, config.tx_antennas
 
     if positions is None:
-        positions = np.empty((k_users, 2))
-        for k in range(k_users):
-            while True:
-                xy = rng.uniform(-config.cell_radius_m, config.cell_radius_m, 2)
-                d = np.hypot(*xy)
-                if config.min_user_distance_m <= d <= config.cell_radius_m:
-                    positions[k] = xy
-                    break
+        # one sample per unplaced user never draws past the last acceptance
+        r, positions = config.cell_radius_m, np.empty((0, 2))
+        while len(positions) < k_users:
+            xy = rng.uniform(-r, r, (k_users - len(positions), 2))
+            d = np.hypot(*xy.T)
+            positions = np.concatenate(
+                [positions, xy[(config.min_user_distance_m <= d) & (d <= r)]])
     else:
         positions = np.asarray(positions, dtype=float)
 

@@ -84,14 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="built-in scenario preset")
     src.add_argument("--config", metavar="FILE",
                      help="flat key=value scenario file")
-    sweep.add_argument("--rho", type=_float_list, default=[0.25],
-                       help="per-stream target MSE values, comma separated")
+    sweep.add_argument("--rho", type=_float_list, default=None,
+                       help="per-stream target MSE values, comma separated "
+                            "(default 0.25; a --config file's own budgets)")
     sweep.add_argument("--users", type=_int_list, default=None,
-                       help="user counts for a K-axis sweep (uses the first "
-                            "--rho value as fixed target)")
+                       help="user counts for a K-axis sweep at the first "
+                            "--rho value (else as --rho defaults)")
     sweep.add_argument("--drops", type=int, default=100,
                        help="Monte Carlo drops per axis point")
-    sweep.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sweep.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (default 0; a --config file's own)")
     sweep.add_argument("--arch", type=parse_arch_list, default="all",
                        help="comma-separated architectures or 'all' "
                             "(ThpTxLinRx, ZfTx, ThpTx, LinTxLinRx)")
@@ -136,21 +138,24 @@ def emit_detail_csv(result: SweepResult, path: str) -> None:
 
 def run_from_spec(args) -> SweepResult:
     if args.scenario:
-        base = scenario_preset(args.scenario, rho=args.rho[0],
-                               rng_seed=args.seed)
-    else:
-        base = dataclasses.replace(load_config_file(args.config),
-                                   rng_seed=args.seed)
-
+        base, own = scenario_preset(args.scenario), {0.25}
+    else:  # the file's per-stream rho gamma_k / (n_k L), NaN unless uniform
+        base = load_config_file(args.config)
+        own = {g / (n * base.streams_per_user)
+               for g, n in zip(base.mse_budget, base.quota)}
+    if args.seed is not None:
+        base = dataclasses.replace(base, rng_seed=args.seed)
+    rhos = args.rho or [own.pop() if len(own) == 1 else np.nan]
     if args.users:
-        rho = args.rho[0]
-        points = [(float(k), base.with_users(k, rho)) for k in args.users]
-        axis_name = "users"
-    else:
-        points = [(rho, base.with_rho(rho)) for rho in args.rho]
-        axis_name = "rho"
+        if not args.rho and len(own) > 1:
+            raise ValueError("--users needs --rho: the users differ in rho")
+        points = [(float(k), base.with_users(k, rhos[0])) for k in args.users]
+    else:  # a config file without --rho is swept at its own budgets
+        points = [(rho, base.with_rho(rho) if args.scenario or args.rho
+                   else base) for rho in rhos]
     return run_sweep(points, drops=args.drops, architectures=args.arch,
-                     axis_name=axis_name, workers=args.workers)
+                     axis_name="users" if args.users else "rho",
+                     workers=args.workers)
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,8 @@ user's bill in the LinTxLinRx baseline and, with the zero-forcing gains
 of `baselines.zf_gains`, ZfTx's candidate costs. Its null-space step,
 `_null_spaces`, also gives `sim.build_plans` the bases V0 of its
 transceivers; the loading and transceiver helpers below broadcast over
-leading (pair) axes.
+leading (pair) axes. Rank-one objects skip LAPACK (`_row_norms`), so a
+MISO scenario (N_R = L = 1, Q = 2) prices without any SVD.
 """
 
 from __future__ import annotations
@@ -93,10 +94,19 @@ def _null_spaces(placed: np.ndarray):
         yield sel, vh[sel][:, r:].conj().swapaxes(-1, -2)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Norm of each row of x (last axis): the singular value of one row."""
+    return np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=-1))
+
+
 def singular_gains(hp: np.ndarray):
     """Singular values s (descending) of the projected channels hp and
-    their streams' inverse gains lambda_H'^(-1/2) = 1/s (+inf at 0)."""
-    s = np.linalg.svd(hp, compute_uv=False)
+    their streams' inverse gains lambda_H'^(-1/2) = 1/s (+inf at 0); a
+    matrix with one row or one column has one, its norm."""
+    if min(hp.shape[-2:]) == 1:
+        s = _row_norms(hp if hp.shape[-2] == 1 else hp.swapaxes(-1, -2))
+    else:
+        s = np.linalg.svd(hp, compute_uv=False)
     with np.errstate(divide="ignore"):
         return s, (s ** 2) ** -0.5
 
@@ -111,13 +121,23 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
     projection annihilates does not read as rounding noise of full
     rank. gains(hp) maps the projected channels to their singular
     values and the inverse gains of the precoder, whose first L feed
-    `loading_cost`."""
+    `loading_cost`. H' = h V0 (`_null_spaces`) for two or more placed
+    rows, h for none, and for one row p the residual h - (h u^H) u with
+    u = p/||p|| (h if p = 0, of rank 0), which has h V0's singular values."""
     out = np.full(candidates.shape[:-2], INFEASIBLE_COST)
-    for sel, v0 in _null_spaces(placed):
-        h = candidates[sel]
-        s, inverse_gains = gains(h @ v0[:, None])  # s maybe empty
-        ref = np.maximum(s.max(axis=-1, initial=0.0),
-                         np.linalg.norm(h, axis=(-2, -1)))
+    norms = np.linalg.norm(candidates, axis=(-2, -1))
+    parts = [(..., candidates)]
+    if placed.shape[-2] == 1:  # u = p/||p||, 0 for a zero row
+        length = _row_norms(placed)[..., None, None]
+        u = placed[..., None, :, :] / np.where(length > 0, length, np.inf)
+        parts = [(..., candidates - np.sum(candidates * u.conj(), axis=-1,
+                                           keepdims=True) * u)]
+    elif placed.shape[-2] > 1:
+        parts = [(sel, candidates[sel] @ v0[:, None])
+                 for sel, v0 in _null_spaces(placed)]
+    for sel, hp in parts:
+        s, inverse_gains = gains(hp)  # s maybe empty
+        ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])
         mask = np.zeros(out.shape, dtype=bool)
         mask[sel] = np.count_nonzero(s > RANK_TOL * ref[..., None],
                                      axis=-1) >= streams

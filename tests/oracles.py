@@ -10,9 +10,16 @@ user) pair at a time and forms B with `numpy.linalg.pinv`, the way
 `sim.build_plans` did before it was batched per position; its null
 space and projected channel also back `projected_cost`.
 
+The LAPACK references (`svd_singular_gains`, `svd_zf_gains`,
+`null_space_costs`) factor every matrix, rank-one ones included, the
+way `loading` and `baselines` did before they took the closed forms of
+one row; `oracles.thp_bills` is the QR reference of `thp_bills`.
+
 The per-user `channel_quality` averages one user's channel energy at a
 time, the way `partition.channel_quality` did before it returned every
-user's value in one array pass.
+user's value in one array pass. `user_positions` draws one rejection
+sample at a time, the way `channel.generate_drop` did before it drew
+one per unplaced user at a time.
 
 The link-level references run the THP chain one user position at a
 time, with the complex-arithmetic modulo and `rng.choice` QAM draws,
@@ -27,7 +34,8 @@ import numpy as np
 
 from thpalloc.assignment import Assignment, InfeasibleAssignmentError
 from thpalloc.baselines import Architecture, restrict_rows
-from thpalloc.loading import INFEASIBLE_COST, RANK_TOL, loading_cost
+from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _null_spaces,
+                              loading_cost)
 from thpalloc.sim import SubcarrierPlan
 
 
@@ -80,6 +88,56 @@ def channel_quality(channels, k: int) -> float:
     """Average channel energy pi(k) = (1/N) sum_n tr(H^H H) of user k."""
     h = channels.matrices[:, k]  # (N, N_R, N_T)
     return float(np.mean(np.sum(np.abs(h) ** 2, axis=(1, 2))))
+
+
+def user_positions(rng: np.random.Generator, config) -> np.ndarray:
+    """Uniform user positions in the ring [min_user_distance_m,
+    cell_radius_m], one rejection sample (x, y) at a time."""
+    positions = np.empty((config.num_users, 2))
+    for k in range(config.num_users):
+        while True:
+            xy = rng.uniform(-config.cell_radius_m, config.cell_radius_m, 2)
+            d = np.hypot(*xy)
+            if config.min_user_distance_m <= d <= config.cell_radius_m:
+                positions[k] = xy
+                break
+    return positions
+
+
+def svd_singular_gains(hp: np.ndarray):
+    """Singular values s of hp from one batched SVD, and 1/s."""
+    s = np.linalg.svd(hp, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        return s, (s ** 2) ** -0.5
+
+
+def svd_zf_gains(h: np.ndarray):
+    """Singular values s of h and the row norms of U S^-1 from one thin
+    SVD: the column norms of pinv(h)."""
+    u, s, _ = np.linalg.svd(h, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s, np.linalg.norm(u / s[..., None, :], axis=-1)
+
+
+def null_space_costs(placed, candidates, budgets, quotas,
+                     noise_variance: float, streams: int,
+                     gains=svd_singular_gains) -> np.ndarray:
+    """`loading.projected_costs` with every stack, empty or of one row
+    too, projected through the SVD bases of `_null_spaces`."""
+    out = np.full(candidates.shape[:-2], INFEASIBLE_COST)
+    for sel, v0 in _null_spaces(placed):
+        h = candidates[sel]
+        s, inverse_gains = gains(h @ v0[:, None])
+        ref = np.maximum(s.max(axis=-1, initial=0.0),
+                         np.linalg.norm(h, axis=(-2, -1)))
+        mask = np.zeros(out.shape, dtype=bool)
+        mask[sel] = np.count_nonzero(s > RANK_TOL * ref[..., None],
+                                     axis=-1) >= streams
+        out[mask] = loading_cost(
+            inverse_gains[mask[sel], :streams],
+            np.broadcast_to(budgets, out.shape)[mask],
+            np.broadcast_to(quotas, out.shape)[mask], noise_variance)
+    return out
 
 
 def bisect_nu(lambda_hp: np.ndarray, gamma_k: float, n_k: int,

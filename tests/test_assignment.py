@@ -49,6 +49,24 @@ class TestSolveAssignment:
             solve_assignment(costs, [1, 1])
         assert exc.value.blocking_users == [1]
 
+    @settings(max_examples=50)
+    @given(data=st.data(), n_sub=st.integers(1, 8), n_users=st.integers(1, 5))
+    def test_counting_names_every_short_user(self, data, n_sub, n_users):
+        # a user with fewer usable subcarriers than its quota blocks
+        usable = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n_sub * n_users,
+            max_size=n_sub * n_users))).reshape(n_sub, n_users)
+        quotas = data.draw(st.lists(st.integers(0, 3), min_size=n_users,
+                                    max_size=n_users))
+        short = [k for k in range(n_users)
+                 if np.count_nonzero(usable[:, k]) < quotas[k]]
+        costs = np.where(usable, 1.0, math.inf)
+        if short:
+            with pytest.raises(InfeasibleAssignmentError) as exc:
+                solve_assignment(costs, quotas)
+            assert exc.value.blocking_users == short
+            assert all(type(k) is int for k in exc.value.blocking_users)
+
     def test_hall_violation_names_one_blocking_user(self):
         # every user has a usable subcarrier, but users 0 and 1 share
         # their only one: counting passes and the solve itself fails

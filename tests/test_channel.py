@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from thpalloc import channel
 from thpalloc.channel import (ScenarioConfig, generate_drop, pdp_powers,
                               scenario_preset)
 
@@ -161,6 +163,40 @@ class TestGenerateDrop:
             dist = np.hypot(pos[:, 0], pos[:, 1])
             assert np.all(dist >= cfg.min_user_distance_m)
             assert np.all(dist <= cfg.cell_radius_m)
+
+    @pytest.mark.parametrize("min_distance", [0.0, 10.0, 90.0])
+    def test_positions_take_one_at_a_time_draws(self, monkeypatch,
+                                                min_distance):
+        # one rejection sample per unplaced user at a time never draws
+        # past the last acceptance: the positions, and the generator the
+        # fading starts from, are those of one sample at a time
+        drop_rng = channel._drop_rng
+        first_normal = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def uniform(self, *args):
+                return self.rng.uniform(*args)
+
+            def standard_normal(self, shape):
+                out = self.rng.standard_normal(shape)
+                first_normal.append(out.flat[0])
+                return out
+
+        monkeypatch.setattr(channel, "_drop_rng",
+                            lambda seed, drop: Spy(drop_rng(seed, drop)))
+        for seed in range(40):
+            cfg = small_config(num_users=8, quota=(1,) * 8,
+                               mse_budget=(1.0,) * 8, rng_seed=seed,
+                               min_user_distance_m=min_distance)
+            first_normal.clear()
+            got = generate_drop(cfg, seed % 5).user_positions
+            rng = drop_rng(seed, seed % 5)
+            np.testing.assert_array_equal(got,
+                                          oracles.user_positions(rng, cfg))
+            assert first_normal[0] == rng.standard_normal()
 
     def test_pathloss_scaling_on_pinned_positions(self):
         # same fading realization, two position sets -> exact beta-law ratio

@@ -132,6 +132,50 @@ class TestEndToEnd:
         assert lines[0] == "axis,architecture,drop,power_db,feasible"
         assert len(lines) == 1 + 3
 
+    def test_config_file_own_budgets_and_seed(self, tmp_path, capsys):
+        # without --rho and --seed a config file is swept at its own
+        # budgets and seed, and its per-stream rho labels the axis
+        def sweep(budget, *extra, code=0):
+            cfg = tmp_path / "q3.cfg"
+            cfg.write_text("num_subcarriers = 12\nnum_users = 6\n"
+                           "tx_antennas = 6\nrx_antennas = 2\n"
+                           "streams_per_user = 1\nquota = 2\n"
+                           f"mse_budget = {budget}\nrng_seed = 4\n")
+            out = tmp_path / "o.csv"
+            assert run_main(["sweep", "--config", str(cfg), "--drops", "2",
+                             "--arch", "all", "--out", str(out),
+                             *extra]) == code
+            return [row.split(",") for row in
+                    out.read_text().splitlines()[1:]] if code == 0 else None
+
+        low, high = sweep("1.0"), sweep("7.0")
+        assert [row[0] for row in low] == ["0.5"] * 4
+        assert [row[0] for row in high] == ["3.5"] * 4
+        assert {row[-1] for row in low + high} == {"4"}
+        for a, b in zip(low, high):  # every cost scales as 1/budget
+            assert float(a[2]) - float(b[2]) == pytest.approx(
+                10 * np.log10(7.0), rel=1e-9)
+        assert sweep("1.0", "--rho", "0.5", "--seed", "4") == low
+        assert sweep("1.0", "--seed", "5") != low
+        mixed = "1.0,2.0,1.0,2.0,1.0,2.0"
+        assert [row[0] for row in sweep(mixed)] == ["nan"] * 4
+        # a users axis shares one rho: the file's if every user has the
+        # same, else the one --rho gives
+        assert [row[0] for row in sweep("1.0", "--users", "6")] == ["6"] * 4
+        capsys.readouterr()
+        sweep(mixed, "--users", "6", code=2)
+        assert "--users needs --rho" in capsys.readouterr().err
+        assert sweep(mixed, "--users", "6", "--rho", "0.5") == \
+            sweep("1.0", "--users", "6")
+
+    def test_preset_defaults_are_rho_quarter_seed_zero(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["sweep", "--scenario", "S1", "--drops", "2"]
+        assert run_main(argv + ["--out", str(a)]) == 0
+        assert run_main(argv + ["--rho", "0.25", "--seed", "0",
+                                "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_seed_reproducibility_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--scenario", "S2", "--rho", "0.25", "--drops", "2",

@@ -6,6 +6,10 @@ references and require the same cost matrices (rel 1e-12 and identical
 +inf masks) and the same final power, for all four architectures, on
 small valid scenarios beyond the presets (Q = 3 and 4, L < N_R, mixed
 quotas and budgets) and on rank-deficient channels.
+
+The rank-one closed forms (one row, one column, one placed row) are
+checked against the LAPACK factorizations they replace, and against a
+50-digit reference for nearly parallel rows.
 """
 
 import itertools
@@ -19,8 +23,9 @@ from hypothesis import strategies as st
 import oracles
 from thpalloc import baselines, sim
 from thpalloc.baselines import Architecture
-from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
-from thpalloc.loading import RANK_TOL, projected_costs
+from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
+                              scenario_preset)
+from thpalloc.loading import RANK_TOL, projected_costs, singular_gains
 
 # (N_T, N_R, L): Q = 2, 3 and 4, with L = N_R and L < N_R
 ANTENNAS = [(4, 2, 2), (4, 2, 1), (6, 2, 2), (6, 2, 1), (4, 1, 1),
@@ -171,20 +176,20 @@ def test_bills_match_scalar_references(stacks, size, antennas, seed, how):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def conditioned_stacks(rng, antennas, users, conds):
     """One stack (users, N_R, N_T) per condition number in `conds`: the
     stacked first-L rows have singular values geometric from 1 to
     1/cond; the rows past L (ignored by ZfTx) are random."""
     tx, rx, streams = antennas
     rows = users * streams
-
-    def gaussian(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    out = gaussian(len(conds), users, rx, tx)
+    out = gaussian(rng, len(conds), users, rx, tx)
     for b, cond in enumerate(conds):
-        u = np.linalg.qr(gaussian(rows, rows))[0]
-        v = np.linalg.qr(gaussian(tx, rows))[0]
+        u = np.linalg.qr(gaussian(rng, rows, rows))[0]
+        v = np.linalg.qr(gaussian(rng, tx, rows))[0]
         h = (u * np.geomspace(1.0, 1.0 / cond, rows)) @ v.conj().T
         out[b, :, :streams] = h.reshape(users, streams, tx)
     return out
@@ -231,3 +236,105 @@ def test_zf_bills_match_pseudo_inverse_columns(antennas):
                                        rtol=1e-12, atol=0.0)
         np.testing.assert_array_less(
             np.abs(alone[:10] - want[:10, -1]) / want[:10, -1], drift)
+
+
+@settings(max_examples=100)
+@given(tx=st.sampled_from([2, 3, 4, 8]), batch=st.integers(1, 4),
+       m=st.integers(1, 3), seed=st.integers(0, 10_000),
+       scale=st.integers(-150, 150),
+       how=st.sampled_from(["none", "duplicate", "zero"]))
+def test_rank_one_closed_forms_match_lapack(tx, batch, m, seed, scale, how):
+    # the four rank-one closed forms (a row's norm as its singular value,
+    # ZF inverse gain and |r_11|; the residual off one placed row) against
+    # the LAPACK factorizations they replace, from 1e-150 to 1e150
+    rng = np.random.default_rng(seed)
+    placed = gaussian(rng, batch, 1, tx) * 10.0 ** scale
+    h = gaussian(rng, batch, m, 1, tx) * 10.0 ** scale
+    if how == "duplicate":  # the first candidate is the placed row
+        h[:, 0, 0] = placed[:, 0]
+    elif how == "zero":  # a zero placed row, and a zero candidate
+        placed[0] = 0.0
+        h[-1, -1] = 0.0
+    budgets = rng.uniform(0.2, 2.0, (batch, m))
+    quotas = rng.integers(1, 4, (batch, m))
+
+    def same(got, want):
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    rows = h[:, :, 0]  # (batch, m, N_T): one row each
+    for x in (rows[..., None, :], rows[..., :, None]):  # a row, a column
+        for got, want in zip(singular_gains(x),
+                             oracles.svd_singular_gains(x)):
+            same(got, want)
+    (s, gains), (s_ref, gains_ref) = (
+        baselines.zf_gains(rows[..., None, :]),
+        oracles.svd_zf_gains(rows[..., None, :]))
+    same(s, s_ref)  # a zero row's gain (NaN from LAPACK) is never billed
+    same(gains[s > 0], gains_ref[s > 0])
+    for batched, scalar in [(baselines.thp_bills, oracles.thp_bills),
+                            (baselines.zf_bills, oracles.zf_bills)]:
+        same(batched(h.reshape(-1, 1, 1, tx), budgets.reshape(-1, 1),
+                     quotas.reshape(-1, 1), 0.7, 1)[:, 0],
+             [scalar(c, [g], [n], 0.7, 1)[0] for c, g, n in
+              zip(h.reshape(-1, 1, 1, tx), budgets.ravel(), quotas.ravel())])
+    for stack in (placed, placed[:, :0]):  # one row, and none
+        for gains, reference in [
+                (singular_gains, oracles.svd_singular_gains),
+                (baselines.zf_gains, oracles.svd_zf_gains)]:
+            same(projected_costs(stack, h, budgets, quotas, 0.7, 1, gains),
+                 oracles.null_space_costs(stack, h, budgets, quotas, 0.7,
+                                          1, reference))
+    if how == "duplicate":  # projected to rounding noise
+        assert np.isinf(projected_costs(placed, h, budgets, quotas, 0.7,
+                                        1)[:, 0]).all()
+
+
+@pytest.mark.parametrize("tx", [2, 3, 4, 8])
+def test_near_parallel_residual_is_accurate(tx):
+    # a candidate within 1/cond of the placed row's direction: its
+    # residual off the row, against a 50-digit reference, is accurate to
+    # ~cond * eps and no less accurate than the SVD null-space path
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(tx)
+
+    def exact_cost(p, h):  # 1 / ||h - (h p^H / ||p||^2) p||^2
+        p = [mpmath.mpc(complex(x)) for x in p]
+        h = [mpmath.mpc(complex(x)) for x in h]
+        c = (sum(a * mpmath.conj(b) for a, b in zip(h, p))
+             / sum(abs(b) ** 2 for b in p))
+        return float(1 / sum(abs(a - c * b) ** 2 for a, b in zip(h, p)))
+
+    for cond in np.geomspace(1e2, 1e8, 7):
+        p, q = gaussian(rng, 20, 1, tx), gaussian(rng, 20, 1, tx)
+        q -= np.sum(q * p.conj(), -1, keepdims=True) / np.sum(
+            np.abs(p) ** 2, -1, keepdims=True) * p  # q orthogonal to p
+        q *= np.linalg.norm(p, axis=-1, keepdims=True) / (
+            cond * np.linalg.norm(q, axis=-1, keepdims=True))
+        h = (p * gaussian(rng, 20, 1, 1) + q)[:, None]
+        want = np.array([exact_cost(p[i, 0], h[i, 0, 0]) for i in range(20)])
+        errors = [np.abs(costs[:, 0] - want) / want for costs in (
+            projected_costs(p, h, 1.0, 1, 1.0, 1),
+            oracles.null_space_costs(p, h, 1.0, 1, 1.0, 1))]
+        residual, svd = errors
+        assert residual.max() < 8 * cond * np.finfo(float).eps
+        assert residual.max() <= svd.max()
+        assert np.median(residual) <= np.median(svd)
+
+
+@pytest.mark.parametrize("arch", [Architecture.THP_TX_LIN_RX,
+                                  Architecture.LIN_TX_LIN_RX],
+                         ids=lambda a: a.value)
+def test_miso_drop_takes_no_lapack_factorization(arch, monkeypatch):
+    # on S1 (N_T = 2, N_R = L = 1) every stack, projected channel and
+    # bill is rank one, so a drop prices and bills in closed form
+    def factorization(*args, **kwargs):
+        raise AssertionError("LAPACK factorization called on S1")
+
+    cfg = scenario_preset("S1", num_users=16)
+    channels = [generate_drop(cfg, drop) for drop in range(2)]
+    monkeypatch.setattr(np.linalg, "svd", factorization)
+    monkeypatch.setattr(np.linalg, "qr", factorization)
+    for drop in channels:
+        assert sim.run_drop(cfg, drop, arch).feasible
