@@ -189,7 +189,8 @@ def generate_drop(config: ScenarioConfig, drop_index: int,
     n_idx = np.arange(n_sub)
     t_idx = np.arange(config.pdp_taps)
     phase = np.exp(-2j * np.pi * np.outer(n_idx, t_idx) / n_sub)  # (N, T)
-    h = np.einsum("nt,ktrc->nkrc", phase, taps)
+    h = (phase @ taps.swapaxes(0, 1).reshape(config.pdp_taps, -1)).reshape(
+        n_sub, k_users, n_r, n_t)
     h *= np.sqrt(gains)[None, :, None, None]
     return ChannelSet(matrices=h, user_positions=positions, drop_id=drop_index)
 

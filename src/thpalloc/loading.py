@@ -108,7 +108,7 @@ def singular_gains(hp: np.ndarray):
     else:
         s = np.linalg.svd(hp, compute_uv=False)
     with np.errstate(divide="ignore"):
-        return s, (s ** 2) ** -0.5
+        return s, 1.0 / s
 
 
 def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,

@@ -21,10 +21,16 @@ budget class and rescales the power to the other points of the class.
 
 Pricing is batched: a price depends only on the users already placed
 on the subcarrier, so each round prices the subcarriers in one
-array-shaped call per placed count. Null-space prices (the proposed
-scheme, ZfTx, LinTxLinRx's candidate term) go through a per-drop memo,
-so the architectures a sweep solves on one drop price a placement once.
-LinTxLinRx carries each stack's bill; ZfTx and ThpTx re-bill.
+array-shaped call per placed count. LinTxLinRx carries each stack's
+bill; ZfTx and ThpTx re-bill.
+
+A per-drop memo holds the drop's work that does not depend on the
+architecture, so the architectures a sweep solves on one drop share it:
+the partition, each null-space price (the proposed scheme, ZfTx,
+LinTxLinRx's candidate term) of a placement, and the assignment of
+each distinct group cost matrix (the first group's of the proposed
+scheme and LinTxLinRx are equal, and on MISO links, N_R = L = 1, those
+of ZfTx and ThpTx too).
 """
 
 from __future__ import annotations
@@ -136,7 +142,7 @@ def _null_space_prices(config, h, order, users, architecture, memo):
     in `memo` under (precoder, users, placement): alike placements price
     once."""
     zf = architecture is Architecture.ZF_TX
-    key = (zf, users.tobytes(), order.tobytes())
+    key = ("prices", zf, users.tobytes(), order.tobytes())
     if key not in memo:
         chan = baselines.restrict_rows(h, config.streams_per_user) if zf else h
         prices = np.empty((config.num_subcarriers, users.size))
@@ -151,6 +157,21 @@ def _null_space_prices(config, h, order, users, architecture, memo):
                 baselines.zf_gains if zf else singular_gains)
         prices.flags.writeable = False
         memo[key] = prices
+    return memo[key]
+
+
+def _solve(costs, quotas, memo):
+    """`solve_assignment` of one group, or its InfeasibleAssignmentError,
+    kept in `memo` under the cost matrix's bytes and the quotas: a
+    matrix another architecture already solved on the drop is not
+    solved again. The allocation is read-only."""
+    key = ("assignment", costs.tobytes(), quotas)
+    if key not in memo:
+        try:
+            memo[key] = solve_assignment(costs, quotas)
+            memo[key].a.flags.writeable = False
+        except InfeasibleAssignmentError as exc:
+            memo[key] = exc
     return memo[key]
 
 
@@ -256,15 +277,19 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
              architecture: Architecture, *, memo=None) -> DropResult:
     """Run the full two-layer pipeline for one architecture on one drop.
 
-    `memo` keeps the drop's null-space prices (`_null_space_prices`);
-    the architectures of one drop and budget class may share one.
-    An unmet quota or a numerical failure while pricing or billing makes
-    the drop infeasible, with the cause in `infeasible_reason`.
+    `memo` keeps the drop's architecture-independent work: its
+    partition, its null-space prices (`_null_space_prices`) and each
+    distinct group assignment (`_solve`); the architectures of one drop
+    and budget class may share one. An unmet quota or a numerical
+    failure while pricing or billing makes the drop infeasible, with the
+    cause in `infeasible_reason`.
     """
     h = channels.matrices
-    partition = partition_worst_first(channel_quality(channels),
-                                      config.group_count)
     memo = {} if memo is None else memo
+    if ("partition",) not in memo:
+        memo["partition",] = partition_worst_first(
+            channel_quality(channels), config.group_count)
+    partition = memo["partition",]
 
     def infeasible(reason):
         return DropResult(architecture=architecture, feasible=False,
@@ -284,11 +309,10 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
             costs, grown = ((blind[:, users], None) if blind is not None else
                             _cost_matrix(config, h, order, power, users,
                                          architecture, memo))
-            try:
-                assignment = solve_assignment(
-                    costs, [config.quota[k] for k in users])
-            except InfeasibleAssignmentError as exc:
-                return infeasible(str(exc))
+            assignment = _solve(costs, tuple(config.quota[k] for k in users),
+                                memo)
+            if isinstance(assignment, InfeasibleAssignmentError):
+                return infeasible(str(assignment))
             assignments.append(assignment)
             n, j = np.nonzero(assignment.a)
             order[n, counts[n]] = users[j]

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -241,6 +242,79 @@ def test_solve_imports_neither_csgraph_nor_scipy_optimize():
     assert "scipy.optimize._lsap" in loaded
     assert "scipy.optimize" not in loaded
     assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+def solve_outcome(costs, quotas):
+    """solve_assignment's allocation and total, or its blocking users,
+    in a form that crosses a process boundary."""
+    try:
+        res = solve_assignment(costs, quotas)
+    except InfeasibleAssignmentError as exc:
+        return None, exc.blocking_users
+    return res.a, res.total_cost
+
+
+@pytest.fixture(scope="module")
+def in_child():
+    """fn(*args) run in a spawned worker process: a call that outlasts
+    its timeout fails, and the stuck worker is replaced, so a case that
+    hangs the solver fails instead of stalling the suite."""
+    context = multiprocessing.get_context("spawn")
+    pools = [context.Pool(1)]
+
+    def call(fn, *args, timeout=20.0):
+        try:
+            return pools[-1].apply_async(fn, args).get(timeout)
+        except multiprocessing.TimeoutError:
+            pools[-1].terminate()
+            pools.append(context.Pool(1))
+            raise
+
+    yield call
+    pools[-1].terminate()
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Small (N, U) cost matrices drawn from at most three levels in
+    [1e-3, 1e2] (so many ties), +inf entries and whole blocked
+    (subcarrier, user) rectangles; about half of them are feasible."""
+    n_sub = draw(st.integers(1, 8))
+    n_users = draw(st.integers(1, 4))
+    quotas = draw(st.lists(st.integers(0, 3), min_size=n_users,
+                           max_size=n_users).filter(lambda q: sum(q) <= 10))
+    levels = draw(st.lists(st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
+                           min_size=1, max_size=3))
+    entries = st.one_of(st.sampled_from(levels), st.just(math.inf))
+    costs = np.array(draw(st.lists(entries, min_size=n_sub * n_users,
+                                   max_size=n_sub * n_users)))
+    costs = costs.reshape(n_sub, n_users)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, n_sub - 1), max_size=n_sub))
+        users = draw(st.lists(st.integers(0, n_users - 1), max_size=n_users))
+        costs[np.ix_(rows, users)] = math.inf
+    return costs, quotas
+
+
+class TestDifferentialFuzz:
+    @settings(max_examples=300)
+    @given(case=tie_heavy_cases())
+    def test_matches_brute_force(self, in_child, case):
+        # the exact solver against exhaustive search: equal feasibility
+        # and optimal total cost, a valid allocation, and blocking users
+        # only where the search finds no allocation
+        costs, quotas = case
+        a, outcome = in_child(solve_outcome, costs, quotas)
+        try:
+            oracle = brute_force_assignment(costs, quotas)
+        except InfeasibleAssignmentError:
+            assert a is None
+            assert outcome and set(outcome) <= set(range(len(quotas)))
+            return
+        assert a is not None, f"solver blocked users {outcome}"
+        check_constraints(Assignment(a=a, total_cost=outcome), costs, quotas)
+        assert outcome == pytest.approx(oracle.total_cost, rel=1e-12,
+                                        abs=1e-12)
 
 
 class TestBruteForce:

@@ -13,6 +13,7 @@ import oracles
 import thpalloc
 from thpalloc import sim
 from oracles import thp_bills
+from thpalloc.assignment import InfeasibleAssignmentError, solve_assignment
 from thpalloc.baselines import Architecture
 from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
                               scenario_preset)
@@ -63,6 +64,11 @@ SHARING_SCENARIOS = {
     "Q3": lambda: tiny_config(num_users=6, tx_antennas=6, quota=(4,) * 6,
                               mse_budget=(0.5,) * 6, rng_seed=24),
 }
+
+
+def price_keys(memo):
+    """The null-space price entries of a run_drop memo."""
+    return {key for key in memo if key[0] == "prices"}
 
 
 def assert_same_result(got, want):
@@ -312,6 +318,8 @@ class TestRunDrop:
     def test_shared_memo_matches_lone_solves(self, scenario):
         # a sweep prices each drop through one memo for all architectures;
         # in either order every result equals the architecture's lone solve
+        # (the memo also holds the partition and the assignments; only its
+        # price keys are compared here)
         cfg = SHARING_SCENARIOS[scenario]()
         diverged = False
         for drop in range(3):
@@ -319,17 +327,81 @@ class TestRunDrop:
             lone = {arch: run_drop(cfg, channels, arch) for arch in ALL_ARCHS}
             keys = {}
             for arch in ALL_ARCHS:
-                run_drop(cfg, channels, arch, memo=keys.setdefault(arch, {}))
+                memo = {}
+                run_drop(cfg, channels, arch, memo=memo)
+                keys[arch] = price_keys(memo)
             for order in (ALL_ARCHS, ALL_ARCHS[::-1]):
                 memo = {}
                 for arch in order:
                     assert_same_result(run_drop(cfg, channels, arch,
                                                 memo=memo), lone[arch])
-                assert memo.keys() == set().union(*keys.values())
-                assert len(memo) < sum(map(len, keys.values()))
-            diverged |= (keys[Architecture.THP_TX_LIN_RX].keys()
-                         != keys[Architecture.LIN_TX_LIN_RX].keys())
+                assert price_keys(memo) == set().union(*keys.values())
+                assert len(price_keys(memo)) < sum(map(len, keys.values()))
+            diverged |= (keys[Architecture.THP_TX_LIN_RX]
+                         != keys[Architecture.LIN_TX_LIN_RX])
         assert diverged == (cfg.group_count > 2)
+
+    def test_shared_memo_solves_each_cost_matrix_once(self, monkeypatch):
+        # on MISO links the first group's cost matrix is the same for the
+        # proposed scheme, ThpTx and LinTxLinRx, so one memo solves it
+        # once: 4 solves per drop instead of 6, each result bit-equal to
+        # the lone solve
+        calls = []
+        solve = sim.solve_assignment
+
+        def counted(costs, quotas):
+            calls.append(None)
+            return solve(costs, quotas)
+
+        monkeypatch.setattr(sim, "solve_assignment", counted)
+        cfg = scenario_preset("S1", num_users=16)
+        archs = (Architecture.THP_TX_LIN_RX, Architecture.THP_TX,
+                 Architecture.LIN_TX_LIN_RX)
+        for drop in range(3):
+            channels = generate_drop(cfg, drop)
+            del calls[:]
+            lone = {arch: run_drop(cfg, channels, arch) for arch in archs}
+            assert len(calls) == 2 * len(archs)
+            del calls[:]
+            memo = {}
+            for arch in archs:
+                shared = run_drop(cfg, channels, arch, memo=memo)
+                assert_same_result(shared, lone[arch])
+                assert shared.order.tobytes() == lone[arch].order.tobytes()
+            assert len(calls) == 4
+            assert all(not a.a.flags.writeable
+                       for a in shared.assignments)
+
+    def test_shared_memo_keeps_hall_infeasibility(self):
+        # the two weakest users (group 0) can use only subcarriers 0 and 1
+        # and need two each: counting passes, Hall fails; a group served
+        # from the memo gives the lone solve's reason, and the memoized
+        # error its blocking users
+        cfg = tiny_config(rng_seed=3)
+        drop = generate_drop(cfg, 0)
+        weak = list(run_drop(cfg, drop, Architecture.ZF_TX).partition.groups[0])
+        matrices = drop.matrices.copy()
+        matrices[2:, weak] = 0.0
+        channels = ChannelSet(matrices=matrices,
+                              user_positions=drop.user_positions, drop_id=0)
+        memo = {}
+        for arch in ALL_ARCHS:
+            lone = run_drop(cfg, channels, arch)
+            shared = run_drop(cfg, channels, arch, memo=memo)
+            assert not lone.feasible and not shared.feasible
+            assert shared.infeasible_reason == lone.infeasible_reason
+            assert "quotas cannot be met" in shared.infeasible_reason
+        errors = {key: value for key, value in memo.items()
+                  if key[0] == "assignment"}
+        # the proposed scheme's and LinTxLinRx's first groups share one
+        assert len(errors) == len(ALL_ARCHS) - 1
+        for (_, costs, quotas), error in errors.items():
+            assert isinstance(error, InfeasibleAssignmentError)
+            costs = np.frombuffer(costs).reshape(-1, len(quotas))
+            with pytest.raises(InfeasibleAssignmentError) as fresh:
+                solve_assignment(costs, quotas)
+            assert str(error) == str(fresh.value)
+            assert error.blocking_users == fresh.value.blocking_users
 
     def test_drop_that_hung_the_solver_returns(self):
         # this S3 drop once sent the sparse matcher into an endless loop;
