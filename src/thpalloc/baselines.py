@@ -59,14 +59,15 @@ def _joint_bills(factor, stacks, budgets, quotas, noise_variance, streams):
     return out
 
 
-def zf_gains(h):
-    """Singular values s of the thin SVD h = U S V^H of stacked rows
-    (..., R, N_T), and the column norms of the channel-inversion
-    precoder pinv(h) = V S^-1 U^H: the row norms of U S^-1. One row
-    needs no SVD: s = ||h|| and pinv(h) = h^H / ||h||^2 has norm 1/s."""
-    if h.shape[-2] == 1:
+def zf_gains(h, svd=None):
+    """Singular values s of the thin SVD h = U S V^H (or the full `svd`,
+    equal in U and s) of stacked rows (..., R <= N_T, N_T), and the column
+    norms of the channel-inversion precoder pinv(h) = V S^-1 U^H: the row
+    norms of U S^-1. One row needs no SVD: s = ||h|| and
+    pinv(h) = h^H / ||h||^2 has norm 1/s."""
+    if svd is None and h.shape[-2] == 1:
         return singular_gains(h)
-    u, s, _ = np.linalg.svd(h, full_matrices=False)
+    u, s, _ = np.linalg.svd(h, full_matrices=False) if svd is None else svd
     with np.errstate(divide="ignore", invalid="ignore"):
         return s, np.linalg.norm(u / s[..., None, :], axis=-1)
 
@@ -105,18 +106,19 @@ def thp_bills(stacks, budgets, quotas, noise_variance, streams):
 
 
 def linear_bills(stacks, budgets, quotas, noise_variance, streams,
-                 first=None):
+                 first=None, svd=None):
     """Per-user power of mutual block-diagonalization, for the first
     `first` users of each stack (all by default): each user's precoder
     is confined to the null space of every co-channel user's full
-    channel, so no receiver sees interference without THP feedback."""
+    channel, so no receiver sees interference without THP feedback.
+    `svd` goes to `projected_costs`: the SVD of those co-channel rows."""
     *lead, c, rx, tx = stacks.shape
     billed = range(c)[:first]
     others = stacks[..., [[j for j in range(c) if j != i] for i in billed],
                     :, :].reshape(*lead, len(billed), max(c - 1, 0) * rx, tx)
     return projected_costs(others, stacks[..., :first, None, :, :],
                            budgets[..., :first, None], quotas[..., :first, None],
-                           noise_variance, streams)[..., 0]
+                           noise_variance, streams, svd=svd)[..., 0]
 
 
 def restrict_rows(h: np.ndarray, streams: int) -> np.ndarray:

@@ -19,8 +19,10 @@ user's bill in the LinTxLinRx baseline and, with the zero-forcing gains
 of `baselines.zf_gains`, ZfTx's candidate costs. Its null-space step,
 `_null_spaces`, also gives `sim.build_plans` the bases V0 of its
 transceivers; the loading and transceiver helpers below broadcast over
-leading (pair) axes. Rank-one objects skip LAPACK (`_row_norms`), so a
-MISO scenario (N_R = L = 1, Q = 2) prices without any SVD.
+leading (pair) axes. A caller that holds a full channel SVD (`sim`'s
+per-drop factors) passes it as `svd` instead of having it recomputed.
+Rank-one objects skip LAPACK (`_row_norms`), so a MISO scenario
+(N_R = L = 1, Q = 2) prices without any SVD.
 """
 
 from __future__ import annotations
@@ -81,13 +83,13 @@ def receiver_matrix(hp: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("H'U Gram matrix is singular") from exc
 
 
-def _null_spaces(placed: np.ndarray):
+def _null_spaces(placed: np.ndarray, svd=None):
     """(selection, V0) per null-space rank r of the stacks of placed rows
-    (..., R, N_T), from one SVD: V0 (b, N_T, N_T - r) spans the null
-    space of the b selected stacks, with r the count of singular values
-    above RANK_TOL * s[0] (a rank-deficient stack widens its basis);
-    V0 = I for an empty stack."""
-    _, s, vh = np.linalg.svd(placed)
+    (..., R, N_T), from one full SVD (or `svd`, their (U, s, Vh)): V0
+    (b, N_T, N_T - r) spans the null space of the b selected stacks, with
+    r the count of singular values above RANK_TOL * s[0] (a
+    rank-deficient stack widens its basis); V0 = I for an empty stack."""
+    _, s, vh = np.linalg.svd(placed) if svd is None else svd
     rank = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
     for r in np.unique(rank):
         sel = rank == r
@@ -99,11 +101,13 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=-1))
 
 
-def singular_gains(hp: np.ndarray):
-    """Singular values s (descending) of the projected channels hp and
-    their streams' inverse gains lambda_H'^(-1/2) = 1/s (+inf at 0); a
-    matrix with one row or one column has one, its norm."""
-    if min(hp.shape[-2:]) == 1:
+def singular_gains(hp: np.ndarray, svd=None):
+    """Singular values s (descending) of the projected channels hp, or of
+    `svd`, and their streams' inverse gains lambda_H'^(-1/2) = 1/s (+inf
+    at 0); a matrix with one row or one column has one, its norm."""
+    if svd is not None:
+        s = svd[1]
+    elif min(hp.shape[-2:]) == 1:
         s = _row_norms(hp if hp.shape[-2] == 1 else hp.swapaxes(-1, -2))
     else:
         s = np.linalg.svd(hp, compute_uv=False)
@@ -113,30 +117,32 @@ def singular_gains(hp: np.ndarray):
 
 def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
                     quotas, noise_variance: float, streams: int,
-                    gains=singular_gains) -> np.ndarray:
+                    gains=singular_gains, svd=None) -> np.ndarray:
     """Least power of each candidate channel (..., m, N_R, N_T) sent in
     the null space of its stack of placed rows (..., R, N_T); +inf where
     the projected channel cannot carry L streams: fewer than L singular
     values above RANK_TOL * max(s[0], ||h||), so a channel the
     projection annihilates does not read as rounding noise of full
-    rank. gains(hp) maps the projected channels to their singular
-    values and the inverse gains of the precoder, whose first L feed
-    `loading_cost`. H' = h V0 (`_null_spaces`) for two or more placed
-    rows, h for none, and for one row p the residual h - (h u^H) u with
-    u = p/||p|| (h if p = 0, of rank 0), which has h V0's singular values."""
+    rank. gains(hp, svd) maps the projected channels (and their SVD, if
+    known) to their singular values and the inverse gains of the
+    precoder, whose first L feed `loading_cost`. H' = h V0
+    (`_null_spaces`, from `svd` if given) for two or more placed rows, h
+    for none (`svd` then h's), and for one row p the residual
+    h - (h u^H) u with u = p/||p|| (h if p = 0, of rank 0), which has
+    h V0's singular values."""
     out = np.full(candidates.shape[:-2], INFEASIBLE_COST)
     norms = np.linalg.norm(candidates, axis=(-2, -1))
-    parts = [(..., candidates)]
+    parts = [(..., candidates, svd)]
     if placed.shape[-2] == 1:  # u = p/||p||, 0 for a zero row
         length = _row_norms(placed)[..., None, None]
         u = placed[..., None, :, :] / np.where(length > 0, length, np.inf)
         parts = [(..., candidates - np.sum(candidates * u.conj(), axis=-1,
-                                           keepdims=True) * u)]
+                                           keepdims=True) * u, None)]
     elif placed.shape[-2] > 1:
-        parts = [(sel, candidates[sel] @ v0[:, None])
-                 for sel, v0 in _null_spaces(placed)]
-    for sel, hp in parts:
-        s, inverse_gains = gains(hp)  # s maybe empty
+        parts = [(sel, candidates[sel] @ v0[:, None], None)
+                 for sel, v0 in _null_spaces(placed, svd)]
+    for sel, hp, factors in parts:
+        s, inverse_gains = gains(hp, factors)  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])
         mask = np.zeros(out.shape, dtype=bool)
         mask[sel] = np.count_nonzero(s > RANK_TOL * ref[..., None],

@@ -26,17 +26,18 @@ bill; ZfTx and ThpTx re-bill.
 
 A per-drop memo holds the drop's work that does not depend on the
 architecture, so the architectures a sweep solves on one drop share it:
-the partition, each null-space price (the proposed scheme, ZfTx,
-LinTxLinRx's candidate term) of a placement, and the assignment of
-each distinct group cost matrix (the first group's of the proposed
-scheme and LinTxLinRx are equal, and on MISO links, N_R = L = 1, those
-of ZfTx and ThpTx too).
+the partition; one full SVD of each (subcarrier, user) channel, which
+gives every first-group price and every one-user null space (a placed
+user's, or the candidate LinTxLinRx bills a placed user against); each
+null-space price (the proposed scheme, ZfTx, LinTxLinRx's candidate
+term) of a placement; and the assignment of each distinct group cost
+matrix (the first group's of the proposed scheme and LinTxLinRx are
+equal, and on MISO links, N_R = L = 1, those of ZfTx and ThpTx too).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,27 +135,53 @@ def _buckets(order):
         yield rows, order[rows, :c]
 
 
+def _factors(h, rows, users, memo):
+    """Full SVD (U, s, Vh) of the channels h[rows, users] (broadcast
+    indices), kept in `memo` (s NaN until factored): each (subcarrier,
+    user) channel of a drop is factored once, a call's new ones at once."""
+    if ("factors",) not in memo:
+        n, k, rx, tx = h.shape
+        memo["factors",] = (np.empty((n, k, rx, rx), complex),
+                            np.full((n, k, rx), np.nan),
+                            np.empty((n, k, tx, tx), complex))
+    factors = memo["factors",]
+    rows, users = np.broadcast_arrays(rows, users)
+    new = np.isnan(factors[1][rows, users, 0])
+    if new.any():
+        n, k = rows[new], users[new]
+        for cached, part in zip(factors, np.linalg.svd(h[n, k])):
+            cached[n, k] = part
+    return tuple(cached[rows, users] for cached in factors)
+
+
 def _null_space_prices(config, h, order, users, architecture, memo):
     """(N, U) price of each candidate in `users` sent in the null space
     of the users `order` placed on each subcarrier by earlier groups, one
     batch per placed count: the proposed scheme's cost, or ZfTx's bill of
     the candidate's pseudo-inverse columns (first L rows). Kept read-only
     in `memo` under (precoder, users, placement): alike placements price
-    once."""
+    once. An empty or one-user stack reads `_factors` (the candidates' or
+    the placed user's), unless ZfTx keeps L < N_R rows or N_R = 1."""
     zf = architecture is Architecture.ZF_TX
     key = ("prices", zf, users.tobytes(), order.tobytes())
     if key not in memo:
         chan = baselines.restrict_rows(h, config.streams_per_user) if zf else h
+        cached = 1 < chan.shape[-2] == h.shape[-2]
         prices = np.empty((config.num_subcarriers, users.size))
         for rows, stack in _buckets(order):
             below = chan[rows[:, None], stack].reshape(rows.size, -1,
                                                        h.shape[-1])
+            svd = None
+            if cached and stack.shape[1] == 0:
+                svd = _factors(h, rows[:, None], users, memo)
+            elif cached and stack.shape[1] == 1:
+                svd = _factors(h, rows, stack[:, 0], memo)
             prices[rows] = projected_costs(
                 below, chan[rows[:, None], users],
                 np.asarray(config.mse_budget)[users],
                 np.asarray(config.quota)[users], config.noise_variance,
                 config.streams_per_user,
-                baselines.zf_gains if zf else singular_gains)
+                baselines.zf_gains if zf else singular_gains, svd)
         prices.flags.writeable = False
         memo[key] = prices
     return memo[key]
@@ -190,8 +217,12 @@ def _cost_matrix(config, h, order, power, users, architecture, memo):
         if stack.shape[1]:  # + the placed users' bills
             grown = np.empty((rows.size, users.size, stack.shape[1] + 1), int)
             grown[..., :-1], grown[..., -1] = stack[:, None], users
+            # one placed user is billed in the candidate's null space
+            svd = (_factors(h, rows[:, None, None], users[:, None], memo)
+                   if stack.shape[1] == 1 < h.shape[-2] else None)
             grown_power[rows] += _bills(config, h, rows, grown, architecture,
-                                        first=stack.shape[1]).sum(axis=-1)
+                                        first=stack.shape[1],
+                                        svd=svd).sum(axis=-1)
     return grown_power - power[:, None], grown_power
 
 
@@ -277,12 +308,11 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
              architecture: Architecture, *, memo=None) -> DropResult:
     """Run the full two-layer pipeline for one architecture on one drop.
 
-    `memo` keeps the drop's architecture-independent work: its
-    partition, its null-space prices (`_null_space_prices`) and each
-    distinct group assignment (`_solve`); the architectures of one drop
-    and budget class may share one. An unmet quota or a numerical
-    failure while pricing or billing makes the drop infeasible, with the
-    cause in `infeasible_reason`.
+    `memo` keeps the drop's architecture-independent work (partition,
+    `_factors`, `_null_space_prices`, `_solve`); the architectures of
+    one drop and budget class may share one. An unmet quota (naming the
+    users) or a numerical failure while pricing or billing makes the
+    drop infeasible, with the cause in `infeasible_reason`.
     """
     h = channels.matrices
     memo = {} if memo is None else memo
@@ -312,7 +342,8 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
             assignment = _solve(costs, tuple(config.quota[k] for k in users),
                                 memo)
             if isinstance(assignment, InfeasibleAssignmentError):
-                return infeasible(str(assignment))
+                blocking = sorted(users[assignment.blocking_users].tolist())
+                return infeasible(f"quotas cannot be met for users {blocking}")
             assignments.append(assignment)
             n, j = np.nonzero(assignment.a)
             order[n, counts[n]] = users[j]
@@ -374,7 +405,8 @@ def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
 
     tasks = [(configs, archs, d) for d in range(drops)]
     workers = min(workers, drops)
-    if workers > 1:
+    if workers > 1:  # imported here: a serial run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_drop, tasks))
     else:

@@ -303,3 +303,28 @@ def test_cli_import_loads_no_scipy():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_serial_run_loads_no_process_pool(tmp_path):
+    # the process pool is imported only by a run with --workers > 1, so
+    # a serial run never loads multiprocessing; a pool started from a
+    # process that had not imported it gives the serial run's bytes
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(thpalloc.__file__)))
+    code = ("import sys, thpalloc.cli\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for w in ('1', '2'):\n"
+            "    assert thpalloc.cli.main(['sweep', '--scenario', 'S3',\n"
+            "        '--drops', '2', '--workers', w, '--out',\n"
+            "        f'{out}/w{w}.csv', '--detail', f'{out}/d{w}.csv']) == 0\n"
+            "    print('concurrent.futures.process' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines()
+              if line in ("False", "True")]
+    assert loaded == ["False", "False", "True"]
+    for name in ("w", "d"):
+        assert ((tmp_path / f"{name}1.csv").read_bytes()
+                == (tmp_path / f"{name}2.csv").read_bytes())

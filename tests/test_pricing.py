@@ -9,7 +9,9 @@ quotas and budgets) and on rank-deficient channels.
 
 The rank-one closed forms (one row, one column, one placed row) are
 checked against the LAPACK factorizations they replace, and against a
-50-digit reference for nearly parallel rows.
+50-digit reference for nearly parallel rows. The per-drop channel
+factors (`sim._factors`) are checked against the factorizations they
+replace, and counted.
 """
 
 import itertools
@@ -25,7 +27,8 @@ from thpalloc import baselines, sim
 from thpalloc.baselines import Architecture
 from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
                               scenario_preset)
-from thpalloc.loading import RANK_TOL, projected_costs, singular_gains
+from thpalloc.loading import (RANK_TOL, _null_spaces, projected_costs,
+                              singular_gains)
 
 # (N_T, N_R, L): Q = 2, 3 and 4, with L = N_R and L < N_R
 ANTENNAS = [(4, 2, 2), (4, 2, 1), (6, 2, 2), (6, 2, 1), (4, 1, 1),
@@ -338,3 +341,50 @@ def test_miso_drop_takes_no_lapack_factorization(arch, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", factorization)
     for drop in channels:
         assert sim.run_drop(cfg, drop, arch).feasible
+
+
+def test_s3_drop_factors_each_channel_once(monkeypatch):
+    # the four architectures of one S3 drop on one memo factor each of
+    # the N K = 256 4x8 channels once (416 before the factor cache: the
+    # first group twice, the placed stacks twice, LinTxLinRx's
+    # candidates once more); the other SVDs are of 4x4 projected
+    # channels and 8x8 final ZfTx stacks
+    cfg = scenario_preset("S3", num_users=16)
+    channels = generate_drop(cfg, 0)
+    h = channels.matrices
+    pair = {h[n, k].tobytes(): (n, k) for n in range(cfg.num_subcarriers)
+            for k in range(cfg.num_users)}
+    factored = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if a.shape[-2:] == h.shape[-2:]:
+            factored.extend(pair[m.tobytes()]
+                            for m in a.reshape(-1, *a.shape[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    memo = {}
+    for arch in Architecture:
+        assert sim.run_drop(cfg, channels, arch, memo=memo).feasible
+    assert len(factored) == cfg.num_subcarriers * cfg.num_users
+    assert len(set(factored)) == len(factored)
+
+
+@pytest.mark.parametrize("preset", ["S2", "S3"])
+def test_cached_factors_match_fresh_factorizations(preset):
+    # the cache's full SVDs give one-user null spaces bit-equal to
+    # `_null_spaces` of the same stacks, and ZfTx first-group gains
+    # bit-equal to `zf_gains` (R <= N_T: full and thin U, s agree)
+    cfg = scenario_preset(preset, num_users=16)
+    h = generate_drop(cfg, 1).matrices
+    rows = np.arange(cfg.num_subcarriers)
+    memo = {}
+    sim._factors(h, rows, rows % cfg.num_users, memo)  # a part first
+    svd = sim._factors(h, rows[:, None], np.arange(cfg.num_users), memo)
+    for (sel, v0), (sel_ref, v0_ref) in itertools.zip_longest(
+            _null_spaces(h, svd), _null_spaces(h)):
+        np.testing.assert_array_equal(sel, sel_ref)
+        assert v0.tobytes() == v0_ref.tobytes()
+    for got, want in zip(baselines.zf_gains(h, svd), baselines.zf_gains(h)):
+        assert got.tobytes() == want.tobytes()

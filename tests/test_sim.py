@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -54,15 +55,20 @@ def solve_counts(monkeypatch):
     return counts
 
 
-# scenarios whose architectures share null-space prices: the three
-# presets (Q = 2) and one with Q = 3, where LinTxLinRx's third round
-# meets another placement than the proposed scheme's
+# scenarios whose architectures share null-space prices and channel
+# factors: the three presets (Q = 2) and two with Q = 3, where
+# LinTxLinRx's third round meets another placement than the proposed
+# scheme's; in the second, L < N_R, so ZfTx prices its first L rows
+# without the factors
 SHARING_SCENARIOS = {
     "S1": lambda: scenario_preset("S1", num_users=16),
     "S2": lambda: scenario_preset("S2"),
     "S3": lambda: scenario_preset("S3", num_users=16),
     "Q3": lambda: tiny_config(num_users=6, tx_antennas=6, quota=(4,) * 6,
                               mse_budget=(0.5,) * 6, rng_seed=24),
+    "Q3-L1": lambda: tiny_config(num_subcarriers=12, num_users=6,
+                                 tx_antennas=6, streams_per_user=1,
+                                 quota=(2,) * 6, mse_budget=(1.0,) * 6),
 }
 
 
@@ -403,6 +409,28 @@ class TestRunDrop:
             assert str(error) == str(fresh.value)
             assert error.blocking_users == fresh.value.blocking_users
 
+    def test_infeasible_reason_names_users_not_columns(self):
+        # the solver names columns of the group's cost matrix; the
+        # reason names those users. This drop partitions as
+        # ((3, 1), (2, 0)), and its second group needs 6 of 4
+        # subcarriers, so the reason names users 0 and 2 (not 0 and 1),
+        # while the memoized error keeps the solver's own columns
+        cfg = ScenarioConfig(num_users=4, quota=(3, 1, 3, 1),
+                             mse_budget=(1.0,) * 4, tx_antennas=2,
+                             rx_antennas=1, streams_per_user=1,
+                             num_subcarriers=4, bandwidth_hz=1e6)
+        channels = generate_drop(cfg, 4)
+        memo = {}
+        for arch in ALL_ARCHS:
+            res = run_drop(cfg, channels, arch, memo=memo)
+            assert res.partition.groups == ((3, 1), (2, 0))
+            assert res.infeasible_reason == ("quotas cannot be met for "
+                                             "users [0, 2]")
+        errors = [value for key, value in memo.items()
+                  if key[0] == "assignment"
+                  and isinstance(value, InfeasibleAssignmentError)]
+        assert errors and all(e.blocking_users == [0, 1] for e in errors)
+
     def test_drop_that_hung_the_solver_returns(self):
         # this S3 drop once sent the sparse matcher into an endless loop;
         # a child process, so a hang fails on the timeout instead of
@@ -531,7 +559,8 @@ class TestRunSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
         cfg = tiny_config(rng_seed=9)
         pts = [(0.5, cfg.with_rho(0.5))]
         for drops, workers in ((2, 64), (1, 8), (3, 2)):
