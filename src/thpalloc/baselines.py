@@ -106,19 +106,18 @@ def thp_bills(stacks, budgets, quotas, noise_variance, streams):
 
 
 def linear_bills(stacks, budgets, quotas, noise_variance, streams,
-                 first=None, svd=None):
+                 first=None):
     """Per-user power of mutual block-diagonalization, for the first
     `first` users of each stack (all by default): each user's precoder
     is confined to the null space of every co-channel user's full
-    channel, so no receiver sees interference without THP feedback.
-    `svd` goes to `projected_costs`: the SVD of those co-channel rows."""
+    channel, so no receiver sees interference without THP feedback."""
     *lead, c, rx, tx = stacks.shape
     billed = range(c)[:first]
     others = stacks[..., [[j for j in range(c) if j != i] for i in billed],
                     :, :].reshape(*lead, len(billed), max(c - 1, 0) * rx, tx)
     return projected_costs(others, stacks[..., :first, None, :, :],
                            budgets[..., :first, None], quotas[..., :first, None],
-                           noise_variance, streams, svd=svd)[..., 0]
+                           noise_variance, streams)[..., 0]
 
 
 def restrict_rows(h: np.ndarray, streams: int) -> np.ndarray:

@@ -19,7 +19,8 @@ _VALID_QAM = (4, 16, 64, 256)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Dimensioning and QoS parameters of one simulation scenario."""
+    """Dimensioning and QoS parameters of one simulation scenario. Users
+    are grouped per drop, so the K/Q largest quotas must fit in N."""
 
     num_subcarriers: int
     num_users: int
@@ -60,11 +61,9 @@ class ScenarioConfig:
             raise ValueError(f"num_users must be divisible by group count Q={q}")
         if len(self.quota) != self.num_users or len(self.mse_budget) != self.num_users:
             raise ValueError("quota and mse_budget must have one entry per user")
-        per_group = self.num_users // q
-        for g in range(q):
-            users = range(g * per_group, (g + 1) * per_group)
-            if sum(self.quota[k] for k in users) > self.num_subcarriers:
-                raise ValueError("group quota sum exceeds number of subcarriers")
+        largest = sorted(self.quota)[-(self.num_users // q):]
+        if sum(largest) > self.num_subcarriers:
+            raise ValueError("group quota sum exceeds number of subcarriers")
         if not all(0 < g < math.inf for g in self.mse_budget):
             raise ValueError("mse_budget entries must be finite and positive")
         if not 0 < self.noise_variance < math.inf:

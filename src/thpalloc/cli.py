@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 import numpy as np
@@ -15,8 +14,6 @@ import numpy as np
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ScenarioConfig, scenario_preset
 from thpalloc.sim import SweepResult, run_sweep
-
-_WORKERS_ENV = "THPALLOC_WORKERS"
 
 _INT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)
                if f.type == "int"}
@@ -100,11 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--detail", metavar="FILE", default=None,
                        help="also write per-drop detail CSV")
-    # a string default goes through `type`, so a bad value is a usage error
-    sweep.add_argument("--workers", type=int,
-                       default=os.environ.get(_WORKERS_ENV, "1"),
-                       help="parallel drop workers (default from "
-                            f"${_WORKERS_ENV} or 1)")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="parallel drop workers (default 1)")
     return parser
 
 

@@ -27,8 +27,7 @@ bill; ZfTx and ThpTx re-bill.
 A per-drop memo holds the drop's work that does not depend on the
 architecture, so the architectures a sweep solves on one drop share it:
 the partition; one full SVD of each (subcarrier, user) channel, which
-gives every first-group price and every one-user null space (a placed
-user's, or the candidate LinTxLinRx bills a placed user against); each
+gives every first-group price and every placed user's null space; each
 null-space price (the proposed scheme, ZfTx, LinTxLinRx's candidate
 term) of a placement; and the assignment of each distinct group cost
 matrix (the first group's of the proposed scheme and LinTxLinRx are
@@ -89,7 +88,7 @@ class SweepResult:
     axis_values: tuple[float, ...]
     architectures: tuple[Architecture, ...]
     power_db: np.ndarray             # (points, archs, drops), NaN if infeasible
-    feasible: np.ndarray             # (points, drops) bool, paired across archs
+    feasible: np.ndarray             # (points, drops), no NaN in any arch
     drops: int
     seed: int
 
@@ -217,12 +216,8 @@ def _cost_matrix(config, h, order, power, users, architecture, memo):
         if stack.shape[1]:  # + the placed users' bills
             grown = np.empty((rows.size, users.size, stack.shape[1] + 1), int)
             grown[..., :-1], grown[..., -1] = stack[:, None], users
-            # one placed user is billed in the candidate's null space
-            svd = (_factors(h, rows[:, None, None], users[:, None], memo)
-                   if stack.shape[1] == 1 < h.shape[-2] else None)
             grown_power[rows] += _bills(config, h, rows, grown, architecture,
-                                        first=stack.shape[1],
-                                        svd=svd).sum(axis=-1)
+                                        first=stack.shape[1]).sum(axis=-1)
     return grown_power - power[:, None], grown_power
 
 
@@ -364,9 +359,9 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
 
 
 def _sweep_drop(args):
+    """(points, architectures) power of one drop, NaN where infeasible."""
     configs, archs, drop_index = args
     out = np.full((len(configs), len(archs)), np.nan)
-    feas = np.ones(len(configs), dtype=bool)
     # Each budget class (configs equal up to a common positive factor on
     # the budgets, keyed by the budgets over the first) is solved once, at
     # its first point; every cost scales as 1/budget, so the other points
@@ -383,12 +378,10 @@ def _sweep_drop(args):
                                    for arch in archs])
         solved_scale, results = solved[key]
         for a, result in enumerate(results):
-            if not result.feasible:
-                feas[p] = False
-            else:
+            if result.feasible:
                 total = result.total_power * (solved_scale / scale)
                 out[p, a] = 10.0 * math.log10(total / config.noise_variance)
-    return drop_index, out, feas
+    return out
 
 
 def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
@@ -401,22 +394,20 @@ def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
     configs = [cfg for _, cfg in points]
     seed = configs[0].rng_seed if configs else 0
     power = np.full((len(points), len(archs), drops), np.nan)
-    feasible = np.ones((len(points), drops), dtype=bool)
 
     tasks = [(configs, archs, d) for d in range(drops)]
     workers = min(workers, drops)
     if workers > 1:  # imported here: a serial run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_drop, tasks))
+            blocks = list(pool.map(_sweep_drop, tasks))
     else:
-        results = [_sweep_drop(t) for t in tasks]
-    for drop_index, out, feas in sorted(results):
-        power[:, :, drop_index] = out
-        feasible[:, drop_index] = feas
-    # paired comparison: a drop counts only if every architecture and
-    # axis point is feasible on it
-    feasible &= ~np.isnan(power).any(axis=1)
+        blocks = [_sweep_drop(t) for t in tasks]
+    for d, block in enumerate(blocks):  # in task order
+        power[:, :, d] = block
+    # paired comparison: a drop counts at a point only if every
+    # architecture is feasible there (not NaN)
+    feasible = ~np.isnan(power).any(axis=1)
     return SweepResult(axis_name=axis_name,
                        axis_values=tuple(v for v, _ in points),
                        architectures=archs, power_db=power,

@@ -84,6 +84,10 @@ class TestConfigValidation:
     def test_group_quota_exceeds_subcarriers(self):
         with pytest.raises(ValueError, match="quota sum"):
             small_config(quota=(5, 4, 2, 2))
+        # groups form per drop: users 0 and 2 may share one, 6 > 4
+        with pytest.raises(ValueError, match="quota sum"):
+            small_config(num_subcarriers=4, tx_antennas=2, rx_antennas=1,
+                         streams_per_user=1, quota=(3, 1, 3, 1))
 
     def test_nonpositive_budget(self):
         with pytest.raises(ValueError, match="positive"):

@@ -52,17 +52,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_arch_list("Nonsense")
 
-    def test_bad_workers_env_is_usage_error(self, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.setenv("THPALLOC_WORKERS", "abc")
-        assert run_main(["--help"]) == 0
+    def test_bad_workers_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        argv = ["sweep", "--scenario", "S3", "--drops", "1",
-                "--arch", "ThpTxLinRx", "--out", str(out)]
-        assert run_main(argv) == 1
+        assert run_main(["sweep", "--scenario", "S3", "--drops", "1",
+                         "--workers", "abc", "--out", str(out)]) == 1
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
-        assert run_main(argv + ["--workers", "1"]) == 0  # flag beats env
 
     def test_drops_must_be_positive(self, tmp_path, capsys):
         code = run_main(["sweep", "--scenario", "S1", "--drops", "0",
@@ -236,6 +231,20 @@ class TestEndToEnd:
         assert proc.returncode == 2
         assert "error" in proc.stderr
         assert not (tmp_path / "o.csv").exists()
+
+    def test_quota_sum_over_any_group_exits_2(self, tmp_path, capsys):
+        # users 0 and 2 need 3 of 4 subcarriers each and may share a
+        # group on some drop, so the file is rejected before any drop
+        path = tmp_path / "scenario.cfg"
+        path.write_text("num_subcarriers = 4\nnum_users = 4\n"
+                        "tx_antennas = 2\nrx_antennas = 1\n"
+                        "streams_per_user = 1\nquota = 3,1,3,1\n"
+                        "mse_budget = 1.0\n")
+        out = tmp_path / "o.csv"
+        assert run_main(["sweep", "--config", str(path), "--drops", "1",
+                         "--out", str(out)]) == 2
+        assert "quota sum" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_non_finite_rho_exits_2(self, tmp_path, capsys, rho):

@@ -9,7 +9,8 @@ quotas and budgets) and on rank-deficient channels.
 
 The rank-one closed forms (one row, one column, one placed row) are
 checked against the LAPACK factorizations they replace, and against a
-50-digit reference for nearly parallel rows. The per-drop channel
+50-digit reference for nearly parallel rows; the ZfTx bills against a
+60-digit pseudo-inverse up to condition number 1e10. The per-drop channel
 factors (`sim._factors`) are checked against the factorizations they
 replace, and counted.
 """
@@ -199,9 +200,11 @@ def conditioned_stacks(rng, antennas, users, conds):
 
 
 # (N_T, N_R, L): Q = 2 and 3, with L = N_R and L < N_R
-@pytest.mark.parametrize("antennas", [(4, 2, 2), (4, 2, 1), (8, 4, 4),
-                                      (8, 4, 2), (6, 2, 2), (6, 2, 1),
-                                      (3, 1, 1)])
+ZF_ANTENNAS = [(4, 2, 2), (4, 2, 1), (8, 4, 4), (8, 4, 2), (6, 2, 2),
+               (6, 2, 1), (3, 1, 1)]
+
+
+@pytest.mark.parametrize("antennas", ZF_ANTENNAS)
 def test_zf_bills_match_pseudo_inverse_columns(antennas):
     # ZfTx bills from U and s of one SVD; the oracle takes the column
     # norms of pinv(h). They must agree up to condition number 1e11, and
@@ -239,6 +242,41 @@ def test_zf_bills_match_pseudo_inverse_columns(antennas):
                                        rtol=1e-12, atol=0.0)
         np.testing.assert_array_less(
             np.abs(alone[:10] - want[:10, -1]) / want[:10, -1], drift)
+
+
+@pytest.mark.parametrize("antennas", ZF_ANTENNAS)
+def test_zf_bills_are_accurate(antennas):
+    # the ZfTx bills against the exact pseudo-inverse column norms of the
+    # same stacks, h^H (h h^H)^-1 in 60 digits: within 8 * cond * eps up
+    # to condition number 1e10 (the pinv oracle only shows agreement)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    tx, rx, streams = antennas
+    rng = np.random.default_rng(tx * 100 + rx * 10 + streams)
+    conds = np.geomspace(1e2, 1e10, 9)
+
+    def exact_norms(h):  # column norms of pinv(h), h (R, N_T)
+        m = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                           for row in h])
+        pinv = m.transpose_conj() * mpmath.inverse(m * m.transpose_conj())
+        return [mpmath.norm(pinv.column(j)) for j in range(pinv.cols)]
+
+    for users in range(1, tx // rx + 1):
+        if users * streams < 2:  # one row has no condition number
+            continue
+        stacks = conditioned_stacks(rng, antennas, users, conds)
+        budgets = rng.uniform(0.2, 2.0, stacks.shape[:2])
+        quotas = rng.integers(1, 4, stacks.shape[:2])
+        got = baselines.zf_bills(stacks, budgets, quotas, 0.7, streams)
+        h = baselines.restrict_rows(stacks, streams).reshape(len(conds), -1,
+                                                             tx)
+        for b, cond in enumerate(conds):
+            norms = exact_norms(h[b])
+            for k in range(users):
+                want = (0.7 * int(quotas[b, k]) / mpmath.mpf(budgets[b, k])
+                        * sum(norms[k * streams:(k + 1) * streams]) ** 2)
+                assert float(abs(got[b, k] - want) / want) < (
+                    8 * cond * np.finfo(float).eps)
 
 
 @settings(max_examples=100)

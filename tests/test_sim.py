@@ -411,25 +411,28 @@ class TestRunDrop:
 
     def test_infeasible_reason_names_users_not_columns(self):
         # the solver names columns of the group's cost matrix; the
-        # reason names those users. This drop partitions as
-        # ((3, 1), (2, 0)), and its second group needs 6 of 4
-        # subcarriers, so the reason names users 0 and 2 (not 0 and 1),
-        # while the memoized error keeps the solver's own columns
-        cfg = ScenarioConfig(num_users=4, quota=(3, 1, 3, 1),
+        # reason names those users. User 3 has a channel on subcarrier 0
+        # only but needs 2; this drop partitions as ((0, 3), (1, 2)), so
+        # the reason names user 3 (not 1), while the memoized error
+        # keeps the solver's own column
+        cfg = ScenarioConfig(num_users=4, quota=(2,) * 4,
                              mse_budget=(1.0,) * 4, tx_antennas=2,
                              rx_antennas=1, streams_per_user=1,
                              num_subcarriers=4, bandwidth_hz=1e6)
-        channels = generate_drop(cfg, 4)
+        channels = generate_drop(cfg, 0)
+        h = channels.matrices.copy()
+        h[1:, 3] = 0.0
+        channels = dataclasses.replace(channels, matrices=h)
         memo = {}
         for arch in ALL_ARCHS:
             res = run_drop(cfg, channels, arch, memo=memo)
-            assert res.partition.groups == ((3, 1), (2, 0))
+            assert res.partition.groups == ((0, 3), (1, 2))
             assert res.infeasible_reason == ("quotas cannot be met for "
-                                             "users [0, 2]")
+                                             "users [3]")
         errors = [value for key, value in memo.items()
                   if key[0] == "assignment"
                   and isinstance(value, InfeasibleAssignmentError)]
-        assert errors and all(e.blocking_users == [0, 1] for e in errors)
+        assert errors and all(e.blocking_users == [1] for e in errors)
 
     def test_drop_that_hung_the_solver_returns(self):
         # this S3 drop once sent the sparse matcher into an endless loop;
