@@ -12,7 +12,7 @@ in the placed users' null space with `zf_gains`.
 
 Every bill is the closed form of `loading.loading_cost`,
 
-    sigma^2 * (n/gamma) * (sum_l 1/g_l)^2,
+    w * (sum_l 1/g_l)^2,   QoS only in the weight w = sigma^2 * n/gamma,
 
 with 1/g_l equal to ||f_l|| (column norms of F from U and s of one
 thin SVD), 1/|r_ll| (QR diagonal) or lambda^{-1/2} (squared singular
@@ -44,7 +44,7 @@ class Architecture(str, Enum):
                          f"valid: {[a.value for a in cls]}")
 
 
-def _joint_bills(factor, stacks, budgets, quotas, noise_variance, streams):
+def _joint_bills(factor, stacks, weights, streams):
     """Bills of a precoder serving the first L rows of a stack's users
     jointly; factor(h) maps the stacked rows h (..., c*L, N_T) to a
     full-row-rank mask and the full stacks' inverse row gains."""
@@ -54,8 +54,7 @@ def _joint_bills(factor, stacks, budgets, quotas, noise_variance, streams):
     if 0 < h.shape[-2] <= h.shape[-1]:
         full, inverse_gains = factor(h)
         out[full] = loading_cost(
-            inverse_gains.reshape(-1, out.shape[-1], streams), budgets[full],
-            quotas[full], noise_variance)
+            inverse_gains.reshape(-1, out.shape[-1], streams), weights[full])
     return out
 
 
@@ -72,7 +71,7 @@ def zf_gains(h, svd=None):
         return s, np.linalg.norm(u / s[..., None, :], axis=-1)
 
 
-def zf_bills(stacks, budgets, quotas, noise_variance, streams):
+def zf_bills(stacks, weights, streams):
     """Per-user power of the channel-inversion precoder: F is the right
     pseudo-inverse of the stacked (L-row) channels and the receiver is
     the identity, so each user is billed through its own columns of F,
@@ -81,11 +80,10 @@ def zf_bills(stacks, budgets, quotas, noise_variance, streams):
         s, inverse_gains = zf_gains(h)
         full = s[..., -1] > RANK_TOL * s[..., 0]
         return full, inverse_gains[full]
-    return _joint_bills(factor, stacks, budgets, quotas, noise_variance,
-                        streams)
+    return _joint_bills(factor, stacks, weights, streams)
 
 
-def thp_bills(stacks, budgets, quotas, noise_variance, streams):
+def thp_bills(stacks, weights, streams):
     """Per-user power of the QR-based THP precoder. With H^H = Q R and
     F = Q the received stack is R^H b (lower triangular); THP with
     C = R^{-H} (unit-diagonal normalized) cancels the earlier users,
@@ -101,12 +99,10 @@ def thp_bills(stacks, budgets, quotas, noise_variance, streams):
             diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
         full = diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1)
         return full, 1.0 / diag[full]
-    return _joint_bills(factor, stacks, budgets, quotas, noise_variance,
-                        streams)
+    return _joint_bills(factor, stacks, weights, streams)
 
 
-def linear_bills(stacks, budgets, quotas, noise_variance, streams,
-                 first=None):
+def linear_bills(stacks, weights, streams, first=None):
     """Per-user power of mutual block-diagonalization, for the first
     `first` users of each stack (all by default): each user's precoder
     is confined to the null space of every co-channel user's full
@@ -116,8 +112,7 @@ def linear_bills(stacks, budgets, quotas, noise_variance, streams,
     others = stacks[..., [[j for j in range(c) if j != i] for i in billed],
                     :, :].reshape(*lead, len(billed), max(c - 1, 0) * rx, tx)
     return projected_costs(others, stacks[..., :first, None, :, :],
-                           budgets[..., :first, None], quotas[..., :first, None],
-                           noise_variance, streams)[..., 0]
+                           weights[..., :first, None], streams)[..., 0]
 
 
 def restrict_rows(h: np.ndarray, streams: int) -> np.ndarray:

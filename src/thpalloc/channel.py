@@ -40,8 +40,10 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.pdp_taps < 1:
-            raise ValueError("pdp_taps must be >= 1")
+        if min(self.num_subcarriers, self.num_users, self.rx_antennas,
+               self.streams_per_user, self.pdp_taps, *self.quota) < 1:
+            raise ValueError("num_subcarriers, num_users, rx_antennas, "
+                             "streams_per_user, pdp_taps and quotas must be >= 1")
         if self.cell_radius_m <= 0:
             raise ValueError("cell_radius_m must be positive")
         if not 0 <= self.min_user_distance_m <= self.cell_radius_m:
@@ -68,6 +70,9 @@ class ScenarioConfig:
             raise ValueError("mse_budget entries must be finite and positive")
         if not 0 < self.noise_variance < math.inf:
             raise ValueError("noise_variance must be finite and positive")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.price_weight)):
+                raise ValueError("price weight sigma^2 * n/gamma overflows")
         if self.constellation_size not in _VALID_QAM:
             raise ValueError(f"constellation_size must be one of {_VALID_QAM}")
 
@@ -75,6 +80,11 @@ class ScenarioConfig:
     def group_count(self) -> int:
         """SDMA order Q = floor(N_T / N_R)."""
         return self.tx_antennas // self.rx_antennas
+
+    @property
+    def price_weight(self) -> np.ndarray:
+        """(K,) weights w_k = sigma^2 n_k / gamma_k: QoS in every price."""
+        return self.noise_variance * np.divide(self.quota, self.mse_budget)
 
     @property
     def symbol_variance(self) -> float:
@@ -92,6 +102,8 @@ class ScenarioConfig:
         Quotas become floor(N * Q / K), so every group stays feasible;
         budgets follow gamma_k = n_k * L * rho.
         """
+        if num_users < 1:
+            raise ValueError(f"num_users must be >= 1, got {num_users}")
         n_k = (self.num_subcarriers * self.group_count) // num_users
         if n_k < 1:
             raise ValueError(f"too many users ({num_users}) for "

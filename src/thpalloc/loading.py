@@ -9,7 +9,8 @@ closed form U = V1 diag(lambda_U)^(1/2) S^H with
 
 obtained by substituting the water-filling form into the active
 constraint. The constant-modulus unitary S (unitary DFT) equalizes the
-per-stream MSEs at gamma/(n*L).
+per-stream MSEs at gamma/(n*L). A user's QoS enters only through the
+weight w = sigma^2 * n/gamma (`ScenarioConfig.price_weight`).
 
 Every architecture prices a (subcarrier, user) pair with the same
 closed form, `loading_cost`, fed the inverse per-stream gains of its
@@ -40,31 +41,27 @@ def equalizing_rotation(streams: int) -> np.ndarray:
     return np.fft.fft(np.eye(streams), norm="ortho")
 
 
-def power_loading(lambda_hp: np.ndarray, gamma_k, n_k,
-                  noise_variance: float) -> np.ndarray:
+def power_loading(lambda_hp: np.ndarray, weight) -> np.ndarray:
     """Closed-form water-filling diagonal lambda_U (last axis) from the
-    gains lambda_H' (last axis); its sum is tr(U^H U). Leading axes
-    broadcast against gamma_k and n_k."""
+    gains lambda_H' (last axis); its sum is tr(U^H U), `loading_cost`.
+    Leading axes broadcast against the weight."""
     lam = np.asarray(lambda_hp, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("effective channel gains must be positive")
-    sqrt_nu = (math.sqrt(noise_variance) * np.sum(lam ** -0.5, axis=-1)
-               / np.divide(gamma_k, n_k))
-    return np.expand_dims(sqrt_nu, -1) * np.sqrt(noise_variance / lam)
+    inv = lam ** -0.5  # inverse gains
+    return np.expand_dims(weight * np.sum(inv, axis=-1), -1) * inv
 
 
-def loading_cost(inverse_gains: np.ndarray, gamma_k, n_k,
-                 noise_variance: float):
+def loading_cost(inverse_gains: np.ndarray, weight):
     """Least transmit power meeting the sum-MSE budget with equality,
 
-        sigma^2 * (n/gamma) * (sum_l 1/g_l)^2,
+        w * (sum_l 1/g_l)^2,  w = sigma^2 * n/gamma,
 
     from the inverse per-stream gains 1/g_l (last axis):
     lambda_H'(l)^(-1/2) for a projected channel, the column norms of a
     zero-forcing precoder, or 1/|r_ll| of a QR-based THP precoder.
-    Leading axes broadcast against gamma_k and n_k."""
-    return (noise_variance * np.divide(n_k, gamma_k)
-            * np.sum(inverse_gains, axis=-1) ** 2)
+    Leading axes broadcast against the weight."""
+    return weight * np.sum(inverse_gains, axis=-1) ** 2
 
 
 def transmit_matrix(v1: np.ndarray, lambda_u: np.ndarray,
@@ -115,9 +112,9 @@ def singular_gains(hp: np.ndarray, svd=None):
         return s, 1.0 / s
 
 
-def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
-                    quotas, noise_variance: float, streams: int,
-                    gains=singular_gains, svd=None) -> np.ndarray:
+def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
+                    streams: int, gains=singular_gains,
+                    svd=None) -> np.ndarray:
     """Least power of each candidate channel (..., m, N_R, N_T) sent in
     the null space of its stack of placed rows (..., R, N_T); +inf where
     the projected channel cannot carry L streams: fewer than L singular
@@ -125,7 +122,7 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
     projection annihilates does not read as rounding noise of full
     rank. gains(hp, svd) maps the projected channels (and their SVD, if
     known) to their singular values and the inverse gains of the
-    precoder, whose first L feed `loading_cost`. H' = h V0
+    precoder, whose first L feed `loading_cost` with `weights`. H' = h V0
     (`_null_spaces`, from `svd` if given) for two or more placed rows, h
     for none (`svd` then h's), and for one row p the residual
     h - (h u^H) u with u = p/||p|| (h if p = 0, of rank 0), which has
@@ -147,8 +144,6 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, budgets,
         mask = np.zeros(out.shape, dtype=bool)
         mask[sel] = np.count_nonzero(s > RANK_TOL * ref[..., None],
                                      axis=-1) >= streams
-        out[mask] = loading_cost(
-            inverse_gains[mask[sel], :streams],
-            np.broadcast_to(budgets, out.shape)[mask],
-            np.broadcast_to(quotas, out.shape)[mask], noise_variance)
+        out[mask] = loading_cost(inverse_gains[mask[sel], :streams],
+                                 np.broadcast_to(weights, out.shape)[mask])
     return out

@@ -121,9 +121,8 @@ def _bills(config, h, rows, users, architecture, **extra) -> np.ndarray:
              baselines.thp_bills if architecture is Architecture.THP_TX else
              baselines.linear_bills)
     stacks = h[rows.reshape((-1,) + (1,) * (users.ndim - 1)), users]
-    return bills(stacks, np.asarray(config.mse_budget)[users],
-                 np.asarray(config.quota)[users], config.noise_variance,
-                 config.streams_per_user, **extra)
+    return bills(stacks, config.price_weight[users], config.streams_per_user,
+                 **extra)
 
 
 def _buckets(order):
@@ -176,9 +175,7 @@ def _null_space_prices(config, h, order, users, architecture, memo):
             elif cached and stack.shape[1] == 1:
                 svd = _factors(h, rows, stack[:, 0], memo)
             prices[rows] = projected_costs(
-                below, chan[rows[:, None], users],
-                np.asarray(config.mse_budget)[users],
-                np.asarray(config.quota)[users], config.noise_variance,
+                below, chan[rows[:, None], users], config.price_weight[users],
                 config.streams_per_user,
                 baselines.zf_gains if zf else singular_gains, svd)
         prices.flags.writeable = False
@@ -267,7 +264,6 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
     order = drop_result.order
     counts = np.count_nonzero(order >= 0, axis=1)
     h = channels.matrices
-    budgets, quotas = np.asarray(config.mse_budget), np.asarray(config.quota)
     rotation = equalizing_rotation(ell)
     q = order.shape[1]
     forward = np.zeros((num_sc, q, tx, ell), dtype=complex)
@@ -282,10 +278,9 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
             v0 = _fix_column_phases(v0)
             hp = h[n, k] @ v0
             _, s, vh = np.linalg.svd(hp, full_matrices=False)
-            u = transmit_matrix(
-                vh[:, :ell].conj().swapaxes(-1, -2),
-                power_loading(s[:, :ell] ** 2, budgets[k], quotas[k],
-                              config.noise_variance), rotation)
+            u = transmit_matrix(vh[:, :ell].conj().swapaxes(-1, -2),
+                                power_loading(s[:, :ell] ** 2,
+                                              config.price_weight[k]), rotation)
             forward[n, p] = v0 @ u
             receiver[n, p] = receiver_matrix(hp, u)
         feedback[rows, p, :, :p] = (
@@ -364,8 +359,8 @@ def _sweep_drop(args):
     out = np.full((len(configs), len(archs)), np.nan)
     # Each budget class (configs equal up to a common positive factor on
     # the budgets, keyed by the budgets over the first) is solved once, at
-    # its first point; every cost scales as 1/budget, so the other points
-    # rescale that point's power by the budget ratio.
+    # its first point; every cost scales with the weight, so as 1/budget,
+    # and the other points rescale that point's power by the budget ratio.
     solved = {}
     for p, config in enumerate(configs):
         scale = config.mse_budget[0]

@@ -119,6 +119,11 @@ def svd_zf_gains(h: np.ndarray):
         return s, np.linalg.norm(u / s[..., None, :], axis=-1)
 
 
+def weight(gamma_k, n_k, noise_variance):
+    """The price weight sigma^2 * n/gamma, from the paper's parameters."""
+    return noise_variance * np.divide(n_k, gamma_k)
+
+
 def null_space_costs(placed, candidates, budgets, quotas,
                      noise_variance: float, streams: int,
                      gains=svd_singular_gains) -> np.ndarray:
@@ -135,8 +140,8 @@ def null_space_costs(placed, candidates, budgets, quotas,
                                      axis=-1) >= streams
         out[mask] = loading_cost(
             inverse_gains[mask[sel], :streams],
-            np.broadcast_to(budgets, out.shape)[mask],
-            np.broadcast_to(quotas, out.shape)[mask], noise_variance)
+            weight(np.broadcast_to(budgets, out.shape)[mask],
+                   np.broadcast_to(quotas, out.shape)[mask], noise_variance))
     return out
 
 
@@ -200,13 +205,13 @@ def projected_cost(h: np.ndarray, placed: np.ndarray, gamma_k: float,
     _, s, _, full = projected(h, null_space(placed, h.shape[-1]), streams)
     if not full:
         return INFEASIBLE_COST
-    return loading_cost((s[:streams] ** 2) ** -0.5, gamma_k, n_k,
-                        noise_variance)
+    return loading_cost((s[:streams] ** 2) ** -0.5,
+                        weight(gamma_k, n_k, noise_variance))
 
 
 def _billed(inverse_gains, budgets, quotas, noise_variance):
     """Closed-form power of each user from its row of inverse gains."""
-    return [loading_cost(g, gamma_k, n_k, noise_variance)
+    return [loading_cost(g, weight(gamma_k, n_k, noise_variance))
             for g, gamma_k, n_k in zip(inverse_gains, budgets, quotas)]
 
 

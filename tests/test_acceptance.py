@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, weight
 from thpalloc.assignment import solve_assignment
 from thpalloc.baselines import Architecture
 from thpalloc.channel import generate_drop, scenario_preset
@@ -58,7 +58,7 @@ def _diagonal_oracle(lam, gamma, n_k, s2, rng):
     def constraint_grad(x):
         return -s2 / (np.exp(x) * lam)
 
-    closed = power_loading(lam, gamma, n_k, s2)  # lambda_U
+    closed = power_loading(lam, weight(gamma, n_k, s2))  # lambda_U
     best = math.inf
     for start in (np.log(closed) + 0.4 * rng.standard_normal(lam.size),
                   np.log(np.full(lam.size, closed.sum() / lam.size)),
@@ -79,7 +79,7 @@ def _full_matrix_oracle(lam_gen_rng, ell, m, gamma, n_k):
     if sv[-1] < 0.2:
         return None
     lam = sv[:ell] ** 2
-    closed = loading_cost(lam ** -0.5, gamma, n_k, 1.0)
+    closed = loading_cost(lam ** -0.5, weight(gamma, n_k, 1.0))
 
     def unpack(x):
         re, im = x[:m * ell], x[m * ell:]
@@ -130,8 +130,8 @@ def test_criterion_1_proposition1_oracle():
         full_checked += 1
 
     # lambda_U = sqrt(nu sigma^2 / lambda_H'), so nu = lambda_U^2 lambda_H'
-    hand = power_loading(np.array([1.0, 4.0]), gamma_k=0.75, n_k=1,
-                         noise_variance=1.0)
+    hand = power_loading(np.array([1.0, 4.0]), weight(gamma_k=0.75, n_k=1,
+                                                      noise_variance=1.0))
     hand_ok = (np.allclose(hand ** 2 * [1.0, 4.0], 4.0, rtol=0, atol=1e-12)
                and np.allclose(hand, [2.0, 1.0], atol=1e-12)
                and hand.sum() == pytest.approx(3.0, abs=1e-12))

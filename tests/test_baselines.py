@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import linear_bills, thp_bills, zf_bills
+from oracles import linear_bills, thp_bills, weight, zf_bills
 from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import INFEASIBLE_COST, loading_cost
 
@@ -141,7 +141,7 @@ class TestLinearCosts:
         h = random_complex(rng, (2, 4))
         lam = np.linalg.svd(h, compute_uv=False)[:2] ** 2
         assert linear_bills(h[None], [0.5], [2], 1.0, 2) == [pytest.approx(
-            loading_cost(lam ** -0.5, 0.5, 2, 1.0), rel=1e-12)]
+            loading_cost(lam ** -0.5, weight(0.5, 2, 1.0)), rel=1e-12)]
 
     def test_mutual_cost_projects_out_cochannel(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,14 @@ class TestScenarioPreset:
         cfg = small_config().with_rho(0.5)
         assert cfg.mse_budget == pytest.approx((2.0,) * 4)
 
+    def test_price_weight_is_noise_times_quota_over_budget(self):
+        mixed = small_config(quota=(1, 2, 3, 2), noise_variance=1.7,
+                             mse_budget=(0.3, 0.7, 1.1, 0.9))
+        for cfg in [scenario_preset(s) for s in ("S1", "S2", "S3")] + [mixed]:
+            want = [cfg.noise_variance * (n / g)
+                    for n, g in zip(cfg.quota, cfg.mse_budget)]
+            assert cfg.price_weight.tolist() == want  # bit for bit
+
 
 class TestConfigValidation:
     def test_streams_exceed_receive_antennas(self):
@@ -88,6 +97,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="quota sum"):
             small_config(num_subcarriers=4, tx_antennas=2, rx_antennas=1,
                          streams_per_user=1, quota=(3, 1, 3, 1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_subcarriers", 0), ("num_users", 0), ("rx_antennas", 0),
+        ("streams_per_user", 0), ("quota", (0, 2, 2, 2)),
+        ("quota", (-1, 2, 2, 2))])
+    def test_count_below_one(self, field, value):
+        # checked before group_count divides by rx_antennas, and before a
+        # drop replicates a negative quota
+        with pytest.raises(ValueError, match=">= 1"):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("users", [0, -2])
+    def test_with_users_needs_a_user(self, users):
+        with pytest.raises(ValueError, match="num_users must be >= 1"):
+            small_config().with_users(users, 0.25)
+
+    def test_price_weight_overflow(self):
+        # quota / 1e-320 overflows: rejected, and without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="price weight"):
+                small_config(mse_budget=(1e-320, 1.0, 1.0, 1.0))
 
     def test_nonpositive_budget(self):
         with pytest.raises(ValueError, match="positive"):

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thpalloc
 from thpalloc.baselines import Architecture
@@ -246,6 +251,14 @@ class TestEndToEnd:
         assert "quota sum" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_users_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run_main(["sweep", "--scenario", "S1", "--users", "0",
+                         "--drops", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: num_users must be >= 1, got 0"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_non_finite_rho_exits_2(self, tmp_path, capsys, rho):
         out = tmp_path / "o.csv"
@@ -298,6 +311,85 @@ class TestEndToEnd:
                          "--out", str(tmp_path / "missing_dir" / "o.csv")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+_BUDGETS = ("0", "1e-320", "nan") + ("0.25", "1.0", "4") * 3
+_MALFORMED = ("garbage", "= 3", "num_users = x", "quota = 1,,2",
+              "unknown_key = 1", "mse_budget", "num_users = 2.5")
+# a valid 2x1 scenario with N = 4, K = 4 and quota 2, for the repros
+_SMALL = dict(num_subcarriers=4, num_users=4, tx_antennas=2, rx_antennas=1,
+              streams_per_user=1, quota=2, mse_budget=1.0)
+
+
+def _lines(**fields):
+    fields = dict(_SMALL, **fields)
+    return [f"{key} = {value}" for key, value in fields.items()]
+
+
+@st.composite
+def config_files(draw):
+    """Lines of a small config file: a scenario that mostly passes
+    construction (counts in 1..8, Q groups of N_R antennas each, one
+    quota and budget or one per user, mixed), then as often as not one
+    field set to any value in -1..8, a budget of 0, 1e-320 or NaN, a
+    noise variance, a missing field or a malformed line."""
+    rx = draw(st.integers(1, 4))
+    groups = draw(st.integers(1, 8 // rx))
+    users = groups * draw(st.integers(1, 8 // groups))
+    subcarriers = draw(st.integers(1, 8))
+    per_user = draw(st.sampled_from([1, users]))
+    fields = dict(
+        num_subcarriers=subcarriers, num_users=users,
+        tx_antennas=rx * groups, rx_antennas=rx,
+        streams_per_user=draw(st.integers(1, rx)),
+        pdp_taps=draw(st.integers(1, 8)), rng_seed=draw(st.integers(0, 8)),
+        quota=",".join(str(draw(st.integers(
+            1, max(1, subcarriers * groups // users))))
+            for _ in range(per_user)),
+        mse_budget=",".join(draw(st.sampled_from(_BUDGETS))
+                            for _ in range(per_user)))
+    if draw(st.booleans()):
+        fields[draw(st.sampled_from(sorted(fields)))] = draw(
+            st.integers(-1, 8))
+    if draw(st.integers(0, 3)) == 0:
+        fields["noise_variance"] = draw(st.sampled_from(["-1", "0", "2.5"]))
+    if draw(st.integers(0, 5)) == 0:
+        del fields[draw(st.sampled_from(sorted(fields)))]
+    lines = [f"{key} = {value}" for key, value in fields.items()]
+    if draw(st.integers(0, 5)) == 0:
+        lines.append(draw(st.sampled_from(_MALFORMED)))
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=150)
+@given(lines=config_files())
+@example(lines=_lines())
+@example(lines=_lines(num_subcarriers=12, num_users=6, tx_antennas=6,
+                      rx_antennas=2, quota="1,2,1,2,2,1"))
+@example(lines=_lines(num_users=0))
+@example(lines=_lines(quota="0,2,2,2"))
+@example(lines=_lines(quota="-1,2,2,2"))
+@example(lines=_lines(num_subcarriers=0))
+@example(lines=_lines(streams_per_user=0))
+@example(lines=_lines(rx_antennas=0))
+@example(lines=_lines(mse_budget=1e-320))
+def test_fuzzed_config_files_exit_cleanly(lines):
+    # any file: no exception out of main, a documented exit code, one
+    # error line with exit code 2, and a CSV only on success
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "o.csv")
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = main(["sweep", "--config", path, "--drops", "1",
+                         "--arch", "all", "--out", out])
+        assert code in (0, 1, 2)
+        assert os.path.exists(out) == (code == 0)
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == (code == 2)
 
 
 def test_cli_import_loads_no_scipy():

@@ -32,8 +32,8 @@ def price(stacked, h, streams=None):
     with unit budget, quota and noise."""
     streams = h.shape[0] if streams is None else streams
     return projected_costs(np.asarray(stacked, dtype=complex)[None],
-                           np.asarray(h, dtype=complex)[None, None], 1.0, 1,
-                           1.0, streams)[0, 0]
+                           np.asarray(h, dtype=complex)[None, None],
+                           oracles.weight(1.0, 1, 1.0), streams)[0, 0]
 
 
 class TestNullSpaceBasis:
@@ -84,7 +84,7 @@ class TestEffectiveChannel:
         h = random_complex(rng, (2, 4))
         s = np.linalg.svd(h, compute_uv=False)
         assert price(np.empty((0, 4)), h) == loading_cost(
-            (s ** 2) ** -0.5, 1.0, 1, 1.0)
+            (s ** 2) ** -0.5, oracles.weight(1.0, 1, 1.0))
 
     def test_scalar_product(self):
         # H' = [1, 1] V0 with V0 = e_2: one stream of unit gain

@@ -173,7 +173,7 @@ def test_bills_match_scalar_references(stacks, size, antennas, seed, how):
     if (size - 1) * rx < tx:  # the scalar null-space basis needs room
         pairs.append((baselines.linear_bills, oracles.linear_bills))
     for batched, scalar in pairs:
-        got = batched(h, budgets, quotas, 0.7, streams)
+        got = batched(h, oracles.weight(budgets, quotas, 0.7), streams)
         want = np.array([scalar(h[b], budgets[b], quotas[b], 0.7, streams)
                          for b in range(stacks)])
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
@@ -225,7 +225,8 @@ def test_zf_bills_match_pseudo_inverse_columns(antennas):
         stacks = conditioned_stacks(rng, antennas, users, conds + edge)
         budgets = rng.uniform(0.2, 2.0, stacks.shape[:2])
         quotas = rng.integers(1, 4, stacks.shape[:2])
-        got = baselines.zf_bills(stacks, budgets, quotas, 0.7, streams)
+        weights = oracles.weight(budgets, quotas, 0.7)
+        got = baselines.zf_bills(stacks, weights, streams)
         want = np.array([oracles.zf_bills(stacks[b], budgets[b], quotas[b],
                                           0.7, streams)
                          for b in range(len(stacks))])
@@ -234,8 +235,8 @@ def test_zf_bills_match_pseudo_inverse_columns(antennas):
         np.testing.assert_allclose(got[:10], want[:10], rtol=1e-12, atol=0.0)
         h = baselines.restrict_rows(stacks, streams)
         alone = projected_costs(
-            h[:, :-1].reshape(len(h), -1, tx), h[:, -1:], budgets[:, -1:],
-            quotas[:, -1:], 0.7, streams, baselines.zf_gains)[:, 0]
+            h[:, :-1].reshape(len(h), -1, tx), h[:, -1:], weights[:, -1:],
+            streams, baselines.zf_gains)[:, 0]
         assert np.isinf(alone).tolist() == [False] * 11 + [users == 1]
         if users == 1:  # nothing placed: the same SVD as the stack's bill
             np.testing.assert_allclose(alone[:10], want[:10, -1],
@@ -267,7 +268,8 @@ def test_zf_bills_are_accurate(antennas):
         stacks = conditioned_stacks(rng, antennas, users, conds)
         budgets = rng.uniform(0.2, 2.0, stacks.shape[:2])
         quotas = rng.integers(1, 4, stacks.shape[:2])
-        got = baselines.zf_bills(stacks, budgets, quotas, 0.7, streams)
+        got = baselines.zf_bills(stacks, oracles.weight(budgets, quotas, 0.7),
+                                 streams)
         h = baselines.restrict_rows(stacks, streams).reshape(len(conds), -1,
                                                              tx)
         for b, cond in enumerate(conds):
@@ -298,6 +300,7 @@ def test_rank_one_closed_forms_match_lapack(tx, batch, m, seed, scale, how):
         h[-1, -1] = 0.0
     budgets = rng.uniform(0.2, 2.0, (batch, m))
     quotas = rng.integers(1, 4, (batch, m))
+    weights = oracles.weight(budgets, quotas, 0.7)
 
     def same(got, want):
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
@@ -315,20 +318,18 @@ def test_rank_one_closed_forms_match_lapack(tx, batch, m, seed, scale, how):
     same(gains[s > 0], gains_ref[s > 0])
     for batched, scalar in [(baselines.thp_bills, oracles.thp_bills),
                             (baselines.zf_bills, oracles.zf_bills)]:
-        same(batched(h.reshape(-1, 1, 1, tx), budgets.reshape(-1, 1),
-                     quotas.reshape(-1, 1), 0.7, 1)[:, 0],
+        same(batched(h.reshape(-1, 1, 1, tx), weights.reshape(-1, 1), 1)[:, 0],
              [scalar(c, [g], [n], 0.7, 1)[0] for c, g, n in
               zip(h.reshape(-1, 1, 1, tx), budgets.ravel(), quotas.ravel())])
     for stack in (placed, placed[:, :0]):  # one row, and none
         for gains, reference in [
                 (singular_gains, oracles.svd_singular_gains),
                 (baselines.zf_gains, oracles.svd_zf_gains)]:
-            same(projected_costs(stack, h, budgets, quotas, 0.7, 1, gains),
+            same(projected_costs(stack, h, weights, 1, gains),
                  oracles.null_space_costs(stack, h, budgets, quotas, 0.7,
                                           1, reference))
     if how == "duplicate":  # projected to rounding noise
-        assert np.isinf(projected_costs(placed, h, budgets, quotas, 0.7,
-                                        1)[:, 0]).all()
+        assert np.isinf(projected_costs(placed, h, weights, 1)[:, 0]).all()
 
 
 @pytest.mark.parametrize("tx", [2, 3, 4, 8])
@@ -356,7 +357,7 @@ def test_near_parallel_residual_is_accurate(tx):
         h = (p * gaussian(rng, 20, 1, 1) + q)[:, None]
         want = np.array([exact_cost(p[i, 0], h[i, 0, 0]) for i in range(20)])
         errors = [np.abs(costs[:, 0] - want) / want for costs in (
-            projected_costs(p, h, 1.0, 1, 1.0, 1),
+            projected_costs(p, h, oracles.weight(1.0, 1, 1.0), 1),
             oracles.null_space_costs(p, h, 1.0, 1, 1.0, 1))]
         residual, svd = errors
         assert residual.max() < 8 * cond * np.finfo(float).eps
