@@ -44,10 +44,12 @@ class ScenarioConfig:
                self.streams_per_user, self.pdp_taps, *self.quota) < 1:
             raise ValueError("num_subcarriers, num_users, rx_antennas, "
                              "streams_per_user, pdp_taps and quotas must be >= 1")
-        if self.cell_radius_m <= 0:
-            raise ValueError("cell_radius_m must be positive")
-        if not 0 <= self.min_user_distance_m <= self.cell_radius_m:
-            raise ValueError("min_user_distance_m must lie in [0, cell_radius_m]")
+        if not 0 < self.cell_radius_m < math.inf:
+            raise ValueError("cell_radius_m must be finite and positive")
+        ratio = self.min_user_distance_m / self.cell_radius_m
+        if not (0 <= ratio < 1 and math.pi / 4 * (1 - ratio ** 2) >= 0.01):
+            raise ValueError("min_user_distance_m must lie in [0, cell_radius_m)"
+                             " and leave a ring of 1% of the sampler's square")
         if self.pdp_decay == 0.0:
             # last tap 20 dB below the first
             d = 1.0 if self.pdp_taps == 1 else 0.01 ** (1.0 / (self.pdp_taps - 1))

@@ -21,9 +21,10 @@ of `baselines.zf_gains`, ZfTx's candidate costs. Its null-space step,
 `_null_spaces`, also gives `sim.build_plans` the bases V0 of its
 transceivers; the loading and transceiver helpers below broadcast over
 leading (pair) axes. A caller that holds a full channel SVD (`sim`'s
-per-drop factors) passes it as `svd` instead of having it recomputed.
-Rank-one objects skip LAPACK (`_row_norms`), so a MISO scenario
-(N_R = L = 1, Q = 2) prices without any SVD.
+per-drop factors) passes it as `svd` instead of having it recomputed;
+a stack that serves one channel (a LinTxLinRx bill) takes no null
+space, but one QR of both. Rank-one objects skip LAPACK (`_row_norms`),
+so a MISO scenario (N_R = L = 1, Q = 2) prices without any SVD.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 INFEASIBLE_COST = math.inf
 RANK_TOL = 1e-12
+QR_TOL = 1e-2  # R-factored stacks agree with the SVD route to ~1e-13
 
 
 def equalizing_rotation(streams: int) -> np.ndarray:
@@ -126,7 +128,10 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
     (`_null_spaces`, from `svd` if given) for two or more placed rows, h
     for none (`svd` then h's), and for one row p the residual
     h - (h u^H) u with u = p/||p|| (h if p = 0, of rank 0), which has
-    h V0's singular values."""
+    h V0's singular values. A stack P (R >= 2 rows) serving one candidate
+    (m = 1, R + N_R <= N_T, no `svd`) gives H' = R22^H, the trailing
+    block of the R of qr([P; h]^H), h V0 up to a right isometry, unless
+    R's leading diagonal is within QR_TOL of rank loss (`_null_spaces`)."""
     out = np.full(candidates.shape[:-2], INFEASIBLE_COST)
     norms = np.linalg.norm(candidates, axis=(-2, -1))
     parts = [(..., candidates, svd)]
@@ -136,8 +141,20 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
         parts = [(..., candidates - np.sum(candidates * u.conj(), axis=-1,
                                            keepdims=True) * u, None)]
     elif placed.shape[-2] > 1:
-        parts = [(sel, candidates[sel] @ v0[:, None], None)
-                 for sel, v0 in _null_spaces(placed, svd)]
+        rows, slow, parts = placed.shape[-2], np.ones(out.shape[:-1], bool), []
+        if (svd is None and candidates.shape[-3] == 1
+                and rows + candidates.shape[-2] <= placed.shape[-1]):
+            stacked = np.concatenate([placed, candidates[..., 0, :, :]], -2)
+            r = np.linalg.qr(stacked.conj().swapaxes(-1, -2), mode="r")
+            lead = np.abs(r.diagonal(0, -2, -1)[..., :rows])
+            slow = lead.min(axis=-1) <= QR_TOL * lead.max(axis=-1)
+            r22 = r[~slow][:, None, rows:, rows:]
+            parts = [(~slow, r22.conj().swapaxes(-1, -2), None)]
+        keep = ... if slow.all() else slow  # svd is None unless all slow
+        for sub, v0 in _null_spaces(placed[keep], svd):
+            sel = slow.copy()
+            sel[keep] = sub
+            parts.append((sel, candidates[sel] @ v0[:, None], None))
     for sel, hp, factors in parts:
         s, inverse_gains = gains(hp, factors)  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])

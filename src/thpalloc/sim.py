@@ -344,9 +344,10 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
                              assignments)
     except np.linalg.LinAlgError as exc:
         return infeasible(f"numerical failure (LinAlgError: {exc})")
-    if not math.isfinite(total):
+    if not math.isfinite(total):  # an +inf final bill, else an overflow
         return infeasible("final precoder stack is rank deficient on some "
-                          "subcarrier")
+                          "subcarrier" if np.isinf(power).any() else
+                          "total transmit power overflows")
     power_db = 10.0 * math.log10(total / config.noise_variance)
     return DropResult(architecture=architecture, feasible=True,
                       partition=partition, assignments=tuple(assignments),

@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+import thpalloc
 from thpalloc import channel
 from thpalloc.channel import (ScenarioConfig, generate_drop, pdp_powers,
                               scenario_preset)
@@ -147,11 +151,44 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="cell_radius_m"):
             small_config(cell_radius_m=0.0)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_cell_radius(self, radius):
+        # an infinite cell made the position sampler's draw raise
+        # OverflowError, a traceback out of the CLI
+        with pytest.raises(ValueError, match="cell_radius_m"):
+            small_config(cell_radius_m=radius)
+
     @pytest.mark.parametrize("distance", [-1.0, 150.0])
     def test_min_user_distance_outside_cell(self, distance):
         # beyond the radius, the placement sampler could never accept
         with pytest.raises(ValueError, match="min_user_distance_m"):
             small_config(cell_radius_m=100.0, min_user_distance_m=distance)
+
+    @pytest.mark.parametrize("distance", [100.0, 99.5])
+    def test_min_user_distance_leaves_no_ring(self, distance):
+        # the sampler keeps the points of a square that fall in the ring;
+        # under 1% of the square (or none) it would take (almost) forever
+        with pytest.raises(ValueError, match="min_user_distance_m"):
+            small_config(cell_radius_m=100.0, min_user_distance_m=distance)
+
+    def test_narrowest_ring_draws_promptly(self):
+        # the narrowest ring construction accepts (r0/R = 0.993, 1.1% of
+        # the square): a drop's positions in a child process, so a hang
+        # fails on the timeout instead of stalling the suite
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(thpalloc.__file__)))
+        code = ("import numpy as np\n"
+                "from thpalloc.channel import ScenarioConfig, generate_drop\n"
+                "cfg = ScenarioConfig(num_subcarriers=64, num_users=64,\n"
+                "    tx_antennas=2, rx_antennas=1, streams_per_user=1,\n"
+                "    quota=(2,) * 64, mse_budget=(1.0,) * 64,\n"
+                "    cell_radius_m=100.0, min_user_distance_m=99.3)\n"
+                "for drop in range(20):\n"
+                "    d = np.hypot(*generate_drop(cfg, drop).user_positions.T)\n"
+                "    assert d.size == 64 and (d >= 99.3).all(), d\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_default_pdp_decay_is_20db_over_taps(self):
         cfg = small_config()

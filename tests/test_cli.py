@@ -217,6 +217,7 @@ class TestEndToEnd:
         assert rows[2] == "16,ZfTx,nan,0,2,1,0"
 
     @pytest.mark.parametrize("bad_line", ["min_user_distance_m = 150",
+                                          "min_user_distance_m = 100",
                                           "pdp_taps = 0"])
     def test_invalid_config_file_exits_2_promptly(self, tmp_path, bad_line):
         # a child process, so a hang fails on the timeout instead of
@@ -330,7 +331,8 @@ def _lines(**fields):
 def config_files(draw):
     """Lines of a small config file: a scenario that mostly passes
     construction (counts in 1..8, Q groups of N_R antennas each, one
-    quota and budget or one per user, mixed), then as often as not one
+    quota and budget or one per user, mixed, a cell radius in 1..8 and a
+    least user distance up to it), then as often as not one
     field set to any value in -1..8, a budget of 0, 1e-320 or NaN, a
     noise variance, a missing field or a malformed line."""
     rx = draw(st.integers(1, 4))
@@ -338,11 +340,14 @@ def config_files(draw):
     users = groups * draw(st.integers(1, 8 // groups))
     subcarriers = draw(st.integers(1, 8))
     per_user = draw(st.sampled_from([1, users]))
+    radius = draw(st.integers(1, 8))
     fields = dict(
         num_subcarriers=subcarriers, num_users=users,
         tx_antennas=rx * groups, rx_antennas=rx,
         streams_per_user=draw(st.integers(1, rx)),
         pdp_taps=draw(st.integers(1, 8)), rng_seed=draw(st.integers(0, 8)),
+        cell_radius_m=radius,
+        min_user_distance_m=draw(st.integers(0, radius)),
         quota=",".join(str(draw(st.integers(
             1, max(1, subcarriers * groups // users))))
             for _ in range(per_user)),

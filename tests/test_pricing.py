@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thpalloc import baselines, sim
+from thpalloc import baselines, loading, sim
 from thpalloc.baselines import Architecture
 from thpalloc.channel import (ChannelSet, ScenarioConfig, generate_drop,
                               scenario_preset)
@@ -123,6 +123,8 @@ def assert_same_final_power(result, reference_power):
     elif not result.infeasible_reason.startswith("quotas"):
         # every group was placed: the final stack itself was unpriceable
         assert not math.isfinite(reference_power)
+        assert result.infeasible_reason.startswith("final precoder stack "
+                                                   "is rank deficient")
 
 
 @settings(max_examples=50)
@@ -384,17 +386,19 @@ def test_miso_drop_takes_no_lapack_factorization(arch, monkeypatch):
 
 def test_s3_drop_factors_each_channel_once(monkeypatch):
     # the four architectures of one S3 drop on one memo factor each of
-    # the N K = 256 4x8 channels once (416 before the factor cache: the
-    # first group twice, the placed stacks twice, LinTxLinRx's
-    # candidates once more); the other SVDs are of 4x4 projected
-    # channels and 8x8 final ZfTx stacks
+    # the first group's N K/Q = 128 4x8 channels once (256 before
+    # LinTxLinRx billed from R factors: its second-group candidates were
+    # factored too); LinTxLinRx bills each placed user against each
+    # candidate from one qr(mode="r") of their 8x8 stack. The other SVDs
+    # are of 4x4 projected channels and 8x8 final ZfTx stacks
     cfg = scenario_preset("S3", num_users=16)
     channels = generate_drop(cfg, 0)
     h = channels.matrices
     pair = {h[n, k].tobytes(): (n, k) for n in range(cfg.num_subcarriers)
             for k in range(cfg.num_users)}
-    factored = []
-    svd = np.linalg.svd
+    factored, stacked = [], {arch: 0 for arch in Architecture}
+    svd, qr = np.linalg.svd, np.linalg.qr
+    running = []
 
     def counted(a, *args, **kwargs):
         if a.shape[-2:] == h.shape[-2:]:
@@ -402,12 +406,124 @@ def test_s3_drop_factors_each_channel_once(monkeypatch):
                             for m in a.reshape(-1, *a.shape[-2:]))
         return svd(a, *args, **kwargs)
 
+    def counted_qr(a, mode="reduced"):
+        if mode == "r" and a.shape[-2:] == (cfg.tx_antennas,) * 2:
+            stacked[running[-1]] += a.size // a.shape[-1] ** 2
+        return qr(a, mode=mode)
+
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     memo = {}
     for arch in Architecture:
+        running.append(arch)
         assert sim.run_drop(cfg, channels, arch, memo=memo).feasible
-    assert len(factored) == cfg.num_subcarriers * cfg.num_users
-    assert len(set(factored)) == len(factored)
+    first = memo["partition",].groups[0]
+    assert len(factored) == cfg.num_subcarriers * len(first)
+    assert set(factored) == set(itertools.product(
+        range(cfg.num_subcarriers), first))
+    assert stacked[Architecture.LIN_TX_LIN_RX] == (
+        cfg.num_subcarriers * (cfg.num_users - len(first)))
+
+
+# (N_T, N_R, L): Q = 2, 3 and 4, with L = N_R and L < N_R
+BD_ANTENNAS = [(8, 4, 4), (8, 4, 2), (6, 2, 2), (6, 2, 1), (8, 2, 2),
+               (8, 2, 1)]
+
+
+def r_factor_stacks(rng, antennas, users, conds):
+    """Stacks (users, N_R, N_T) whose users 1... stack to singular values
+    geometric from 1 to 1/cond, one per cond, then one where the last
+    user copies user 1 (user 0 if there are two) and one where the last
+    user's first row is 0."""
+    tx, rx, _ = antennas
+    rows = (users - 1) * rx
+    stacks = gaussian(rng, len(conds) + 2, users, rx, tx)
+    for b, cond in enumerate(conds):
+        u = np.linalg.qr(gaussian(rng, rows, rows))[0]
+        v = np.linalg.qr(gaussian(rng, tx, rows))[0]
+        stacks[b, 1:] = ((u * np.geomspace(1.0, 1.0 / cond, rows))
+                         @ v.conj().T).reshape(users - 1, rx, tx)
+    stacks[-2, -1] = stacks[-2, int(users > 2)]
+    stacks[-1, -1, 0] = 0.0
+    return stacks
+
+
+@pytest.mark.parametrize("antennas", BD_ANTENNAS)
+def test_linear_bills_from_r_factors(antennas, monkeypatch):
+    # a user is billed off the stack of the others from the R factor of
+    # the others and the user stacked, unless the others' diagonal in R
+    # is within QR_TOL of rank loss; those take the null-space SVD route
+    # (`_null_spaces`) as before. User 0, against the oracle, off others
+    # of condition number 1e2 ... 1e11, holding an exact copy or a zero
+    # row: each bill matches to 1e-12 with the same +inf mask, or
+    # took the SVD route; both routes are taken
+    tx, rx, streams = antennas
+    rng = np.random.default_rng(tx * 100 + rx * 10 + streams)
+    conds = np.geomspace(1e2, 1e11, 10)
+    fallback = []
+    null_spaces = loading._null_spaces
+
+    def spy(placed, svd=None):
+        fallback.extend(m.tobytes() for m in
+                        placed.reshape(-1, *placed.shape[-2:]))
+        return null_spaces(placed, svd)
+
+    monkeypatch.setattr(loading, "_null_spaces", spy)
+    for users in range(2, tx // rx + 1):
+        stacks = r_factor_stacks(rng, antennas, users, conds)
+        budgets = rng.uniform(0.2, 2.0, stacks.shape[:2])
+        quotas = rng.integers(1, 4, stacks.shape[:2])
+        fallback.clear()
+        got = baselines.linear_bills(
+            stacks, oracles.weight(budgets, quotas, 0.7), streams, first=1)
+        want = np.array([oracles.linear_bills(stacks[b], budgets[b],
+                                              quotas[b], 0.7, streams)
+                         for b in range(len(stacks))])[:, :1]
+        slow = np.array([[stacks[b, 1:].tobytes() in fallback]
+                         for b in range(len(stacks))])
+        np.testing.assert_array_equal(np.isinf(got[~slow]),
+                                      np.isinf(want[~slow]))
+        np.testing.assert_allclose(got[~slow], want[~slow], rtol=1e-12,
+                                   atol=0.0)
+        assert not slow[0] and slow[len(conds) - 1] and slow[-1]
+        # a copy among the others is rank loss; a copy of user 0 as the
+        # only other is R-factored, and annihilates user 0
+        assert slow[-2] == (users > 2) and np.isinf(got[-2]) == (users == 2)
+
+
+@pytest.mark.parametrize("antennas", BD_ANTENNAS[::2])
+def test_r_factor_bills_are_accurate(antennas):
+    # every user's bill in the stacks above, R-factored or not, against
+    # 60 digits: a user nearly in the span of the others has an
+    # ill-conditioned bill that no route gets to 1e-12 (nor matches
+    # the oracle), and the R factor is about as accurate as the SVD
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    tx, rx, streams = antennas
+    rng = np.random.default_rng(tx * 100 + rx * 10 + streams)
+
+    def exact(h, others):  # (sum_l 1/s_l)^2, s of h off the others
+        h, p = (mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                               for row in a]) for a in (h, others))
+        ph = p.transpose_conj()
+        hp = h * (mpmath.eye(tx) - ph * mpmath.inverse(p * ph) * p)
+        ev = sorted(mpmath.eighe(hp * hp.transpose_conj())[0], reverse=True)
+        return sum(1 / mpmath.sqrt(e) for e in ev[:streams]) ** 2
+
+    users = tx // rx
+    stacks = r_factor_stacks(rng, antennas, users,
+                             np.geomspace(1e2, 1e10, 5))[:-2]
+    got = baselines.linear_bills(stacks, np.ones(stacks.shape[:2]), streams)
+    errors = []
+    for b, i in itertools.product(range(len(stacks)), range(users)):
+        want = exact(stacks[b, i],
+                     stacks[b, np.arange(users) != i].reshape(-1, tx))
+        svd = oracles.linear_bills(stacks[b], [1.0] * users, [1] * users,
+                                   1.0, streams)[i]
+        errors.append([float(abs(x - want) / want) for x in (got[b, i], svd)])
+    r_factor, svd = np.array(errors).T
+    assert r_factor.max() <= 10 * svd.max()
+    assert np.median(r_factor) <= 10 * np.median(svd)
 
 
 @pytest.mark.parametrize("preset", ["S2", "S3"])

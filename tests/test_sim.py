@@ -434,6 +434,24 @@ class TestRunDrop:
                   and isinstance(value, InfeasibleAssignmentError)]
         assert errors and all(e.blocking_users == [1] for e in errors)
 
+    def test_overflowing_total_is_not_rank_deficiency(self):
+        # a budget of 1e-307 gives a finite weight of 2e307 and finite
+        # prices and bills, but the drop's total power overflows; at 1e-300
+        # the same drop is feasible
+        def config(budget):
+            return ScenarioConfig(num_subcarriers=4, num_users=4,
+                                  tx_antennas=2, rx_antennas=1,
+                                  streams_per_user=1, quota=(2,) * 4,
+                                  mse_budget=(budget,) * 4)
+
+        channels = generate_drop(config(1.0), 0)
+        for arch in Architecture:
+            res = run_drop(config(1e-307), channels, arch)
+            assert not res.feasible
+            assert res.infeasible_reason == "total transmit power overflows"
+            res = run_drop(config(1e-300), channels, arch)
+            assert res.feasible and math.isfinite(res.total_power)
+
     def test_drop_that_hung_the_solver_returns(self):
         # this S3 drop once sent the sparse matcher into an endless loop;
         # a child process, so a hang fails on the timeout instead of
