@@ -15,8 +15,9 @@ Every bill is the closed form of `loading.loading_cost`,
     w * (sum_l 1/g_l)^2,   QoS only in the weight w = sigma^2 * n/gamma,
 
 with 1/g_l equal to ||f_l|| (column norms of F from U and s of one
-thin SVD), 1/|r_ll| (QR diagonal) or lambda^{-1/2} (squared singular
-values of the channel projected off all co-channel users).
+SVD, or of one inverse), 1/|r_ll| (QR diagonal) or lambda^{-1/2}
+(squared singular values of the channel projected off all co-channel
+users).
 """
 
 from __future__ import annotations
@@ -63,10 +64,19 @@ def zf_gains(h, svd=None):
     equal in U and s) of stacked rows (..., R <= N_T, N_T), and the column
     norms of the channel-inversion precoder pinv(h) = V S^-1 U^H: the row
     norms of U S^-1. One row needs no SVD: s = ||h|| and
-    pinv(h) = h^H / ||h||^2 has norm 1/s."""
+    pinv(h) = h^H / ||h||^2 has norm 1/s. Given s alone, (None, s, None),
+    one batch inverts the full-rank h (s[-1] > RANK_TOL s[0]; else +inf):
+    pinv(h) is inv(h) if h is square, else Q inv(R^H) with h^H = Q R."""
     if svd is None and h.shape[-2] == 1:
         return singular_gains(h)
     u, s, _ = np.linalg.svd(h, full_matrices=False) if svd is None else svd
+    if u is None:
+        full = s[..., -1] > RANK_TOL * s[..., 0]
+        gains = np.full(s.shape, INFEASIBLE_COST)
+        g = h[full] if h.shape[-2] == h.shape[-1] else np.linalg.qr(
+            h[full].conj().swapaxes(-1, -2), mode="r").conj().swapaxes(-1, -2)
+        gains[full] = np.linalg.norm(np.linalg.inv(g), axis=-2)
+        return s, gains
     with np.errstate(divide="ignore", invalid="ignore"):
         return s, np.linalg.norm(u / s[..., None, :], axis=-1)
 

@@ -50,6 +50,9 @@ class ScenarioConfig:
         if not (0 <= ratio < 1 and math.pi / 4 * (1 - ratio ** 2) >= 0.01):
             raise ValueError("min_user_distance_m must lie in [0, cell_radius_m)"
                              " and leave a ring of 1% of the sampler's square")
+        for name in ("pdp_decay", "pathloss_exponent"):  # pdp_decay 0: default
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.pdp_decay == 0.0:
             # last tap 20 dB below the first
             d = 1.0 if self.pdp_taps == 1 else 0.01 ** (1.0 / (self.pdp_taps - 1))

@@ -21,7 +21,8 @@ of `baselines.zf_gains`, ZfTx's candidate costs. Its null-space step,
 `_null_spaces`, also gives `sim.build_plans` the bases V0 of its
 transceivers; the loading and transceiver helpers below broadcast over
 leading (pair) axes. A caller that holds a full channel SVD (`sim`'s
-per-drop factors) passes it as `svd` instead of having it recomputed;
+per-drop factors), or the singular values of the projected channels,
+passes them as `svd` and `values` instead of having them recomputed;
 a stack that serves one channel (a LinTxLinRx bill) takes no null
 space, but one QR of both. Rank-one objects skip LAPACK (`_row_norms`),
 so a MISO scenario (N_R = L = 1, Q = 2) prices without any SVD.
@@ -115,16 +116,17 @@ def singular_gains(hp: np.ndarray, svd=None):
 
 
 def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
-                    streams: int, gains=singular_gains,
-                    svd=None) -> np.ndarray:
+                    streams: int, gains=singular_gains, svd=None,
+                    values=None) -> np.ndarray:
     """Least power of each candidate channel (..., m, N_R, N_T) sent in
     the null space of its stack of placed rows (..., R, N_T); +inf where
     the projected channel cannot carry L streams: fewer than L singular
     values above RANK_TOL * max(s[0], ||h||), so a channel the
     projection annihilates does not read as rounding noise of full
-    rank. gains(hp, svd) maps the projected channels (and their SVD, if
-    known) to their singular values and the inverse gains of the
-    precoder, whose first L feed `loading_cost` with `weights`. H' = h V0
+    rank. gains(hp, svd) maps the projected channels (and their SVD if
+    known, or (None, s, None) with s their singular values in `values`)
+    to their singular values and the inverse gains of the precoder, whose
+    first L feed `loading_cost` with `weights`. H' = h V0
     (`_null_spaces`, from `svd` if given) for two or more placed rows, h
     for none (`svd` then h's), and for one row p the residual
     h - (h u^H) u with u = p/||p|| (h if p = 0, of rank 0), which has
@@ -154,7 +156,8 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
         for sub, v0 in _null_spaces(placed[keep], svd):
             sel = slow.copy()
             sel[keep] = sub
-            parts.append((sel, candidates[sel] @ v0[:, None], None))
+            parts.append((sel, candidates[sel] @ v0[:, None], None
+                          if values is None else (None, values[sel], None)))
     for sel, hp, factors in parts:
         s, inverse_gains = gains(hp, factors)  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])

@@ -27,17 +27,19 @@ bill; ZfTx and ThpTx re-bill.
 A per-drop memo holds the drop's work that does not depend on the
 architecture, so the architectures a sweep solves on one drop share it:
 the partition; one full SVD of each (subcarrier, user) channel, which
-gives every first-group price and every placed user's null space; each
-null-space price (the proposed scheme, ZfTx, LinTxLinRx's candidate
-term) of a placement; and the assignment of each distinct group cost
-matrix (the first group's of the proposed scheme and LinTxLinRx are
-equal, and on MISO links, N_R = L = 1, those of ZfTx and ThpTx too).
+gives every first-group price and every placed user's null space V0;
+the singular values of each candidate's h V0, which price it for the
+proposed scheme and ZfTx; each null-space price (the proposed scheme,
+ZfTx, LinTxLinRx's candidate term) of a placement; and the assignment
+of each distinct group cost matrix (the first group's of the proposed
+scheme and LinTxLinRx are equal, and on MISO links, N_R = L = 1, those
+of ZfTx and ThpTx too).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +161,9 @@ def _null_space_prices(config, h, order, users, architecture, memo):
     the candidate's pseudo-inverse columns (first L rows). Kept read-only
     in `memo` under (precoder, users, placement): alike placements price
     once. An empty or one-user stack reads `_factors` (the candidates' or
-    the placed user's), unless ZfTx keeps L < N_R rows or N_R = 1."""
+    the placed user's), unless ZfTx keeps L < N_R rows or N_R = 1; for one
+    user the singular values of each h V0 are kept too, per subcarrier
+    with its placed user, and ZfTx inverts h V0 (`baselines.zf_gains`)."""
     zf = architecture is Architecture.ZF_TX
     key = ("prices", zf, users.tobytes(), order.tobytes())
     if key not in memo:
@@ -169,15 +173,24 @@ def _null_space_prices(config, h, order, users, architecture, memo):
         for rows, stack in _buckets(order):
             below = chan[rows[:, None], stack].reshape(rows.size, -1,
                                                        h.shape[-1])
-            svd = None
+            svd = values = None
             if cached and stack.shape[1] == 0:
                 svd = _factors(h, rows[:, None], users, memo)
             elif cached and stack.shape[1] == 1:
                 svd = _factors(h, rows, stack[:, 0], memo)
+                who, values = memo.setdefault(("projected", users.tobytes()), (
+                    np.full(len(h), -1),
+                    np.empty(prices.shape + h.shape[2:3])))
+                new = who[rows] != stack[:, 0]
+                for sel, v0 in _null_spaces(None, [f[new] for f in svd]):
+                    n = rows[new][sel]
+                    values[n] = np.linalg.svd(h[n[:, None], users]
+                                              @ v0[:, None], compute_uv=False)
+                who[rows], values = stack[:, 0], values[rows]
             prices[rows] = projected_costs(
                 below, chan[rows[:, None], users], config.price_weight[users],
                 config.streams_per_user,
-                baselines.zf_gains if zf else singular_gains, svd)
+                baselines.zf_gains if zf else singular_gains, svd, values)
         prices.flags.writeable = False
         memo[key] = prices
     return memo[key]
@@ -358,15 +371,16 @@ def _sweep_drop(args):
     """(points, architectures) power of one drop, NaN where infeasible."""
     configs, archs, drop_index = args
     out = np.full((len(configs), len(archs)), np.nan)
-    # Each budget class (configs equal up to a common positive factor on
-    # the budgets, keyed by the budgets over the first) is solved once, at
-    # its first point; every cost scales with the weight, so as 1/budget,
-    # and the other points rescale that point's power by the budget ratio.
+    # Each budget class (configs equal but for budgets in the same ratios
+    # to the first, unless a ratio is 0 or inf) is solved once, at its
+    # first point; every cost scales with the weight, so as 1/budget, and
+    # the other points rescale that point's power by the budget ratio.
     solved = {}
     for p, config in enumerate(configs):
         scale = config.mse_budget[0]
-        key = replace(config, mse_budget=tuple(g / scale
-                                               for g in config.mse_budget))
+        ratios = tuple(g / scale for g in config.mse_budget)
+        key = tuple({**vars(config), "mse_budget": ratios if all(
+            0 < r < math.inf for r in ratios) else p}.values())
         if key not in solved:
             channels = generate_drop(config, drop_index)
             memo = {}  # the null-space prices of this drop and class

@@ -190,6 +190,26 @@ class TestConfigValidation:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("field, value", [
+        ("pdp_decay", -1.0), ("pdp_decay", math.nan), ("pdp_decay", math.inf),
+        ("pathloss_exponent", -4.0), ("pathloss_exponent", math.nan),
+        ("pathloss_exponent", math.inf)])
+    def test_bad_pdp_decay_or_pathloss_exponent(self, field, value):
+        # a negative or NaN decay failed only at the first drop (a zero
+        # or NaN tap sum), and a negative exponent ran with path gain
+        # growing with distance
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_config(**{field: value})
+
+    def test_zero_pdp_decay_and_pathloss_exponent_accepted(self):
+        # a zero decay is the derived default; a zero exponent gives every
+        # distance the cell edge's gain
+        cfg = small_config(pdp_decay=0.0, pathloss_exponent=0.0)
+        assert cfg.pdp_decay == small_config().pdp_decay
+        near, far = (generate_drop(cfg, 0, positions=np.tile([d, 0.0], (4, 1)))
+                     for d in (30.0, 90.0))
+        np.testing.assert_array_equal(near.matrices, far.matrices)
+
     def test_default_pdp_decay_is_20db_over_taps(self):
         cfg = small_config()
         assert cfg.pdp_decay ** (cfg.pdp_taps - 1) == pytest.approx(0.01)

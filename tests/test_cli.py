@@ -282,6 +282,23 @@ class TestEndToEnd:
         assert "noise_variance" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_budgets_of_extreme_ratio_run(self, tmp_path, capsys):
+        # budgets 1e-300 and 1e300 give finite price weights (2e300 and
+        # 2e-300), though their ratio overflows: the sweep's budget class
+        # must not re-validate a config built from that ratio
+        path = tmp_path / "scenario.cfg"
+        path.write_text("num_subcarriers = 4\nnum_users = 2\n"
+                        "tx_antennas = 2\nrx_antennas = 1\n"
+                        "streams_per_user = 1\nquota = 2\n"
+                        "mse_budget = 1e-300,1e300\n")
+        out = tmp_path / "o.csv"
+        code = run_main(["sweep", "--config", str(path), "--drops", "2",
+                         "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(Architecture)
+        assert all(np.isfinite(float(row[2])) for row in rows)
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError("singular")])
     def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch,
                                        error):
@@ -378,6 +395,10 @@ def config_files(draw):
 @example(lines=_lines(streams_per_user=0))
 @example(lines=_lines(rx_antennas=0))
 @example(lines=_lines(mse_budget=1e-320))
+@example(lines=_lines(num_users=2, mse_budget="1e-300,1e300"))
+@example(lines=_lines(pdp_decay=-1))
+@example(lines=_lines(pdp_decay="nan"))
+@example(lines=_lines(pathloss_exponent=-4))
 def test_fuzzed_config_files_exit_cleanly(lines):
     # any file: no exception out of main, a documented exit code, one
     # error line with exit code 2, and a CSV only on success

@@ -12,7 +12,9 @@ checked against the LAPACK factorizations they replace, and against a
 50-digit reference for nearly parallel rows; the ZfTx bills against a
 60-digit pseudo-inverse up to condition number 1e10. The per-drop channel
 factors (`sim._factors`) are checked against the factorizations they
-replace, and counted.
+replace, and counted, as are the projected channels' singular values
+that the proposed scheme and ZfTx share; ZfTx's inverse route is checked
+against the pinv oracle, 60 digits and rank loss.
 """
 
 import itertools
@@ -389,21 +391,31 @@ def test_s3_drop_factors_each_channel_once(monkeypatch):
     # the first group's N K/Q = 128 4x8 channels once (256 before
     # LinTxLinRx billed from R factors: its second-group candidates were
     # factored too); LinTxLinRx bills each placed user against each
-    # candidate from one qr(mode="r") of their 8x8 stack. The other SVDs
-    # are of 4x4 projected channels and 8x8 final ZfTx stacks
+    # candidate from one qr(mode="r") of their 8x8 stack. Each second-group
+    # candidate projected off a placed first-group user, a 4x4 channel
+    # h V0, has its singular values taken once, whichever architectures
+    # place that user there: ZfTx takes no thin SVD of one, and inverts
+    # each in one batch instead. The other SVDs are of 8x8 final ZfTx
+    # stacks and of LinTxLinRx's 4x4 R22^H blocks
     cfg = scenario_preset("S3", num_users=16)
     channels = generate_drop(cfg, 0)
     h = channels.matrices
+    rx, tx = h.shape[-2:]
     pair = {h[n, k].tobytes(): (n, k) for n in range(cfg.num_subcarriers)
             for k in range(cfg.num_users)}
     factored, stacked = [], {arch: 0 for arch in Architecture}
-    svd, qr = np.linalg.svd, np.linalg.qr
+    projected, inverted = [], {arch: 0 for arch in Architecture}
+    svd, qr, inv = np.linalg.svd, np.linalg.qr, np.linalg.inv
     running = []
 
     def counted(a, *args, **kwargs):
         if a.shape[-2:] == h.shape[-2:]:
             factored.extend(pair[m.tobytes()]
                             for m in a.reshape(-1, *a.shape[-2:]))
+        elif a.shape[-2:] == (rx, tx - rx):  # not an R22^H: lower triangular
+            projected.extend((running[-1], kwargs.get("compute_uv", True),
+                              m.tobytes()) for m in a.reshape(-1, rx, rx)
+                             if np.triu(m, 1).any())
         return svd(a, *args, **kwargs)
 
     def counted_qr(a, mode="reduced"):
@@ -411,18 +423,154 @@ def test_s3_drop_factors_each_channel_once(monkeypatch):
             stacked[running[-1]] += a.size // a.shape[-1] ** 2
         return qr(a, mode=mode)
 
+    def counted_inv(a):
+        inverted[running[-1]] += a.size // a.shape[-1] ** 2
+        return inv(a)
+
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    memo = {}
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    memo, placed = {}, {}
     for arch in Architecture:
         running.append(arch)
-        assert sim.run_drop(cfg, channels, arch, memo=memo).feasible
-    first = memo["partition",].groups[0]
+        result = sim.run_drop(cfg, channels, arch, memo=memo)
+        assert result.feasible
+        placed[arch] = result.order[:, 0]
+    first, second = memo["partition",].groups
     assert len(factored) == cfg.num_subcarriers * len(first)
     assert set(factored) == set(itertools.product(
         range(cfg.num_subcarriers), first))
     assert stacked[Architecture.LIN_TX_LIN_RX] == (
         cfg.num_subcarriers * (cfg.num_users - len(first)))
+    # (subcarrier, placed user, candidate) of every null-space price
+    triples = {arch: {(n, k, j) for n, k in enumerate(placed[arch].tolist())
+                      for j in second}
+               for arch in (Architecture.THP_TX_LIN_RX, Architecture.ZF_TX,
+                            Architecture.LIN_TX_LIN_RX)}
+    assert len(projected) == len(set().union(*triples.values()))
+    assert len({m for *_, m in projected}) == len(projected)
+    assert not any(uv for _, uv, _ in projected)  # singular values only
+    proposed, zf = (triples[arch] for arch in (Architecture.THP_TX_LIN_RX,
+                                               Architecture.ZF_TX))
+    by_zf = sum(arch is Architecture.ZF_TX for arch, *_ in projected)
+    assert by_zf == len(zf - proposed) and 0 < by_zf < len(zf)
+    assert inverted == {arch: len(zf) * (arch is Architecture.ZF_TX)
+                        for arch in Architecture}
+
+
+def zf_second_round(stacks, budgets, quotas):
+    """ZfTx's price of user 1 on each subcarrier of `stacks`
+    (N, 2, N_R, N_T), L = N_R, in the null space of user 0 placed there,
+    by the route `run_drop` takes: user 0's channel factors, the
+    projected singular values and one batched inverse (Q - 2 more users
+    with random channels fill the config's groups)."""
+    n, _, rx, tx = stacks.shape
+    q = tx // rx
+    rng = np.random.default_rng(q)
+    h = np.concatenate([stacks, gaussian(rng, n, q - 2, rx, tx)], axis=1)
+    cfg = ScenarioConfig(num_subcarriers=n, num_users=q, tx_antennas=tx,
+                         rx_antennas=rx, streams_per_user=rx,
+                         quota=tuple(quotas) + (1,) * (q - 2),
+                         mse_budget=tuple(budgets) + (1.0,) * (q - 2),
+                         noise_variance=0.7)
+    order = np.full((n, q), -1)
+    order[:, 0] = 0
+    return sim._null_space_prices(cfg, h, order, np.array([1]),
+                                  Architecture.ZF_TX, {})[:, 0]
+
+
+# (N_T, N_R, L = N_R): h V0 square (Q = 2) and wide (Q = 3)
+ZF_ROUTE_ANTENNAS = [(4, 2, 2), (8, 4, 4), (6, 2, 2)]
+
+
+@pytest.fixture
+def thin_svd_forbidden(monkeypatch):
+    """Fail on a thin SVD (the old ZfTx route); count np.linalg.inv."""
+    svd, inv, inverted = np.linalg.svd, np.linalg.inv, []
+
+    def full_or_values(a, full_matrices=True, compute_uv=True, **kwargs):
+        assert full_matrices or not compute_uv, "thin SVD taken"
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv,
+                   **kwargs)
+
+    def counted(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "svd", full_or_values)
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return inverted
+
+
+@pytest.mark.parametrize("antennas", ZF_ROUTE_ANTENNAS)
+def test_zf_inverse_route_matches_pseudo_inverse_columns(antennas,
+                                                         thin_svd_forbidden):
+    # ZfTx's second-round price from the shared singular values and one
+    # batched inverse, against the candidate's bill in the pinv oracle of
+    # the grown stack: within the forward error of pinv, ~cond * eps, up
+    # to condition number 1e11; at 0.9 * RANK_TOL the projected channel
+    # still passes the rank rule, though the stack fails it
+    tx, rx, streams = antennas
+    rng = np.random.default_rng(tx * 100 + rx * 10 + streams)
+    conds = list(np.geomspace(1e2, 1e11, 10))
+    edge = [1.0 / (1.1 * RANK_TOL), 1.0 / (0.9 * RANK_TOL)]
+    stacks = conditioned_stacks(rng, antennas, 2, conds + edge)
+    budgets, quotas = rng.uniform(0.2, 2.0, 2), rng.integers(1, 4, 2)
+    got = zf_second_round(stacks, budgets, quotas)
+    want = np.array([oracles.zf_bills(stack, budgets, quotas, 0.7,
+                                      streams)[-1] for stack in stacks])
+    assert thin_svd_forbidden and np.isfinite(got).all()
+    assert np.isinf(want).tolist() == [False] * 11 + [True]
+    drift = np.maximum(1e-12, 8 * np.array(conds) * np.finfo(float).eps)
+    np.testing.assert_array_less(np.abs(got[:10] - want[:10]) / want[:10],
+                                 drift)
+
+
+@pytest.mark.parametrize("antennas", ZF_ROUTE_ANTENNAS)
+def test_zf_inverse_route_is_accurate(antennas, thin_svd_forbidden):
+    # the same prices against the exact pseudo-inverse column norms of
+    # the grown stack, h^H (h h^H)^-1 in 60 digits: within 8 * cond * eps
+    # up to condition number 1e10
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    tx, rx, streams = antennas
+    rng = np.random.default_rng(tx * 100 + rx * 10 + streams)
+    conds = np.geomspace(1e2, 1e10, 9)
+    stacks = conditioned_stacks(rng, antennas, 2, conds)
+    budgets, quotas = rng.uniform(0.2, 2.0, 2), rng.integers(1, 4, 2)
+    got = zf_second_round(stacks, budgets, quotas)
+    assert thin_svd_forbidden
+    for b, cond in enumerate(conds):
+        m = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                           for row in stacks[b].reshape(-1, tx)])
+        pinv = m.transpose_conj() * mpmath.inverse(m * m.transpose_conj())
+        norms = sum(mpmath.norm(pinv.column(j))
+                    for j in range(streams, 2 * streams))
+        want = 0.7 * int(quotas[1]) / mpmath.mpf(budgets[1]) * norms ** 2
+        assert float(abs(got[b] - want) / want) < (
+            8 * cond * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("antennas", ZF_ROUTE_ANTENNAS)
+def test_zf_inverse_route_skips_rank_lost_candidates(antennas,
+                                                     thin_svd_forbidden):
+    # in one batch: a candidate with a zero row (h V0 exactly singular,
+    # which inv would reject), a zero candidate and a copy of the placed
+    # user (projected to rounding noise) price +inf; the others are
+    # finite, and only the full-rank ones are inverted
+    tx, rx, streams = antennas
+    rng = np.random.default_rng(tx + rx)
+    stacks = gaussian(rng, 8, 2, rx, tx)
+    stacks[1, 1, 0] = 0.0
+    stacks[3, 1] = 0.0
+    stacks[5, 1] = stacks[5, 0]
+    got = zf_second_round(stacks, [1.0, 0.5], [2, 1])
+    lost = np.isin(np.arange(8), [1, 3, 5])
+    np.testing.assert_array_equal(np.isinf(got), lost)
+    assert sum(shape[0] for shape in thin_svd_forbidden) <= 8 - 2
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(stacks[1, 1] @ np.linalg.svd(stacks[1, 0])[2][
+            rx:].conj().T)
 
 
 # (N_T, N_R, L): Q = 2, 3 and 4, with L = N_R and L < N_R

@@ -541,6 +541,26 @@ class TestRunSweep:
                     np.testing.assert_array_equal(res.power_db[p, :, d],
                                                   direct)
 
+    def test_budget_ratio_out_of_range_is_its_own_class(self, solve_counts):
+        # budgets 1e-300 and 1e300 are valid, but their ratio to the first
+        # overflows (or underflows): each such point is solved alone, even
+        # next to an equal point, and equals its direct solve
+        cfg = ScenarioConfig(num_subcarriers=4, num_users=2, tx_antennas=2,
+                             rx_antennas=1, streams_per_user=1, quota=(2, 2),
+                             mse_budget=(1e-300, 1e300))
+        flipped = dataclasses.replace(cfg, mse_budget=(1e300, 1e-300))
+        pts = [(1.0, cfg), (2.0, flipped), (3.0, cfg)]
+        res = run_sweep(pts, drops=2, architectures=ALL_ARCHS)
+        assert solve_counts == {"generate_drop": 3 * 2,
+                                "run_drop": 3 * 2 * len(ALL_ARCHS)}
+        for p, (_, point) in enumerate(pts):
+            for d in range(2):
+                channels = generate_drop(point, d)
+                direct = [run_drop(point, channels, arch).power_db
+                          for arch in ALL_ARCHS]
+                np.testing.assert_array_equal(res.power_db[p, :, d], direct)
+        assert np.isfinite(res.power_db).all()
+
     def test_memo_shared_within_one_budget_class(self, monkeypatch):
         # the architectures of one drop and budget class share a memo; a
         # memo never serves another class, drop or config
