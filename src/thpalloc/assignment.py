@@ -7,6 +7,11 @@ assignment of one subcarrier to every slot, solved exactly (+inf on
 unusable pairs) by scipy's compiled dense shortest-augmenting-path core
 (Jonker-Volgenant, as implemented by Crouse), without the ~45 MB of
 RSS that importing scipy.optimize adds (csgraph's matcher adds ~30 MB).
+
+The core starts from zero duals, so from _REDUCE_FROM slots up each user's
+least finite cost comes off its column, lowering every allocation's total
+by one sum; so does each subcarrier's off its row when the slots fill all
+subcarriers (with idle ones, a row shift would change which stay idle).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from importlib.util import find_spec, module_from_spec, spec_from_loader
 import numpy as np
 
 _LSAP = "scipy.optimize._lsap"
+_REDUCE_FROM = 24  # slots; on fewer the shifts cost more than they save
 
 
 class InfeasibleAssignmentError(Exception):
@@ -73,8 +79,13 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
         blocking = list(range(n_users))
     if not blocking:
         solve = _linear_sum_assignment()
+        reduced = np.where(usable, costs, np.inf)
+        if cols.size >= _REDUCE_FROM:
+            for axis in (0, 1) if cols.size == n_sub else (0,):
+                low = reduced.min(axis=axis, keepdims=True)
+                reduced -= np.where(low < np.inf, low, 0.0)  # no inf - inf
         try:
-            _, rows = solve(np.where(usable, costs, np.inf)[:, cols].T)
+            _, rows = solve(reduced[:, cols].T)
         except ValueError:
             # counting passed, so some user set has too few usable
             # subcarriers (Hall); on 0/1 costs the slots left on unusable

@@ -159,8 +159,9 @@ def scenario_preset(preset_id: str, num_users: int = 16, rho: float = 0.25,
 
 
 def pdp_powers(num_taps: int, decay: float) -> np.ndarray:
-    """Exponential power delay profile p_t = c * decay^t, sum = 1."""
-    p = decay ** np.arange(num_taps, dtype=float)
+    """Exponential power delay profile p_t = c * decay^t, sum = 1; the
+    exponents count from the largest tap, so that no power overflows."""
+    p = decay ** (np.arange(num_taps, dtype=float) - (num_taps - 1) * (decay > 1))
     return p / p.sum()
 
 

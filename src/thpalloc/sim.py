@@ -381,6 +381,9 @@ def _sweep_drop(args):
         ratios = tuple(g / scale for g in config.mse_budget)
         key = tuple({**vars(config), "mse_budget": ratios if all(
             0 < r < math.inf for r in ratios) else p}.values())
+        if key in solved and not (
+                np.finfo(float).tiny <= solved[key][0] / scale < math.inf):
+            key = (key, p)  # a rescale that is not a normal float: own class
         if key not in solved:
             channels = generate_drop(config, drop_index)
             memo = {}  # the null-space prices of this drop and class

@@ -337,3 +337,107 @@ class TestBruteForce:
         costs = np.full((2, 2), math.inf)
         with pytest.raises(InfeasibleAssignmentError):
             brute_force_assignment(costs, [1, 1])
+
+
+def slot_matrix(costs, quotas):
+    """The unreduced (slots x subcarriers) LSAP matrix of a group."""
+    costs = np.where(np.isfinite(costs), costs, math.inf)
+    return costs[:, np.repeat(np.arange(len(quotas)), quotas)].T
+
+
+def scipy_outcome(costs, quotas):
+    """scipy.optimize.linear_sum_assignment on the unreduced slot matrix:
+    the allocation and its total, or None where scipy finds no finite
+    matching."""
+    from scipy.optimize import linear_sum_assignment
+    cols = np.repeat(np.arange(len(quotas)), quotas)
+    try:
+        slots, rows = linear_sum_assignment(slot_matrix(costs, quotas))
+    except ValueError:
+        return None, None
+    a = np.zeros(costs.shape, dtype=np.uint8)
+    a[rows, cols[slots]] = 1
+    return a, float(costs[rows, cols[slots]].sum())
+
+
+@st.composite
+def group_matrices(draw):
+    """(N, U) matrices up to S1's 64 subcarriers and 16 users, with the
+    slots filling every subcarrier or leaving some idle, costs
+    10**U(-5, 3), and none, scattered, whole-row or whole-block +inf
+    entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_users = draw(st.integers(1, 16))
+    quotas = [int(q) for q in rng.integers(1, 5, n_users)]
+    n_sub = min(64, sum(quotas) + draw(st.sampled_from([0, 0, 1, 4, 16])))
+    while sum(quotas) > n_sub:
+        quotas[int(np.argmax(quotas))] -= 1
+    costs = 10.0 ** rng.uniform(-5.0, 3.0, (n_sub, n_users))
+    pattern = draw(st.sampled_from(["none", "scattered", "rows", "block"]))
+    if pattern == "scattered":
+        costs[rng.uniform(size=costs.shape) < 0.3] = math.inf
+    elif pattern == "rows":
+        costs[rng.uniform(size=n_sub) < 0.1] = math.inf
+    elif pattern == "block":
+        costs[np.ix_(rng.uniform(size=n_sub) < 0.6,
+                     rng.uniform(size=n_users) < 0.5)] = math.inf
+    return costs, quotas
+
+
+class TestReducedLsap:
+    @settings(max_examples=200)
+    @given(case=group_matrices())
+    def test_matches_scipy_on_unreduced_slots(self, in_child, case):
+        # the pre-reduced solve against scipy's solve of the unreduced
+        # slot matrix: equal feasibility, allocation and total
+        costs, quotas = case
+        want_a, want_total = in_child(scipy_outcome, costs, quotas)
+        a, outcome = in_child(solve_outcome, costs, quotas)
+        if want_a is None:
+            assert a is None and outcome
+            return
+        assert a is not None, f"solver blocked users {outcome}"
+        np.testing.assert_array_equal(a, want_a)
+        assert outcome == pytest.approx(want_total, rel=1e-12)
+
+    @settings(max_examples=100)
+    @given(case=group_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_row_and_column_constants_keep_allocation(self, case, seed):
+        # a constant per user moves every allocation's total alike, and
+        # so does one per subcarrier when the slots fill every subcarrier
+        costs, quotas = case
+        try:
+            base = solve_assignment(costs, quotas)
+        except InfeasibleAssignmentError:
+            return
+        rng = np.random.default_rng(seed)
+        shifted = costs + rng.uniform(0.0, 100.0, len(quotas))
+        if sum(quotas) == costs.shape[0]:
+            shifted += rng.uniform(0.0, 100.0, (costs.shape[0], 1))
+        np.testing.assert_array_equal(
+            solve_assignment(shifted, quotas).a, base.a)
+
+    def test_square_with_infinite_row_names_blocking_user(self):
+        # 24 slots on 24 subcarriers, one of them unusable by all: the
+        # reduced +inf row stays +inf, and the Hall path names one user
+        n_sub = assignment._REDUCE_FROM
+        costs = np.random.default_rng(5).uniform(1.0, 9.0, (n_sub, 6))
+        costs[3] = math.inf
+        with pytest.raises(InfeasibleAssignmentError) as exc:
+            solve_assignment(costs, [n_sub // 6] * 6)
+        assert len(exc.value.blocking_users) == 1
+        assert exc.value.blocking_users[0] in range(6)
+
+    def test_zero_quota_user_with_no_usable_subcarrier(self):
+        # an all-+inf column with no slots must not turn the reduced
+        # matrix into NaN, which would send a feasible group to the
+        # 0/1 Hall solve and lose the optimum
+        n_sub = assignment._REDUCE_FROM
+        costs = np.random.default_rng(6).uniform(1.0, 9.0, (n_sub, 3))
+        costs[:, 2] = math.inf
+        quotas = [n_sub // 2, n_sub // 2, 0]
+        want_a, want_total = scipy_outcome(costs, quotas)
+        res = solve_assignment(costs, quotas)
+        check_constraints(res, costs, quotas)
+        np.testing.assert_array_equal(res.a, want_a)
+        assert res.total_cost == pytest.approx(want_total, rel=1e-12)

@@ -237,9 +237,13 @@ class TestGenerateDrop:
                                        rtol=1e-12)
 
     def test_pdp_energy_normalized(self):
-        for taps, decay in [(8, 0.5), (1, 1.0), (16, 0.9), (4, 0.05)]:
-            assert pdp_powers(taps, decay).sum() == pytest.approx(1.0,
-                                                                  abs=1e-12)
+        # extreme decays too: powers count from the largest tap, so a
+        # decay above 1 cannot overflow the last tap
+        for taps, decay in [(8, 0.5), (1, 1.0), (16, 0.9), (4, 0.05),
+                            (8, 1e-300), (8, 1.0), (8, 1e50), (8, 1e300)]:
+            p = pdp_powers(taps, decay)
+            assert np.all(np.isfinite(p))
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_shapes_and_finite(self):
         cfg = small_config()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,34 @@ class TestEndToEnd:
         assert len(rows) == len(Architecture)
         assert all(np.isfinite(float(row[2])) for row in rows)
 
+    def test_budget_class_rescale_out_of_range_runs(self, tmp_path, capsys):
+        # rho 1e-290 and 1e290 share a budget class, but the rescale
+        # between them underflows: each point must be solved as if alone
+        def detail(rhos):
+            path = tmp_path / f"{rhos}.csv"
+            code = run_main(["sweep", "--scenario", "S1", "--rho", rhos,
+                             "--drops", "1", "--out", str(tmp_path / "o.csv"),
+                             "--detail", str(path)])
+            assert code == 0, capsys.readouterr().err
+            return path.read_text().splitlines()[1:]
+
+        both = detail("1e-290,1e290")
+        assert both == detail("1e-290") + detail("1e290")
+        assert all(np.isfinite(float(row.split(",")[3])) for row in both)
+
+    def test_decay_above_one_runs_without_overflow(self, tmp_path, capsys):
+        # a decay of 1e50 over 8 taps once overflowed the last tap's power
+        path = tmp_path / "scenario.cfg"
+        path.write_text("\n".join(_lines(pdp_decay="1e50")) + "\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_main(["sweep", "--config", str(path), "--drops", "2",
+                             "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows and all(np.isfinite(float(row[2])) for row in rows)
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError("singular")])
     def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch,
                                        error):
@@ -399,6 +428,8 @@ def config_files(draw):
 @example(lines=_lines(pdp_decay=-1))
 @example(lines=_lines(pdp_decay="nan"))
 @example(lines=_lines(pathloss_exponent=-4))
+@example(lines=_lines(pdp_decay=1e50))
+@example(lines=_lines(pdp_decay=1e300))
 def test_fuzzed_config_files_exit_cleanly(lines):
     # any file: no exception out of main, a documented exit code, one
     # error line with exit code 2, and a CSV only on success
@@ -416,6 +447,29 @@ def test_fuzzed_config_files_exit_cleanly(lines):
     errors = [line for line in err.getvalue().splitlines()
               if line.startswith("error:")]
     assert len(errors) == (code == 2)
+
+
+@settings(max_examples=40)
+@given(rhos=st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                     min_size=1, max_size=3))
+@example(rhos=[1e-290, 1e290])
+@example(rhos=[1e300, 1e-300])
+@example(rhos=[1e-300, 1e-20, 1e300])
+def test_fuzzed_rho_lists_exit_cleanly(rhos):
+    # any rho magnitudes from 1e-300 to 1e300, shared budget class or
+    # not: a documented exit code, and no exception or math domain error
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "o.csv")
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = main(["sweep", "--scenario", "S1", "--rho",
+                         ",".join(repr(r) for r in rhos), "--drops", "1",
+                         "--arch", "all", "--out", out])
+        assert code in (0, 1, 2)
+        assert os.path.exists(out) == (code == 0)
+    assert "math domain error" not in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_import_loads_no_scipy():
