@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -68,6 +69,7 @@ def _int_list(token: str) -> list[int]:
     return [int(t) for t in token.split(",") if t]
 
 
+@functools.cache  # built on first use; nothing changes it after
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thpalloc",

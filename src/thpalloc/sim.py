@@ -17,7 +17,7 @@ all architectures paired on identical drops. Every cost is homogeneous
 of degree -1 in the budgets, so axis points whose budgets differ only
 by a common factor (a budget class, e.g. the points of a rho axis)
 share one assignment: a sweep generates and solves each drop once per
-budget class and rescales the power to the other points of the class.
+budget class and rescales the power to its other points (`_sweep_drop`).
 
 Pricing is batched: a price depends only on the users already placed
 on the subcarrier, so each round prices the subcarriers in one
@@ -29,17 +29,19 @@ architecture, so the architectures a sweep solves on one drop share it:
 the partition; one full SVD of each (subcarrier, user) channel, which
 gives every first-group price and every placed user's null space V0;
 the singular values of each candidate's h V0, which price it for the
-proposed scheme and ZfTx; each null-space price (the proposed scheme,
-ZfTx, LinTxLinRx's candidate term) of a placement; and the assignment
-of each distinct group cost matrix (the first group's of the proposed
-scheme and LinTxLinRx are equal, and on MISO links, N_R = L = 1, those
-of ZfTx and ThpTx too).
+proposed scheme and ZfTx; each placement's buckets (its subcarriers
+by placed count) and null-space price (the proposed scheme, ZfTx,
+LinTxLinRx's candidate term); and the assignment of each distinct
+group cost matrix (the first group's of the proposed scheme and
+LinTxLinRx are equal, and on MISO links, N_R = L = 1, those of ZfTx
+and ThpTx too).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,20 +96,23 @@ class SweepResult:
     drops: int
     seed: int
 
-    @property
+    @cached_property  # derived once, read-only
     def mean_power_db(self) -> np.ndarray:
-        return np.array([[np.mean(self.power_db[p, a][self.feasible[p]])
-                          if self.feasible[p].any() else math.nan
-                          for a in range(len(self.architectures))]
-                         for p in range(len(self.axis_values))])
+        out = np.array([[np.mean(self.power_db[p, a][self.feasible[p]])
+                         if self.feasible[p].any() else math.nan
+                         for a in range(len(self.architectures))]
+                        for p in range(len(self.axis_values))])
+        out.flags.writeable = False
+        return out
 
-    @property
+    @cached_property
     def stderr_db(self) -> np.ndarray:
         out = np.zeros((len(self.axis_values), len(self.architectures)))
         for p in range(len(self.axis_values)):
             vals = self.power_db[p][:, self.feasible[p]]
             if vals.shape[1] >= 2:
                 out[p] = np.std(vals, axis=1, ddof=1) / math.sqrt(vals.shape[1])
+        out.flags.writeable = False
         return out
 
     @property
@@ -127,12 +132,14 @@ def _bills(config, h, rows, users, architecture, **extra) -> np.ndarray:
                  **extra)
 
 
-def _buckets(order):
-    """(subcarriers (b,), the users placed on them (b, c)) per count c."""
-    sizes = np.count_nonzero(order >= 0, axis=1)
-    for c in np.unique(sizes):
-        rows = np.flatnonzero(sizes == c)
-        yield rows, order[rows, :c]
+def _buckets(order, memo):
+    """[(subcarriers (b,), their users (b, c)) per count c], kept in memo."""
+    key = ("buckets", order.tobytes())
+    if key not in memo:
+        sizes = np.count_nonzero(order >= 0, axis=1)
+        memo[key] = [(rows := np.flatnonzero(sizes == c), order[rows, :c])
+                     for c in np.unique(sizes)]
+    return memo[key]
 
 
 def _factors(h, rows, users, memo):
@@ -170,7 +177,7 @@ def _null_space_prices(config, h, order, users, architecture, memo):
         chan = baselines.restrict_rows(h, config.streams_per_user) if zf else h
         cached = 1 < chan.shape[-2] == h.shape[-2]
         prices = np.empty((config.num_subcarriers, users.size))
-        for rows, stack in _buckets(order):
+        for rows, stack in _buckets(order, memo):
             below = chan[rows[:, None], stack].reshape(rows.size, -1,
                                                        h.shape[-1])
             svd = values = None
@@ -222,7 +229,7 @@ def _cost_matrix(config, h, order, power, users, architecture, memo):
     if architecture is not Architecture.LIN_TX_LIN_RX:
         return prices, None
     grown_power = prices.copy()
-    for rows, stack in _buckets(order):
+    for rows, stack in _buckets(order, memo):
         if stack.shape[1]:  # + the placed users' bills
             grown = np.empty((rows.size, users.size, stack.shape[1] + 1), int)
             grown[..., :-1], grown[..., -1] = stack[:, None], users
@@ -231,7 +238,7 @@ def _cost_matrix(config, h, order, power, users, architecture, memo):
     return grown_power - power[:, None], grown_power
 
 
-def _final_power(config, h, order, power, architecture, assignments):
+def _final_power(config, h, order, power, architecture, assignments, memo):
     """Total transmit power of the finished plan, linear scale: the
     proposed scheme's committed costs, LinTxLinRx's carried stack power
     `power`, else the bills of the final stacks (ZfTx, and ThpTx, whose
@@ -239,7 +246,7 @@ def _final_power(config, h, order, power, architecture, assignments):
     if architecture is Architecture.THP_TX_LIN_RX:
         return config.symbol_variance * sum(a.total_cost for a in assignments)
     if architecture is not Architecture.LIN_TX_LIN_RX:
-        for rows, stack in _buckets(order):
+        for rows, stack in _buckets(order, memo):
             power[rows] = _bills(config, h, rows, stack,
                                  architecture).sum(axis=-1)
     return config.symbol_variance * sum(power.tolist())
@@ -307,15 +314,17 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
         if c else None for n, c in enumerate(counts.tolist()))
 
 
+@np.errstate(over="ignore")  # an overflowing price or bill is +inf
 def run_drop(config: ScenarioConfig, channels: ChannelSet,
              architecture: Architecture, *, memo=None) -> DropResult:
     """Run the full two-layer pipeline for one architecture on one drop.
 
     `memo` keeps the drop's architecture-independent work (partition,
-    `_factors`, `_null_space_prices`, `_solve`); the architectures of
-    one drop and budget class may share one. An unmet quota (naming the
-    users) or a numerical failure while pricing or billing makes the
-    drop infeasible, with the cause in `infeasible_reason`.
+    `_factors`, `_null_space_prices`, `_buckets`, `_solve`); the
+    architectures of one drop and budget class may share one. An unmet
+    quota (naming the users), a numerical failure while pricing or
+    billing, or an overflowing total power makes the drop infeasible,
+    with the cause in `infeasible_reason`; an overflowing price is +inf.
     """
     h = channels.matrices
     memo = {} if memo is None else memo
@@ -354,7 +363,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
             if grown is not None:
                 power[n] = grown[n, j]
         total = _final_power(config, h, order, power, architecture,
-                             assignments)
+                             assignments, memo)
     except np.linalg.LinAlgError as exc:
         return infeasible(f"numerical failure (LinAlgError: {exc})")
     if not math.isfinite(total):  # an +inf final bill, else an overflow
@@ -374,16 +383,20 @@ def _sweep_drop(args):
     # Each budget class (configs equal but for budgets in the same ratios
     # to the first, unless a ratio is 0 or inf) is solved once, at its
     # first point; every cost scales with the weight, so as 1/budget, and
-    # the other points rescale that point's power by the budget ratio.
-    solved = {}
+    # the other points rescale its powers by the budget ratio if it is
+    # feasible (an overflow may not recur) and the ratio and the rescaled
+    # powers are normal floats, else they are solved alone.
+    solved, tiny = {}, np.finfo(float).tiny
     for p, config in enumerate(configs):
         scale = config.mse_budget[0]
         ratios = tuple(g / scale for g in config.mse_budget)
         key = tuple({**vars(config), "mse_budget": ratios if all(
             0 < r < math.inf for r in ratios) else p}.values())
-        if key in solved and not (
-                np.finfo(float).tiny <= solved[key][0] / scale < math.inf):
-            key = (key, p)  # a rescale that is not a normal float: own class
+        factor = solved[key][0] / scale if key in solved else 1.0
+        if key in solved and not (tiny <= factor < math.inf and all(
+                r.feasible and tiny <= r.total_power * factor < math.inf
+                for r in solved[key][1])):
+            key = (key, p)
         if key not in solved:
             channels = generate_drop(config, drop_index)
             memo = {}  # the null-space prices of this drop and class

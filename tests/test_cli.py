@@ -22,6 +22,16 @@ def run_main(args):
     return main(args)
 
 
+def s1_detail_rows(tmp_path, capsys, rhos):
+    """The --detail rows of a one-drop S1 sweep over the rho list `rhos`."""
+    path = tmp_path / f"{rhos}.csv"
+    code = run_main(["sweep", "--scenario", "S1", "--rho", rhos, "--drops",
+                     "1", "--out", str(tmp_path / "o.csv"),
+                     "--detail", str(path)])
+    assert code == 0, capsys.readouterr().err
+    return path.read_text().splitlines()[1:]
+
+
 class TestParsing:
     def test_fig5_command_parses(self, tmp_path):
         parser = build_parser()
@@ -64,6 +74,19 @@ class TestParsing:
                          "--workers", "abc", "--out", str(out)]) == 1
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_parser_built_once_per_process(self, tmp_path):
+        # main reuses one parser; a run in between leaves no state in it
+        assert build_parser() is build_parser()
+        a = ["sweep", "--scenario", "S3", "--drops", "1", "--arch",
+             "ThpTxLinRx", "--out", str(tmp_path / "a.csv")]
+        b = ["sweep", "--scenario", "S1", "--users", "8", "--rho", "0.5",
+             "--seed", "3", "--arch", "ZfTx", "--out", str(tmp_path / "b.csv"),
+             "--detail", str(tmp_path / "b-detail.csv")]
+        assert run_main(a) == 0
+        first = (tmp_path / "a.csv").read_bytes()
+        assert run_main(b) == 0 and run_main(a) == 0
+        assert (tmp_path / "a.csv").read_bytes() == first
 
     def test_drops_must_be_positive(self, tmp_path, capsys):
         code = run_main(["sweep", "--scenario", "S1", "--drops", "0",
@@ -304,16 +327,38 @@ class TestEndToEnd:
         # rho 1e-290 and 1e290 share a budget class, but the rescale
         # between them underflows: each point must be solved as if alone
         def detail(rhos):
-            path = tmp_path / f"{rhos}.csv"
-            code = run_main(["sweep", "--scenario", "S1", "--rho", rhos,
-                             "--drops", "1", "--out", str(tmp_path / "o.csv"),
-                             "--detail", str(path)])
-            assert code == 0, capsys.readouterr().err
-            return path.read_text().splitlines()[1:]
+            return s1_detail_rows(tmp_path, capsys, rhos)
 
         both = detail("1e-290,1e290")
         assert both == detail("1e-290") + detail("1e290")
         assert all(np.isfinite(float(row.split(",")[3])) for row in both)
+
+    @pytest.mark.parametrize("rhos", ["1e-5,1e-307", "1e-307,1e-5"])
+    def test_budget_class_reuses_only_feasible_finite_results(
+            self, tmp_path, capsys, rhos):
+        # rho 1e-307 overflows the total power; rescaled from 1e-5 it
+        # once was a feasible +inf dB, and 1e-5 rescaled from it
+        # infeasible: each point must be solved as if alone
+        both = s1_detail_rows(tmp_path, capsys, rhos)
+        assert both == sum((s1_detail_rows(tmp_path, capsys, rho)
+                            for rho in rhos.split(",")), [])
+        for row in both:
+            axis, _, _, power = row.split(",")[:4]
+            assert np.isfinite(float(power)) == (axis == "1e-05")
+
+    def test_overflowing_budget_is_infeasible_without_warning(self, tmp_path,
+                                                              capsys):
+        # at rho 1e-307 prices and bills overflow to +inf: every drop is
+        # infeasible, and numpy prints no overflow warning
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_main(["sweep", "--scenario", "S1", "--rho", "1e-307",
+                             "--drops", "1", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(Architecture)
+        assert all(row[2] == "nan" and row[5] == "1" for row in rows)
 
     def test_decay_above_one_runs_without_overflow(self, tmp_path, capsys):
         # a decay of 1e50 over 8 taps once overflowed the last tap's power
@@ -450,13 +495,14 @@ def test_fuzzed_config_files_exit_cleanly(lines):
 
 
 @settings(max_examples=40)
-@given(rhos=st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+@given(rhos=st.lists(st.floats(-308.0, 308.0).map(lambda e: 10.0 ** e),
                      min_size=1, max_size=3))
 @example(rhos=[1e-290, 1e290])
+@example(rhos=[1e-307, 1e-5])
 @example(rhos=[1e300, 1e-300])
 @example(rhos=[1e-300, 1e-20, 1e300])
 def test_fuzzed_rho_lists_exit_cleanly(rhos):
-    # any rho magnitudes from 1e-300 to 1e300, shared budget class or
+    # any rho magnitudes from 1e-308 to 1e308, shared budget class or
     # not: a documented exit code, and no exception or math domain error
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "o.csv")

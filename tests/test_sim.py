@@ -378,6 +378,34 @@ class TestRunDrop:
             assert all(not a.a.flags.writeable
                        for a in shared.assignments)
 
+    def test_shared_memo_derives_each_placements_buckets_once(self,
+                                                             monkeypatch):
+        # the four architectures of an S3 drop meet some placements more
+        # than once; one memo splits each into its buckets (np.unique of
+        # the placed counts, in sim only) once
+        uniques, placements = [], []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def unique(self, *args, **kwargs):
+                uniques.append(None)
+                return np.unique(*args, **kwargs)
+
+        def spy(order, memo, _buckets=sim._buckets):
+            placements.append(order.tobytes())
+            return _buckets(order, memo)
+
+        monkeypatch.setattr(sim, "np", CountingNumpy())
+        monkeypatch.setattr(sim, "_buckets", spy)
+        cfg = scenario_preset("S3", num_users=16)
+        channels = generate_drop(cfg, 0)
+        memo = {}
+        for arch in ALL_ARCHS:
+            assert run_drop(cfg, channels, arch, memo=memo).feasible
+        assert len(uniques) == len(set(placements)) < len(placements)
+
     def test_shared_memo_keeps_hall_infeasibility(self):
         # the two weakest users (group 0) can use only subcarriers 0 and 1
         # and need two each: counting passes, Hall fails; a group served
@@ -581,6 +609,19 @@ class TestRunSweep:
         for memo in memos.values():
             uses = [(config, drop) for config, drop, m in seen if m is memo]
             assert len(uses) == len(ALL_ARCHS) and len(set(uses)) == 1
+
+    def test_summary_arrays_derived_once_and_read_only(self):
+        # the summary CSV and the console read the same arrays
+        cfg = tiny_config(rng_seed=9)
+        res = run_sweep([(0.5, cfg.with_rho(0.5)), (1.0, cfg.with_rho(1.0))],
+                        drops=3, architectures=ALL_ARCHS)
+        for name in ("mean_power_db", "stderr_db"):
+            summary = getattr(res, name)
+            assert summary is getattr(res, name)
+            assert summary.shape == (2, len(ALL_ARCHS))
+            assert not summary.flags.writeable
+            with pytest.raises(ValueError):
+                summary[0, 0] = 0.0
 
     def test_pool_sized_to_drops(self, monkeypatch):
         # a pool forks no more workers than there are drops, and a single
