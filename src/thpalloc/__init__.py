@@ -12,19 +12,7 @@ from thpalloc.partition import GroupPartition, channel_quality, partition_worst_
 from thpalloc.assignment import Assignment, solve_assignment
 from thpalloc.sim import Architecture, DropResult, SweepResult, run_drop, run_sweep
 
-__all__ = [
-    "ScenarioConfig",
-    "ChannelSet",
-    "scenario_preset",
-    "generate_drop",
-    "GroupPartition",
-    "channel_quality",
-    "partition_worst_first",
-    "Assignment",
-    "solve_assignment",
-    "Architecture",
-    "DropResult",
-    "SweepResult",
-    "run_drop",
-    "run_sweep",
-]
+__all__ = ["ScenarioConfig", "ChannelSet", "scenario_preset", "generate_drop",
+           "GroupPartition", "channel_quality", "partition_worst_first",
+           "Assignment", "solve_assignment", "Architecture", "DropResult",
+           "SweepResult", "run_drop", "run_sweep"]

@@ -1,23 +1,18 @@
 """Cost models of the three comparison architectures.
 
 All baselines share the partition and the assignment solver of the
-proposed scheme; they differ in the per-subcarrier precoder, and
-therefore in the power needed to meet the same per-stream MSE budget.
-Each precoder has one billing function from stacks of co-channel users
-in placement order, (..., c, N_R, N_T), to every user's power, (..., c)
-(+inf for a whole rank-deficient stack). The bills give the final
-power, ThpTx's spatially blind prices (each candidate billed alone) and
-the placed users' share of LinTxLinRx's prices; ZfTx prices a candidate
-in the placed users' null space with `zf_gains`.
-
-Every bill is the closed form of `loading.loading_cost`,
-
-    w * (sum_l 1/g_l)^2,   QoS only in the weight w = sigma^2 * n/gamma,
-
-with 1/g_l equal to ||f_l|| (column norms of F from U and s of one
-SVD, or of one inverse), 1/|r_ll| (QR diagonal) or lambda^{-1/2}
-(squared singular values of the channel projected off all co-channel
-users).
+proposed scheme; they differ in the per-subcarrier precoder, and so in
+the power that meets the same per-stream MSE budget. Each precoder has
+one billing function from stacks of co-channel users in placement
+order, (..., c, N_R, N_T), to every user's power, (..., c) (+inf for a
+whole rank-deficient stack). The bills give the final power, ThpTx's
+spatially blind prices (each candidate billed alone) and the placed
+users' share of LinTxLinRx's prices; ZfTx prices a candidate in the
+placed users' null space with `zf_gains`. Every bill is the closed form
+w * (sum_l 1/g_l)^2 of `loading.loading_cost`, with QoS only in the
+weight w = sigma^2 * n/gamma and 1/g_l equal to ||f_l|| (column norms
+of F, from one SVD or one inverse), 1/|r_ll| (QR diagonal) or
+lambda^{-1/2} (the channel projected off all co-channel users).
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _row_norms,
-                              loading_cost, projected_costs, singular_gains)
+                              loading_cost, singular_gains, stacked_costs)
 
 
 class Architecture(str, Enum):
@@ -66,15 +61,16 @@ def zf_gains(h, svd=None):
     norms of U S^-1. One row needs no SVD: s = ||h|| and
     pinv(h) = h^H / ||h||^2 has norm 1/s. Given s alone, (None, s, None),
     one batch inverts the full-rank h (s[-1] > RANK_TOL s[0]; else +inf):
-    pinv(h) is inv(h) if h is square, else Q inv(R^H) with h^H = Q R."""
+    pinv(h) is inv(h) if h is square, else Q inv(R^H) with h^H = Q R, R^H
+    the lower triangle of the raw-mode QR of h^T (`loading.stacked_costs`)."""
     if svd is None and h.shape[-2] == 1:
         return singular_gains(h)
     u, s, _ = np.linalg.svd(h, full_matrices=False) if svd is None else svd
     if u is None:
         full = s[..., -1] > RANK_TOL * s[..., 0]
         gains = np.full(s.shape, INFEASIBLE_COST)
-        g = h[full] if h.shape[-2] == h.shape[-1] else np.linalg.qr(
-            h[full].conj().swapaxes(-1, -2), mode="r").conj().swapaxes(-1, -2)
+        g = h[full] if h.shape[-2] == h.shape[-1] else np.tril(np.linalg.qr(
+            h[full].swapaxes(-1, -2), mode="raw")[0][..., :h.shape[-2]])
         gains[full] = np.linalg.norm(np.linalg.inv(g), axis=-2)
         return s, gains
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -99,14 +95,15 @@ def thp_bills(stacks, weights, streams):
     C = R^{-H} (unit-diagonal normalized) cancels the earlier users,
     leaving user i its diagonal slice of |r_ll| as per-stream gains.
     Appending later users does not change a user's slice, so the last
-    bill of the placed users plus a candidate is its final bill. A
-    single column of H^H needs no QR: |r_11| = ||h||."""
+    bill of the placed users plus a candidate is its final bill. |r_ll|
+    is read in place from the raw-mode QR of H^T, the conjugate of H^H's;
+    a single column of H^H needs no QR: |r_11| = ||h||."""
     def factor(h):
         if h.shape[-2] == 1:
             diag = _row_norms(h)
         else:
-            r = np.linalg.qr(h.conj().swapaxes(-1, -2), mode="r")
-            diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+            diag = np.abs(np.linalg.qr(h.swapaxes(-1, -2), mode="raw")[0]
+                          .diagonal(0, -2, -1))
         full = diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1)
         return full, 1.0 / diag[full]
     return _joint_bills(factor, stacks, weights, streams)
@@ -118,11 +115,11 @@ def linear_bills(stacks, weights, streams, first=None):
     is confined to the null space of every co-channel user's full
     channel, so no receiver sees interference without THP feedback."""
     *lead, c, rx, tx = stacks.shape
-    billed = range(c)[:first]
-    others = stacks[..., [[j for j in range(c) if j != i] for i in billed],
-                    :, :].reshape(*lead, len(billed), max(c - 1, 0) * rx, tx)
-    return projected_costs(others, stacks[..., :first, None, :, :],
-                           weights[..., :first, None], streams)[..., 0]
+    billed = range(c)[:first]  # each billed user after the others
+    grown = stacks[..., [[*range(i), *range(i + 1, c), i] for i in billed],
+                   :, :].reshape(*lead, len(billed), c * rx, tx)
+    return stacked_costs(grown, (c - 1) * rx, weights[..., :first, None],
+                         streams)[..., 0]
 
 
 def restrict_rows(h: np.ndarray, streams: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -86,10 +87,12 @@ class ScenarioConfig:
         """SDMA order Q = floor(N_T / N_R)."""
         return self.tx_antennas // self.rx_antennas
 
-    @property
+    @cached_property  # derived once, read-only
     def price_weight(self) -> np.ndarray:
         """(K,) weights w_k = sigma^2 n_k / gamma_k: QoS in every price."""
-        return self.noise_variance * np.divide(self.quota, self.mse_budget)
+        w = self.noise_variance * np.divide(self.quota, self.mse_budget)
+        w.flags.writeable = False
+        return w
 
     @property
     def symbol_variance(self) -> float:

@@ -15,17 +15,14 @@ weight w = sigma^2 * n/gamma (`ScenarioConfig.price_weight`).
 Every architecture prices a (subcarrier, user) pair with the same
 closed form, `loading_cost`, fed the inverse per-stream gains of its
 own precoder. `projected_costs` is that price for batches of channels
-confined to null spaces: the proposed scheme's candidate costs, each
-user's bill in the LinTxLinRx baseline and, with the zero-forcing gains
-of `baselines.zf_gains`, ZfTx's candidate costs. Its null-space step,
-`_null_spaces`, also gives `sim.build_plans` the bases V0 of its
-transceivers; the loading and transceiver helpers below broadcast over
-leading (pair) axes. A caller that holds a full channel SVD (`sim`'s
-per-drop factors), or the singular values of the projected channels,
-passes them as `svd` and `values` instead of having them recomputed;
-a stack that serves one channel (a LinTxLinRx bill) takes no null
-space, but one QR of both. Rank-one objects skip LAPACK (`_row_norms`),
-so a MISO scenario (N_R = L = 1, Q = 2) prices without any SVD.
+confined to null spaces (the proposed scheme's and, with
+`baselines.zf_gains`, ZfTx's candidate costs; LinTxLinRx's bills): it
+picks their projected channels, which `pricing_tail` prices, also
+straight from the factors `sim` keeps per drop. A stack serving one
+channel is priced from one raw-mode QR read in place (`stacked_costs`),
+so no factorization copies its input beyond numpy's own copy. Rank-one
+objects skip LAPACK (`_row_norms`): a MISO scenario (N_R = L = 1, Q = 2)
+prices without any SVD. The helpers broadcast over leading (pair) axes.
 """
 
 from __future__ import annotations
@@ -115,49 +112,13 @@ def singular_gains(hp: np.ndarray, svd=None):
         return s, 1.0 / s
 
 
-def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
-                    streams: int, gains=singular_gains, svd=None,
-                    values=None) -> np.ndarray:
-    """Least power of each candidate channel (..., m, N_R, N_T) sent in
-    the null space of its stack of placed rows (..., R, N_T); +inf where
-    the projected channel cannot carry L streams: fewer than L singular
-    values above RANK_TOL * max(s[0], ||h||), so a channel the
-    projection annihilates does not read as rounding noise of full
-    rank. gains(hp, svd) maps the projected channels (and their SVD if
-    known, or (None, s, None) with s their singular values in `values`)
-    to their singular values and the inverse gains of the precoder, whose
-    first L feed `loading_cost` with `weights`. H' = h V0
-    (`_null_spaces`, from `svd` if given) for two or more placed rows, h
-    for none (`svd` then h's), and for one row p the residual
-    h - (h u^H) u with u = p/||p|| (h if p = 0, of rank 0), which has
-    h V0's singular values. A stack P (R >= 2 rows) serving one candidate
-    (m = 1, R + N_R <= N_T, no `svd`) gives H' = R22^H, the trailing
-    block of the R of qr([P; h]^H), h V0 up to a right isometry, unless
-    R's leading diagonal is within QR_TOL of rank loss (`_null_spaces`)."""
-    out = np.full(candidates.shape[:-2], INFEASIBLE_COST)
-    norms = np.linalg.norm(candidates, axis=(-2, -1))
-    parts = [(..., candidates, svd)]
-    if placed.shape[-2] == 1:  # u = p/||p||, 0 for a zero row
-        length = _row_norms(placed)[..., None, None]
-        u = placed[..., None, :, :] / np.where(length > 0, length, np.inf)
-        parts = [(..., candidates - np.sum(candidates * u.conj(), axis=-1,
-                                           keepdims=True) * u, None)]
-    elif placed.shape[-2] > 1:
-        rows, slow, parts = placed.shape[-2], np.ones(out.shape[:-1], bool), []
-        if (svd is None and candidates.shape[-3] == 1
-                and rows + candidates.shape[-2] <= placed.shape[-1]):
-            stacked = np.concatenate([placed, candidates[..., 0, :, :]], -2)
-            r = np.linalg.qr(stacked.conj().swapaxes(-1, -2), mode="r")
-            lead = np.abs(r.diagonal(0, -2, -1)[..., :rows])
-            slow = lead.min(axis=-1) <= QR_TOL * lead.max(axis=-1)
-            r22 = r[~slow][:, None, rows:, rows:]
-            parts = [(~slow, r22.conj().swapaxes(-1, -2), None)]
-        keep = ... if slow.all() else slow  # svd is None unless all slow
-        for sub, v0 in _null_spaces(placed[keep], svd):
-            sel = slow.copy()
-            sel[keep] = sub
-            parts.append((sel, candidates[sel] @ v0[:, None], None
-                          if values is None else (None, values[sel], None)))
+def pricing_tail(parts, norms, weights, streams, gains=singular_gains):
+    """Least power (...) of channels h of Frobenius norms `norms`: each
+    part (sel, H', factors) gives the projected channels of the channels
+    `sel` or their factors, which gains(H', factors) maps to singular
+    values s and the inverse gains whose first L feed `loading_cost`;
+    +inf where fewer than L of s exceed RANK_TOL * max(s[0], ||h||)."""
+    out = np.full(norms.shape, INFEASIBLE_COST)
     for sel, hp, factors in parts:
         s, inverse_gains = gains(hp, factors)  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])
@@ -167,3 +128,53 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
         out[mask] = loading_cost(inverse_gains[mask[sel], :streams],
                                  np.broadcast_to(weights, out.shape)[mask])
     return out
+
+
+def stacked_costs(stacked, rows, weights, streams, gains=singular_gains):
+    """`projected_costs` (..., 1) of the rows h after the first R of each
+    stack [P; h] (..., R + N_R, N_T). For R >= 2 and R + N_R <= N_T,
+    H' = R22^T, read in place from the raw-mode QR of [P; h]^T, the
+    conjugate of qr([P; h]^H) (Householder QR commutes with conjugation)
+    and h V0 up to a right isometry; h V0 (`_null_spaces`) where R's
+    leading diagonal is within QR_TOL of rank loss."""
+    placed, candidates = stacked[..., :rows, :], stacked[..., None, rows:, :]
+    if rows < 2:
+        return projected_costs(placed, candidates, weights, streams, gains)
+    norms = np.linalg.norm(candidates, axis=(-2, -1))  # before the QR's copy
+    slow, parts = np.ones(stacked.shape[:-2], bool), []
+    if stacked.shape[-2] <= stacked.shape[-1]:
+        raw = np.linalg.qr(stacked.swapaxes(-1, -2), mode="raw")[0]
+        lead = np.abs(raw.diagonal(0, -2, -1)[..., :rows])
+        slow = lead.min(axis=-1) <= QR_TOL * lead.max(axis=-1)
+        hp = raw[..., rows:, rows:stacked.shape[-2]][~slow][:, None]
+        np.copyto(hp, 0, where=~np.tri(hp.shape[-1], dtype=bool))
+        parts = [(~slow, hp, None)]  # reflectors zeroed above the diagonal
+    for sub, v0 in _null_spaces(placed[slow]):
+        sel = slow.copy()
+        sel[slow] = sub
+        parts.append((sel, candidates[sel] @ v0[:, None], None))
+    return pricing_tail(parts, norms, weights, streams, gains)
+
+
+def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
+                    streams: int, gains=singular_gains) -> np.ndarray:
+    """Least power of each candidate channel h (..., m, N_R, N_T) sent in
+    the null space of its stack of placed rows (..., R, N_T), priced
+    (`pricing_tail`) from its projected channel: h for R = 0; for one
+    row p, h - (h u^H) u with u = p/||p|| (h if p = 0, of rank 0), which
+    has h V0's singular values; else h V0, or `stacked_costs` if m = 1."""
+    rows = placed.shape[-2]
+    if rows > 1 and candidates.shape[-3] == 1:
+        return stacked_costs(np.concatenate([placed, candidates[..., 0, :, :]],
+                                            -2), rows, weights, streams, gains)
+    parts = [(..., candidates, None)]
+    if rows == 1:  # u = p/||p||, 0 for a zero row
+        length = _row_norms(placed)[..., None, None]
+        u = placed[..., None, :, :] / np.where(length > 0, length, np.inf)
+        parts = [(..., candidates - np.sum(candidates * u.conj(), axis=-1,
+                                           keepdims=True) * u, None)]
+    elif rows > 1:
+        parts = [(sel, candidates[sel] @ v0[:, None], None)
+                 for sel, v0 in _null_spaces(placed)]
+    return pricing_tail(parts, np.linalg.norm(candidates, axis=(-2, -1)),
+                        weights, streams, gains)

@@ -1,46 +1,42 @@
 """Two-layer pipeline orchestration and Monte Carlo sweeps.
 
 One drop runs: channel-quality metrics -> worst-first partition ->
-per-group cost matrices -> per-group exact assignment (groups
-in order, so later groups see the users already placed) -> final
-power. The placement is carried as one (N, Q) array, `order[n, i]`
-the i-th user placed on subcarrier n (its THP precoding order), -1
-past its count. The proposed scheme's transceivers and THP feedback
-are built on demand from a finished result by `build_plans` (which
-`link_level_verify` calls), never by the pipeline itself: one batched
-pass per position of `order`, with the null-space bases of the pricing
-(`loading._null_spaces`); the pass's zero-forcing receivers also give
-that position's row of feedback blocks.
+per-group cost matrices -> per-group exact assignment (groups in order,
+so later groups see the users already placed) -> final power. The
+placement is one (N, Q) array, `order[n, i]` the i-th user placed on
+subcarrier n (its THP precoding order), -1 past its count. The proposed
+scheme's transceivers and THP feedback are built on demand from a
+finished result by `build_plans` (which `link_level_verify` calls): one
+batched pass per position of `order`, with the null-space bases of the
+pricing, whose zero-forcing receivers also give that position's row of
+feedback blocks.
 
 Sweeps repeat this over drops and target-MSE (or user-count) axes with
 all architectures paired on identical drops. Every cost is homogeneous
-of degree -1 in the budgets, so axis points whose budgets differ only
-by a common factor (a budget class, e.g. the points of a rho axis)
-share one assignment: a sweep generates and solves each drop once per
-budget class and rescales the power to its other points (`_sweep_drop`).
+of degree -1 in the budgets, so the points of a budget class (budgets
+equal up to a common factor, e.g. a rho axis) share one assignment: a
+sweep solves each drop once per class and rescales (`_sweep_drop`).
 
-Pricing is batched: a price depends only on the users already placed
-on the subcarrier, so each round prices the subcarriers in one
-array-shaped call per placed count. LinTxLinRx carries each stack's
-bill; ZfTx and ThpTx re-bill.
+Pricing is batched: a price depends only on the users already placed on
+the subcarrier, so each round prices the subcarriers in one array-shaped
+call per placed count. LinTxLinRx carries each stack's bill; ZfTx and
+ThpTx re-bill.
 
-A per-drop memo holds the drop's work that does not depend on the
-architecture, so the architectures a sweep solves on one drop share it:
-the partition; one full SVD of each (subcarrier, user) channel, which
-gives every first-group price and every placed user's null space V0;
-the singular values of each candidate's h V0, which price it for the
-proposed scheme and ZfTx; each placement's buckets (its subcarriers
-by placed count) and null-space price (the proposed scheme, ZfTx,
-LinTxLinRx's candidate term); and the assignment of each distinct
-group cost matrix (the first group's of the proposed scheme and
-LinTxLinRx are equal, and on MISO links, N_R = L = 1, those of ZfTx
-and ThpTx too).
+A per-drop memo holds the drop's architecture-independent work, shared
+by the architectures a sweep solves on it: the partition; one full SVD
+of each (subcarrier, user) channel, kept per batch as LAPACK returns it
+(`_factors`), which gives every first-group price and every placed
+user's null space V0; the singular values of each candidate's h V0,
+which price it for the proposed scheme and ZfTx; each placement's
+buckets and null-space price; and the assignment of each distinct group
+cost matrix (the first group's of the proposed scheme and LinTxLinRx
+are equal, and on MISO links, N_R = L = 1, those of ZfTx and ThpTx).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +47,7 @@ from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
 from thpalloc.loading import (_null_spaces, equalizing_rotation,
-                              power_loading, projected_costs,
+                              power_loading, pricing_tail, projected_costs,
                               receiver_matrix, singular_gains,
                               transmit_matrix)
 from thpalloc.partition import (GroupPartition, channel_quality,
@@ -120,16 +116,17 @@ class SweepResult:
         return 1.0 - self.feasible.mean(axis=1)
 
 
-def _bills(config, h, rows, users, architecture, **extra) -> np.ndarray:
+def _bills(config, h, rows, users, architecture, scale=1.0, **extra):
     """Each user's power under a baseline's precoder, for the stacks of
-    users (b, ..., c), in placement order, on the subcarriers rows (b,)."""
+    users (b, ..., c), in placement order, on the subcarriers rows (b,),
+    at `scale` times the price weights."""
     # looked up per call, so a wrapper set on `baselines` sees every call
     bills = (baselines.zf_bills if architecture is Architecture.ZF_TX else
              baselines.thp_bills if architecture is Architecture.THP_TX else
              baselines.linear_bills)
     stacks = h[rows.reshape((-1,) + (1,) * (users.ndim - 1)), users]
-    return bills(stacks, config.price_weight[users], config.streams_per_user,
-                 **extra)
+    return bills(stacks, config.price_weight[users] * scale,
+                 config.streams_per_user, **extra)
 
 
 def _buckets(order, memo):
@@ -144,46 +141,52 @@ def _buckets(order, memo):
 
 def _factors(h, rows, users, memo):
     """Full SVD (U, s, Vh) of the channels h[rows, users] (broadcast
-    indices), kept in `memo` (s NaN until factored): each (subcarrier,
-    user) channel of a drop is factored once, a call's new ones at once."""
-    if ("factors",) not in memo:
-        n, k, rx, tx = h.shape
-        memo["factors",] = (np.empty((n, k, rx, rx), complex),
-                            np.full((n, k, rx), np.nan),
-                            np.empty((n, k, tx, tx), complex))
-    factors = memo["factors",]
+    indices), each factored once per drop: `memo` keeps a call's new ones
+    as LAPACK returns them (a later batch appended), with their (N, K)
+    positions; a call for all of them, in order, reads them in place."""
+    index, kept = memo.setdefault(("factors",),
+                                  (np.full(h.shape[:2], -1), []))
     rows, users = np.broadcast_arrays(rows, users)
-    new = np.isnan(factors[1][rows, users, 0])
+    new = index[rows, users] < 0
     if new.any():
         n, k = rows[new], users[new]
-        for cached, part in zip(factors, np.linalg.svd(h[n, k])):
-            cached[n, k] = part
-    return tuple(cached[rows, users] for cached in factors)
+        batch = np.linalg.svd(h[n, k])
+        index[n, k] = index.max() + 1 + np.arange(n.size)
+        kept[:] = map(np.concatenate, zip(kept, batch)) if kept else batch
+    at = index[rows, users]
+    if at.size == len(kept[1]) and (at.ravel() == np.arange(at.size)).all():
+        return tuple(part.reshape(at.shape + part.shape[1:]) for part in kept)
+    return tuple(part[at] for part in kept)
 
 
 def _null_space_prices(config, h, order, users, architecture, memo):
     """(N, U) price of each candidate in `users` sent in the null space
     of the users `order` placed on each subcarrier by earlier groups, one
     batch per placed count: the proposed scheme's cost, or ZfTx's bill of
-    the candidate's pseudo-inverse columns (first L rows). Kept read-only
-    in `memo` under (precoder, users, placement): alike placements price
-    once. An empty or one-user stack reads `_factors` (the candidates' or
-    the placed user's), unless ZfTx keeps L < N_R rows or N_R = 1; for one
-    user the singular values of each h V0 are kept too, per subcarrier
-    with its placed user, and ZfTx inverts h V0 (`baselines.zf_gains`)."""
+    the candidate's pseudo-inverse columns (first L rows), kept read-only
+    in `memo` per (precoder, users, placement). Unless ZfTx keeps L < N_R
+    rows or N_R = 1, candidates off an empty stack price from their
+    `_factors`, and off one user from the kept singular values of each
+    h V0 (V0 from the user's `_factors`; ZfTx inverts h V0 too)."""
     zf = architecture is Architecture.ZF_TX
     key = ("prices", zf, users.tobytes(), order.tobytes())
     if key not in memo:
         chan = baselines.restrict_rows(h, config.streams_per_user) if zf else h
         cached = 1 < chan.shape[-2] == h.shape[-2]
+        gains = baselines.zf_gains if zf else singular_gains
+        args = config.price_weight[users], config.streams_per_user, gains
         prices = np.empty((config.num_subcarriers, users.size))
         for rows, stack in _buckets(order, memo):
-            below = chan[rows[:, None], stack].reshape(rows.size, -1,
-                                                       h.shape[-1])
-            svd = values = None
-            if cached and stack.shape[1] == 0:
-                svd = _factors(h, rows[:, None], users, memo)
-            elif cached and stack.shape[1] == 1:
+            candidates = chan[rows[:, None], users]
+            if not cached or stack.shape[1] > 1:
+                below = chan[rows[:, None], stack].reshape(rows.size, -1,
+                                                           h.shape[-1])
+                prices[rows] = projected_costs(below, candidates, *args)
+                continue
+            if stack.shape[1] == 0:
+                parts = [(..., candidates,
+                          _factors(h, rows[:, None], users, memo))]
+            else:
                 svd = _factors(h, rows, stack[:, 0], memo)
                 who, values = memo.setdefault(("projected", users.tobytes()), (
                     np.full(len(h), -1),
@@ -194,10 +197,12 @@ def _null_space_prices(config, h, order, users, architecture, memo):
                     values[n] = np.linalg.svd(h[n[:, None], users]
                                               @ v0[:, None], compute_uv=False)
                 who[rows], values = stack[:, 0], values[rows]
-            prices[rows] = projected_costs(
-                below, chan[rows[:, None], users], config.price_weight[users],
-                config.streams_per_user,
-                baselines.zf_gains if zf else singular_gains, svd, values)
+                parts = ([(sel, candidates[sel] @ v0[:, None],
+                           (None, values[sel], None))
+                          for sel, v0 in _null_spaces(None, svd)] if zf else
+                         [(..., None, (None, values, None))])
+            prices[rows] = pricing_tail(
+                parts, np.linalg.norm(candidates, axis=(-2, -1)), *args)
         prices.flags.writeable = False
         memo[key] = prices
     return memo[key]
@@ -221,10 +226,9 @@ def _solve(costs, quotas, memo):
 def _cost_matrix(config, h, order, power, users, architecture, memo):
     """(N, U) price of each candidate in `users` on each subcarrier given
     the users `order` placed there by earlier groups, and for LinTxLinRx
-    the (N, U) bill of each grown stack (else None). LinTxLinRx pays the
-    grown bill less the placed stack's carried bill `power` (N,); the
-    others pay their null-space price, for the proposed scheme an exact
-    share of the final power."""
+    the (N, U) bill of each grown stack (else None): LinTxLinRx pays it
+    less the placed stack's carried bill `power` (N,), the others their
+    null-space price (the proposed scheme's is its share of the total)."""
     prices = _null_space_prices(config, h, order, users, architecture, memo)
     if architecture is not Architecture.LIN_TX_LIN_RX:
         return prices, None
@@ -265,16 +269,13 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 def build_plans(config: ScenarioConfig, channels: ChannelSet,
                 drop_result: DropResult) -> tuple[SubcarrierPlan | None, ...]:
     """Transceivers and THP feedback of a feasible proposed-scheme result,
-    one plan per subcarrier (None where no user is placed).
-
-    Position p of the result's `order` is built in one batched pass over
-    the subcarriers with more than p users: the null-space bases V0 of
-    the earlier users (column phases fixed), one SVD of H' = H V0 per
-    null-space rank, the loading, F = V0 U, G and the position's
-    feedback blocks C_pi = G_p H_p F_i for i < p. G_p is the minimum-norm
-    zero-forcing receiver of the full-column-rank T_pp = H_p F_p, so it
-    equals pinv(T_pp) and C_pi = pinv(T_pp) T_pi.
-    """
+    one plan per subcarrier (None where no user is placed). Position p of
+    the result's `order` is built in one batched pass over the subcarriers
+    with more than p users: the null-space bases V0 of the earlier users
+    (column phases fixed), one SVD of H' = H V0 per null-space rank, the
+    loading, F = V0 U, G and the feedback blocks C_pi = G_p H_p F_i for
+    i < p. G_p is the minimum-norm zero-forcing receiver of the
+    full-column-rank T_pp = H_p F_p, so C_pi = pinv(T_pp) T_pi."""
     if (not drop_result.feasible
             or drop_result.architecture is not Architecture.THP_TX_LIN_RX):
         raise ValueError("THP plans need a feasible result of the proposed "
@@ -322,10 +323,9 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     `memo` keeps the drop's architecture-independent work (partition,
     `_factors`, `_null_space_prices`, `_buckets`, `_solve`); the
     architectures of one drop and budget class may share one. An unmet
-    quota (naming the users), a numerical failure while pricing or
-    billing, or an overflowing total power makes the drop infeasible,
-    with the cause in `infeasible_reason`; an overflowing price is +inf.
-    """
+    quota (naming the users), a numerical failure, a rank-deficient final
+    stack or an overflowing total power makes the drop infeasible, with
+    the cause in `infeasible_reason`; an overflowing price is +inf."""
     h = channels.matrices
     memo = {} if memo is None else memo
     if ("partition",) not in memo:
@@ -344,9 +344,9 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     try:
         blind = None
         if architecture is Architecture.THP_TX:  # each user billed alone
-            alone = np.indices((config.num_subcarriers, config.num_users))
-            blind = _bills(config, h, alone[0, :, 0], alone[1, ..., None],
-                           architecture)[..., 0]
+            blind = baselines.thp_bills(h[:, :, None], np.broadcast_to(
+                config.price_weight[:, None], h.shape[:2] + (1,)),
+                config.streams_per_user)[..., 0]
         for users in map(np.asarray, partition.groups):
             costs, grown = ((blind[:, users], None) if blind is not None else
                             _cost_matrix(config, h, order, power, users,
@@ -366,9 +366,13 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
                              assignments, memo)
     except np.linalg.LinAlgError as exc:
         return infeasible(f"numerical failure (LinAlgError: {exc})")
-    if not math.isfinite(total):  # an +inf final bill, else an overflow
+    if not math.isfinite(total):  # a lost rank bills +inf even at weight 0
+        with np.errstate(invalid="ignore"):  # 0 * an overflowing sum
+            lost = np.isinf(power).any() and any(np.isinf(_bills(
+                config, h, rows, stack, architecture, 0.0)).any()
+                for rows, stack in _buckets(order, memo))
         return infeasible("final precoder stack is rank deficient on some "
-                          "subcarrier" if np.isinf(power).any() else
+                          "subcarrier" if lost else
                           "total transmit power overflows")
     power_db = 10.0 * math.log10(total / config.noise_variance)
     return DropResult(architecture=architecture, feasible=True,
@@ -390,8 +394,9 @@ def _sweep_drop(args):
     for p, config in enumerate(configs):
         scale = config.mse_budget[0]
         ratios = tuple(g / scale for g in config.mse_budget)
-        key = tuple({**vars(config), "mse_budget": ratios if all(
-            0 < r < math.inf for r in ratios) else p}.values())
+        key = tuple(getattr(config, f.name) if f.name != "mse_budget" else
+                    ratios if all(0 < r < math.inf for r in ratios) else p
+                    for f in fields(config))
         factor = solved[key][0] / scale if key in solved else 1.0
         if key in solved and not (tiny <= factor < math.inf and all(
                 r.feasible and tiny <= r.total_power * factor < math.inf
@@ -455,18 +460,14 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
                       drop_result: DropResult, num_symbols: int,
                       seed: int = 0,
                       noiseless: bool = False) -> np.ndarray:
-    """Empirical per-user sum-MSE of the full THP chain.
-
-    Draws random QAM data, runs modulo precoding, forward filters,
-    channel, AWGN, receive filters and the receiver-side modulo, and
-    measures E|z - d|^2 per stream, summed over each user's assigned
-    subcarriers. Valid where modulo folding of noise is negligible.
-    The plans come from `build_plans`, so `drop_result` must be a
-    feasible result of the proposed architecture. Subcarriers run one at
-    a time, their co-channel users stacked in one array per stage; the
-    draws are the QAM real and imaginary parts, then each user's noise
-    real and imaginary parts.
-    """
+    """Empirical per-user sum-MSE of the full THP chain: random QAM data
+    through modulo precoding, forward filters, channel, AWGN, receive
+    filters and the receiver-side modulo; E|z - d|^2 per stream, summed
+    over each user's subcarriers (valid where modulo folding of noise is
+    negligible). The plans come from `build_plans`, so `drop_result` must
+    be a feasible proposed-scheme result. Subcarriers run one at a time,
+    their users stacked per stage; the draws are the QAM real and
+    imaginary parts, then each user's noise real and imaginary parts."""
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be at least 1, got {num_symbols}")
     plans = build_plans(config, channels, drop_result)

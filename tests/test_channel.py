@@ -78,6 +78,19 @@ class TestScenarioPreset:
                     for n, g in zip(cfg.quota, cfg.mse_budget)]
             assert cfg.price_weight.tolist() == want  # bit for bit
 
+    def test_price_weight_derived_once_and_read_only(self):
+        cfg = small_config(mse_budget=(0.3, 0.7, 1.1, 0.9))
+        assert cfg.price_weight is cfg.price_weight
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.price_weight[0] = 1.0
+        # a replaced config derives its own; equality and hashing see
+        # the fields only
+        looser = dataclasses.replace(cfg, mse_budget=(0.6, 1.4, 2.2, 1.8))
+        np.testing.assert_array_equal(looser.price_weight,
+                                      cfg.price_weight / 2)
+        assert dataclasses.replace(cfg) == cfg
+        assert hash(dataclasses.replace(cfg)) == hash(cfg)
+
 
 class TestConfigValidation:
     def test_streams_exceed_receive_antennas(self):

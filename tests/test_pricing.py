@@ -391,7 +391,8 @@ def test_s3_drop_factors_each_channel_once(monkeypatch):
     # the first group's N K/Q = 128 4x8 channels once (256 before
     # LinTxLinRx billed from R factors: its second-group candidates were
     # factored too); LinTxLinRx bills each placed user against each
-    # candidate from one qr(mode="r") of their 8x8 stack. Each second-group
+    # candidate from one raw-mode QR of their 8x8 stack, and no QR runs
+    # in mode "r" (the raw output is read in place). Each second-group
     # candidate projected off a placed first-group user, a 4x4 channel
     # h V0, has its singular values taken once, whichever architectures
     # place that user there: ZfTx takes no thin SVD of one, and inverts
@@ -419,7 +420,8 @@ def test_s3_drop_factors_each_channel_once(monkeypatch):
         return svd(a, *args, **kwargs)
 
     def counted_qr(a, mode="reduced"):
-        if mode == "r" and a.shape[-2:] == (cfg.tx_antennas,) * 2:
+        assert mode != "r"
+        if mode == "raw" and a.shape[-2:] == (cfg.tx_antennas,) * 2:
             stacked[running[-1]] += a.size // a.shape[-1] ** 2
         return qr(a, mode=mode)
 
@@ -691,3 +693,58 @@ def test_cached_factors_match_fresh_factorizations(preset):
         assert v0.tobytes() == v0_ref.tobytes()
     for got, want in zip(baselines.zf_gains(h, svd), baselines.zf_gains(h)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_kept_factors_are_read_in_place():
+    # the first group's factors, asked for again in the same order (ZfTx
+    # after the proposed scheme), are views of the batch the one SVD
+    # returned; a call for some of them gathers those from it
+    cfg = scenario_preset("S3", num_users=16)
+    h = generate_drop(cfg, 0).matrices
+    rows, users = np.arange(cfg.num_subcarriers), np.arange(0, 16, 2)
+    memo, calls = {}, []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        first = sim._factors(h, rows[:, None], users, memo)
+        again = sim._factors(h, rows[:, None], users, memo)
+        some = sim._factors(h, rows, users[rows % users.size], memo)
+    assert calls == [(rows.size * users.size,) + h.shape[2:]]
+    kept = memo["factors",][1]
+    for a, b, c, part in zip(first, again, some, kept):
+        assert np.shares_memory(a, part) and np.shares_memory(b, part)
+        assert not np.shares_memory(c, part)
+        np.testing.assert_array_equal(c, a[rows, rows % users.size])
+
+
+@pytest.mark.parametrize("rows, tx", [(2, 2), (4, 8), (8, 8)])
+def test_raw_qr_of_transpose_is_conjugate_of_r_mode(rows, tx):
+    # Householder QR commutes with conjugation: the raw-mode QR of X^T
+    # (R^T in its lower triangle, reflectors above) holds the conjugate
+    # of the R of qr(X^H, mode="r"). So |diag R| and the trailing block
+    # R22 (singular values included) read in place, reflectors zeroed,
+    # equal the conjugated route's bit for bit: random batches with
+    # duplicate and zero rows, and scaled by 1e-150
+    rng = np.random.default_rng(rows * 100 + tx)
+    x = gaussian(rng, 6, rows, tx)
+    x[1, -1] = x[1, 0]
+    x[2, 0] = 0.0
+    x[3, :] = 0.0
+    x[4] *= 1e-150
+    x[5, rows // 2:] = x[5, :rows - rows // 2]
+    r = np.linalg.qr(x.conj().swapaxes(-1, -2), mode="r")
+    raw = np.linalg.qr(x.swapaxes(-1, -2), mode="raw")[0]
+    np.testing.assert_array_equal(np.abs(raw.diagonal(0, -2, -1)),
+                                  np.abs(r.diagonal(0, -2, -1)))
+    lead = rows // 2
+    block = raw[..., lead:, lead:rows].copy()
+    np.copyto(block, 0, where=~np.tri(rows - lead, dtype=bool))
+    want = r[..., lead:, lead:].conj().swapaxes(-1, -2)  # R22^H
+    np.testing.assert_array_equal(block, want)
+    np.testing.assert_array_equal(np.linalg.svd(block, compute_uv=False),
+                                  np.linalg.svd(want, compute_uv=False))

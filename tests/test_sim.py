@@ -480,6 +480,32 @@ class TestRunDrop:
             res = run_drop(config(1e-300), channels, arch)
             assert res.feasible and math.isfinite(res.total_power)
 
+    @pytest.mark.parametrize("arch", ALL_ARCHS, ids=lambda a: a.value)
+    def test_overflowing_final_bills_are_not_rank_deficiency(self, arch):
+        # at rho 1e-308 ThpTx's blind prices of this S1 drop are finite,
+        # but its final bills overflow to +inf; so do the other totals.
+        # Every architecture reads an overflow, none a lost rank
+        cfg = scenario_preset("S1", rho=1e-308)
+        res = run_drop(cfg, generate_drop(cfg, 0), arch)
+        assert not res.feasible
+        assert res.infeasible_reason == "total transmit power overflows"
+
+    def test_rank_deficient_final_stack_reads_rank_deficiency(self):
+        # ThpTx prices each user alone, so it places two users with the
+        # same channel on the one subcarrier; their final stack has rank
+        # 1, and its bills are +inf at any price weight, here 1e300
+        cfg = ScenarioConfig(num_subcarriers=1, num_users=2, tx_antennas=2,
+                             rx_antennas=1, streams_per_user=1,
+                             quota=(1, 1), mse_budget=(1e-300, 1e-300))
+        channels = generate_drop(cfg, 0)
+        h = channels.matrices.copy()
+        h[:, 1] = h[:, 0]
+        res = run_drop(cfg, dataclasses.replace(channels, matrices=h),
+                       Architecture.THP_TX)
+        assert not res.feasible
+        assert res.infeasible_reason == ("final precoder stack is rank "
+                                         "deficient on some subcarrier")
+
     def test_drop_that_hung_the_solver_returns(self):
         # this S3 drop once sent the sparse matcher into an endless loop;
         # a child process, so a hang fails on the timeout instead of
