@@ -11,17 +11,31 @@ from __future__ import annotations
 import numpy as np
 
 
-def fold(x: np.ndarray, constellation_size: int) -> np.ndarray:
+def fold(x: np.ndarray, constellation_size: int, out=None) -> np.ndarray:
     """Fold the complex array x (its last axis contiguous) into the square
     (-sqrt(M), sqrt(M)] per axis, in place: x += 2r*floor((r - x)/(2r)) on
-    each float component, r = sqrt(M). Returns the shift that was added."""
+    each float component, r = sqrt(M). Returns the shift, in `out` if set."""
     root_m = np.sqrt(constellation_size)
     parts = x.view(float)
-    shift = root_m - parts  # the one temporary; the rest runs in place
-    shift /= 2 * root_m
+    shift = np.subtract(root_m, parts, out=out)  # the rest runs in place
+    shift *= 0.5 / root_m  # exactly / 2r: 2r is a power of two for each M
     np.floor(shift, out=shift)
     shift *= 2 * root_m
     parts += shift
+    return shift.view(complex)
+
+
+def thp_recursion(b: np.ndarray, b_matrix: np.ndarray, streams: int,
+                  constellation_size: int, shift=None) -> np.ndarray:
+    """The recursion of `thp_precode` in place on b, a C-ordered copy of d;
+    returns the shift, in the float scratch `shift` if set: C b = d + shift."""
+    shift = np.empty(b.view(float).shape) if shift is None else shift
+    for i in range(b.shape[0] // streams):
+        rows = slice(i * streams, (i + 1) * streams)
+        for j in range(i):
+            cols = slice(j * streams, (j + 1) * streams)
+            b[rows] -= b_matrix[rows, cols] @ b[cols]
+        fold(b[rows], constellation_size, out=shift[rows])
     return shift.view(complex)
 
 
@@ -33,13 +47,6 @@ def thp_precode(d: np.ndarray, b_matrix: np.ndarray, streams: int,
     (b, v) with v = d + shift and C b = v exactly, C = B + I.
     """
     d = np.asarray(d, dtype=complex)
-    d2 = d[:, None] if d.ndim == 1 else d
-    b = d2.copy()
-    v = np.empty_like(b)
-    for i in range(b.shape[0] // streams):
-        rows = slice(i * streams, (i + 1) * streams)
-        for j in range(i):
-            cols = slice(j * streams, (j + 1) * streams)
-            b[rows] -= b_matrix[rows, cols] @ b[cols]
-        np.add(d2[rows], fold(b[rows], constellation_size), out=v[rows])
-    return b.reshape(d.shape), v.reshape(d.shape)
+    b = d.reshape(len(d), -1).copy()
+    shift = thp_recursion(b, b_matrix, streams, constellation_size)
+    return b.reshape(d.shape), d + shift.reshape(d.shape)

@@ -52,7 +52,7 @@ from thpalloc.loading import (_null_spaces, equalizing_rotation,
                               transmit_matrix)
 from thpalloc.partition import (GroupPartition, channel_quality,
                                 partition_worst_first)
-from thpalloc.precoding import fold, thp_precode
+from thpalloc.precoding import fold, thp_recursion
 
 
 @dataclass(frozen=True)
@@ -446,14 +446,15 @@ def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
 
 
 def qam_symbols(rng: np.random.Generator, constellation_size: int,
-                shape) -> np.ndarray:
+                shape, out=None) -> np.ndarray:
     """Uniform square M-QAM symbols with variance 2(M-1)/3; the real, then
     the imaginary parts are the draws of `rng.choice(levels, shape)`."""
     side = math.isqrt(constellation_size)
     levels = np.arange(-(side - 1), side, 2)
     symbols = (levels[:, None] + 1j * levels).ravel()  # at re * side + im
-    index = rng.integers(0, side, shape) * side + rng.integers(0, side, shape)
-    return symbols.take(index)
+    index = rng.integers(0, side, shape) * side
+    index += rng.integers(0, side, shape)
+    return symbols.take(index, out=out, mode="clip")  # "raise" would copy
 
 
 def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
@@ -466,30 +467,37 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
     over each user's subcarriers (valid where modulo folding of noise is
     negligible). The plans come from `build_plans`, so `drop_result` must
     be a feasible proposed-scheme result. Subcarriers run one at a time,
-    their users stacked per stage; the draws are the QAM real and
-    imaginary parts, then each user's noise real and imaginary parts."""
+    their users stacked per stage in the first rows of buffers for Q
+    users; the draws are the QAM real and imaginary parts, then each
+    user's noise real and imaginary parts."""
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be at least 1, got {num_symbols}")
     plans = build_plans(config, channels, drop_result)
     rng = np.random.default_rng(seed)
     ell = config.streams_per_user
     m = config.constellation_size
+    q, n_r = config.group_count, config.rx_antennas
+    stages = [np.empty((q * ell, num_symbols), complex) for _ in range(3)]
+    x_buf = np.empty((q, n_r, num_symbols), dtype=complex)
+    noise_buf = np.empty((q, 2, n_r, num_symbols))
     sq_err = np.zeros(config.num_users)
     for n, plan in enumerate(plans):
         if plan is None:
             continue
         users = list(plan.users)
-        d = qam_symbols(rng, m, (len(users) * ell, num_symbols))
-        b, _ = thp_precode(d, plan.b_matrix, ell, m)
-        forward = np.hstack(plan.forward)
-        x = (channels.matrices[n, users] @ forward) @ b  # (users, N_R, S)
+        c = len(users)
+        d, b, shift = (stage[:c * ell] for stage in stages)  # b, then z
+        b[...] = qam_symbols(rng, m, d.shape, out=d)
+        thp_recursion(b, plan.b_matrix, ell, m, shift.view(float))
+        hf = channels.matrices[n, users] @ np.hstack(plan.forward)
+        x = np.matmul(hf, b, out=x_buf[:c])
         if not noiseless:
-            noise = rng.standard_normal((len(users), 2) + x.shape[1:])
+            noise = rng.standard_normal(out=noise_buf[:c])
             noise *= math.sqrt(config.noise_variance / 2.0)
             x.real += noise[:, 0]
             x.imag += noise[:, 1]
-        z = plan.receiver @ x
-        fold(z, m)
+        z = np.matmul(plan.receiver, x, out=b.reshape(c, ell, -1))
+        fold(z, m, out=shift.view(float).reshape(c, ell, -1))
         err = np.subtract(z, d.reshape(z.shape), out=z).view(float)
         sq_err[users] += np.einsum("kij,kij->k", err, err) / num_symbols
     return sq_err

@@ -24,7 +24,9 @@ one per unplaced user at a time.
 The link-level references run the THP chain one user position at a
 time, with the complex-arithmetic modulo and `rng.choice` QAM draws,
 the way `sim.link_level_verify` did before it stacked each subcarrier's
-users into one array per stage.
+users into one array per stage; the stacked reference runs each stage
+on fresh arrays, the way it did before it ran in buffers made once per
+call.
 """
 
 import itertools
@@ -36,6 +38,7 @@ from thpalloc.assignment import Assignment, InfeasibleAssignmentError
 from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _null_spaces,
                               loading_cost)
+from thpalloc import sim
 from thpalloc.sim import SubcarrierPlan
 
 
@@ -411,4 +414,34 @@ def link_level_verify(config, channels, drop_result, num_symbols: int,
             z, _ = modulo(y, m)
             err = z - d[pos * ell:(pos + 1) * ell]
             sq_err[k] += float(np.mean(np.abs(err) ** 2, axis=1).sum())
+    return sq_err
+
+
+def stacked_link_level_verify(config, channels, drop_result,
+                              num_symbols: int, seed: int = 0,
+                              noiseless: bool = False) -> np.ndarray:
+    """The stacked chain on `sim.build_plans`' plans, each subcarrier's
+    users in fresh arrays per stage: the same draws and the same
+    arithmetic as `sim.link_level_verify`, so the same bytes."""
+    plans = sim.build_plans(config, channels, drop_result)
+    rng = np.random.default_rng(seed)
+    ell = config.streams_per_user
+    m = config.constellation_size
+    sq_err = np.zeros(config.num_users)
+    for n, plan in enumerate(plans):
+        if plan is None:
+            continue
+        users = list(plan.users)
+        d = qam_symbols(rng, m, (len(users) * ell, num_symbols))
+        b, _ = thp_precode(d, plan.b_matrix, ell, m)
+        forward = np.hstack(plan.forward)
+        x = (channels.matrices[n, users] @ forward) @ b  # (users, N_R, S)
+        if not noiseless:
+            noise = rng.standard_normal((len(users), 2) + x.shape[1:])
+            noise *= math.sqrt(config.noise_variance / 2.0)
+            x.real += noise[:, 0]
+            x.imag += noise[:, 1]
+        z, _ = modulo(plan.receiver @ x, m)
+        err = (z - d.reshape(z.shape)).view(float)
+        sq_err[users] += np.einsum("kij,kij->k", err, err) / num_symbols
     return sq_err

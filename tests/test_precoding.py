@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import oracles
+from thpalloc.channel import _VALID_QAM
 from thpalloc.loading import (INFEASIBLE_COST, _null_spaces, loading_cost,
                               projected_costs)
-from thpalloc.precoding import fold, thp_precode
+from thpalloc.precoding import fold, thp_precode, thp_recursion
 from thpalloc.sim import _fix_column_phases
 
 
@@ -191,6 +194,13 @@ class TestFoldMatchesComplexFormula:
         self.check(x, m)
         self.check(x.real, m)
 
+    def test_reciprocal_scale_is_exact_for_every_qam_size(self):
+        # fold multiplies by 0.5/sqrt(M) for / (2 sqrt(M)); the two give
+        # the same bits only while 2 sqrt(M) is a power of two
+        for m in _VALID_QAM:
+            assert math.frexp(2 * math.sqrt(m))[0] == 0.5
+            assert (0.5 / math.sqrt(m)) * (2 * math.sqrt(m)) == 1.0
+
     def test_in_place_fold_returns_shift(self):
         rng = np.random.default_rng(12)
         x = 20 * random_complex(rng, (3, 4, 5))
@@ -266,3 +276,19 @@ class TestThpPrecode:
             for got, want in zip(thp_precode(d, b_matrix, ell, m),
                                  oracles.thp_precode(d, b_matrix, ell, m)):
                 assert same_bits(got, want)
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_recursion_in_caller_buffers_matches_thp_precode(self, m):
+        # the recursion runs in the first rows of larger buffers that hold
+        # stale values, and keeps its shift in the caller's float scratch
+        rng = np.random.default_rng(17 + m)
+        q, ell = 3, 2
+        b_matrix = np.tril(random_complex(rng, (q * ell, q * ell)), -ell)
+        d = 3 * random_complex(rng, (q * ell, 30))
+        b_want, v_want = thp_precode(d, b_matrix, ell, m)
+        stale = 50 * random_complex(rng, (2, q * ell + 4, 30))
+        b, scratch = stale[:, :q * ell]
+        b[...] = d
+        shift = thp_recursion(b, b_matrix, ell, m, scratch.view(float))
+        assert np.shares_memory(shift, scratch)
+        assert same_bits(b, b_want) and same_bits(d + shift, v_want)

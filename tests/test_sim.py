@@ -688,6 +688,9 @@ class TestRunSweep:
 # three presets and one with Q = 3 co-channel users per subcarrier
 LINK_SCENARIOS = {
     "S1": lambda m: scenario_preset("S1", rng_seed=21, constellation_size=m),
+    # 60 slots on 64 subcarriers: one-user subcarriers follow two-user ones
+    "S1-K24": lambda m: scenario_preset("S1", num_users=24, rng_seed=21,
+                                        constellation_size=m),
     "S2": lambda m: scenario_preset("S2", rho=0.05, rng_seed=55,
                                     constellation_size=m),
     "S3": lambda m: scenario_preset("S3", rng_seed=23, constellation_size=m),
@@ -773,6 +776,22 @@ class TestLinkLevel:
                                         noiseless=True)
         np.testing.assert_allclose(exact, ref, rtol=0,
                                    atol=1e-12 * noisy.min())
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    @pytest.mark.parametrize("scenario", sorted(LINK_SCENARIOS))
+    def test_chain_is_bit_equal_to_stacked_reference(self, scenario, m):
+        # the chain reuses its buffers across subcarriers with 1..Q users;
+        # rows left in them from a fuller subcarrier would change the bytes
+        cfg = LINK_SCENARIOS[scenario](m)
+        channels = generate_drop(cfg, m % 5)
+        res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
+        assert res.feasible
+        for noiseless in (False, True):
+            got = link_level_verify(cfg, channels, res, num_symbols=150,
+                                    seed=m, noiseless=noiseless)
+            want = oracles.stacked_link_level_verify(
+                cfg, channels, res, 150, seed=m, noiseless=noiseless)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("num_symbols", [0, -1])
     def test_rejects_fewer_than_one_symbol(self, num_symbols):
