@@ -74,7 +74,7 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
 
     usable = np.isfinite(costs)
     cols = np.repeat(np.arange(n_users), quotas)  # slot -> user
-    blocking = np.flatnonzero(usable.sum(axis=0) < quotas).tolist()
+    blocking = np.flatnonzero(np.count_nonzero(usable, 0) < quotas).tolist()
     if cols.size > n_sub and not blocking:
         blocking = list(range(n_users))
     if not blocking:
@@ -85,7 +85,7 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
                 low = reduced.min(axis=axis, keepdims=True)
                 reduced -= np.where(low < np.inf, low, 0.0)  # no inf - inf
         try:
-            _, rows = solve(reduced[:, cols].T)
+            _, rows = solve(reduced.T[cols])  # C-ordered slot rows
         except ValueError:
             # counting passed, so some user set has too few usable
             # subcarriers (Hall); on 0/1 costs the slots left on unusable

@@ -4,15 +4,15 @@ All baselines share the partition and the assignment solver of the
 proposed scheme; they differ in the per-subcarrier precoder, and so in
 the power that meets the same per-stream MSE budget. Each precoder has
 one billing function from stacks of co-channel users in placement
-order, (..., c, N_R, N_T), to every user's power, (..., c) (+inf for a
-whole rank-deficient stack). The bills give the final power, ThpTx's
-spatially blind prices (each candidate billed alone) and the placed
-users' share of LinTxLinRx's prices; ZfTx prices a candidate in the
-placed users' null space with `zf_gains`. Every bill is the closed form
-w * (sum_l 1/g_l)^2 of `loading.loading_cost`, with QoS only in the
-weight w = sigma^2 * n/gamma and 1/g_l equal to ||f_l|| (column norms
-of F, from one SVD or one inverse), 1/|r_ll| (QR diagonal) or
-lambda^{-1/2} (the channel projected off all co-channel users).
+order, (..., c, N_R, N_T), to every user's power, (..., c), in one
+whole-array pass (+inf by np.where for a rank-deficient stack). The
+bills give the final power, ThpTx's spatially blind prices (each
+candidate billed alone) and the placed users' share of LinTxLinRx's
+prices; ZfTx prices a candidate in the placed users' null space with
+`zf_gains`. Each bill is w * (sum_l 1/g_l)^2 (`loading.loading_cost`),
+w = sigma^2 * n/gamma the only QoS input and 1/g_l equal to ||f_l||
+(F's column norms, from one SVD or one inverse), 1/|r_ll| (QR diagonal)
+or lambda^{-1/2} (the channel projected off all co-channel users).
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ class Architecture(str, Enum):
 def _joint_bills(factor, stacks, weights, streams):
     """Bills of a precoder serving the first L rows of a stack's users
     jointly; factor(h) maps the stacked rows h (..., c*L, N_T) to a
-    full-row-rank mask and the full stacks' inverse row gains."""
+    full-row-rank mask (else +inf) and every stack's inverse row gains."""
     h = restrict_rows(stacks, streams)
     h = h.reshape(*h.shape[:-3], -1, h.shape[-1])
-    out = np.full(stacks.shape[:-2], INFEASIBLE_COST)
-    if 0 < h.shape[-2] <= h.shape[-1]:
-        full, inverse_gains = factor(h)
-        out[full] = loading_cost(
-            inverse_gains.reshape(-1, out.shape[-1], streams), weights[full])
-    return out
+    if not 0 < h.shape[-2] <= h.shape[-1]:
+        return np.full(stacks.shape[:-2], INFEASIBLE_COST)
+    full, inv = factor(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = loading_cost(inv.reshape(*full.shape, -1, streams), weights)
+    return np.where(full[..., None], cost, INFEASIBLE_COST)
 
 
 def zf_gains(h, svd=None):
@@ -84,8 +84,7 @@ def zf_bills(stacks, weights, streams):
     ||f_l|| from `zf_gains`."""
     def factor(h):
         s, inverse_gains = zf_gains(h)
-        full = s[..., -1] > RANK_TOL * s[..., 0]
-        return full, inverse_gains[full]
+        return s[..., -1] > RANK_TOL * s[..., 0], inverse_gains
     return _joint_bills(factor, stacks, weights, streams)
 
 
@@ -105,7 +104,8 @@ def thp_bills(stacks, weights, streams):
             diag = np.abs(np.linalg.qr(h.swapaxes(-1, -2), mode="raw")[0]
                           .diagonal(0, -2, -1))
         full = diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1)
-        return full, 1.0 / diag[full]
+        with np.errstate(divide="ignore"):
+            return full, 1.0 / diag
     return _joint_bills(factor, stacks, weights, streams)
 
 

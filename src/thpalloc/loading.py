@@ -17,10 +17,10 @@ closed form, `loading_cost`, fed the inverse per-stream gains of its
 own precoder. `projected_costs` is that price for batches of channels
 confined to null spaces (the proposed scheme's and, with
 `baselines.zf_gains`, ZfTx's candidate costs; LinTxLinRx's bills): it
-picks their projected channels, which `pricing_tail` prices, also
-straight from the factors `sim` keeps per drop. A stack serving one
-channel is priced from one raw-mode QR read in place (`stacked_costs`),
-so no factorization copies its input beyond numpy's own copy. Rank-one
+picks their projected channels (or the factors `sim` keeps per drop),
+which `pricing_tail` prices in whole-array passes, np.where setting +inf
+on a lost rank. A stack serving one channel is priced from one raw-mode
+QR read in place (`stacked_costs`): no copy beyond numpy's own. Rank-one
 objects skip LAPACK (`_row_norms`): a MISO scenario (N_R = L = 1, Q = 2)
 prices without any SVD. The helpers broadcast over leading (pair) axes.
 """
@@ -116,17 +116,17 @@ def pricing_tail(parts, norms, weights, streams, gains=singular_gains):
     """Least power (...) of channels h of Frobenius norms `norms`: each
     part (sel, H', factors) gives the projected channels of the channels
     `sel` or their factors, which gains(H', factors) maps to singular
-    values s and the inverse gains whose first L feed `loading_cost`;
-    +inf where fewer than L of s exceed RANK_TOL * max(s[0], ||h||)."""
+    values s and inverse gains, whose first L feed `loading_cost`; np.where
+    sets +inf where fewer than L of s exceed RANK_TOL * max(s[0], ||h||)."""
     out = np.full(norms.shape, INFEASIBLE_COST)
     for sel, hp, factors in parts:
         s, inverse_gains = gains(hp, factors)  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])
-        mask = np.zeros(out.shape, dtype=bool)
-        mask[sel] = np.count_nonzero(s > RANK_TOL * ref[..., None],
-                                     axis=-1) >= streams
-        out[mask] = loading_cost(inverse_gains[mask[sel], :streams],
-                                 np.broadcast_to(weights, out.shape)[mask])
+        rank = np.count_nonzero(s > RANK_TOL * ref[..., None], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # lost ranks too
+            cost = loading_cost(inverse_gains[..., :streams],
+                                np.broadcast_to(weights, out.shape)[sel])
+        out[sel] = np.where(rank >= streams, cost, INFEASIBLE_COST)
     return out
 
 
@@ -149,7 +149,7 @@ def stacked_costs(stacked, rows, weights, streams, gains=singular_gains):
         hp = raw[..., rows:, rows:stacked.shape[-2]][~slow][:, None]
         np.copyto(hp, 0, where=~np.tri(hp.shape[-1], dtype=bool))
         parts = [(~slow, hp, None)]  # reflectors zeroed above the diagonal
-    for sub, v0 in _null_spaces(placed[slow]):
+    for sub, v0 in _null_spaces(placed[slow]) if slow.any() else ():
         sel = slow.copy()
         sel[slow] = sub
         parts.append((sel, candidates[sel] @ v0[:, None], None))

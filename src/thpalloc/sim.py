@@ -134,8 +134,8 @@ def _buckets(order, memo):
     key = ("buckets", order.tobytes())
     if key not in memo:
         sizes = np.count_nonzero(order >= 0, axis=1)
-        memo[key] = [(rows := np.flatnonzero(sizes == c), order[rows, :c])
-                     for c in np.unique(sizes)]
+        memo[key] = [(rows, order[rows, :c]) for c in range(order.shape[1] + 1)
+                     if (rows := np.flatnonzero(sizes == c)).size]
     return memo[key]
 
 
@@ -347,12 +347,12 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
             blind = baselines.thp_bills(h[:, :, None], np.broadcast_to(
                 config.price_weight[:, None], h.shape[:2] + (1,)),
                 config.streams_per_user)[..., 0]
+        quota = np.asarray(config.quota)
         for users in map(np.asarray, partition.groups):
             costs, grown = ((blind[:, users], None) if blind is not None else
                             _cost_matrix(config, h, order, power, users,
                                          architecture, memo))
-            assignment = _solve(costs, tuple(config.quota[k] for k in users),
-                                memo)
+            assignment = _solve(costs, tuple(quota[users].tolist()), memo)
             if isinstance(assignment, InfeasibleAssignmentError):
                 blocking = sorted(users[assignment.blocking_users].tolist())
                 return infeasible(f"quotas cannot be met for users {blocking}")

@@ -15,6 +15,11 @@ The LAPACK references (`svd_singular_gains`, `svd_zf_gains`,
 way `loading` and `baselines` did before they took the closed forms of
 one row; `oracles.thp_bills` is the QR reference of `thp_bills`.
 
+The masked tails (`masked_pricing_tail`, `masked_joint_bills`) price
+only the full-rank pairs, gathered by a boolean mask, the way
+`loading.pricing_tail` and `baselines._joint_bills` did before they
+priced every pair and set +inf with np.where.
+
 The per-user `channel_quality` averages one user's channel energy at a
 time, the way `partition.channel_quality` did before it returned every
 user's value in one array pass. `user_positions` draws one rejection
@@ -37,7 +42,7 @@ import numpy as np
 from thpalloc.assignment import Assignment, InfeasibleAssignmentError
 from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _null_spaces,
-                              loading_cost)
+                              loading_cost, singular_gains)
 from thpalloc import sim
 from thpalloc.sim import SubcarrierPlan
 
@@ -120,6 +125,37 @@ def svd_zf_gains(h: np.ndarray):
     u, s, _ = np.linalg.svd(h, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         return s, np.linalg.norm(u / s[..., None, :], axis=-1)
+
+
+def masked_pricing_tail(parts, norms, weights, streams,
+                        gains=singular_gains):
+    """`loading.pricing_tail`, pricing only the pairs whose first L
+    singular values clear RANK_TOL * max(s[0], ||h||), gathered by a
+    mask; +inf elsewhere."""
+    out = np.full(norms.shape, INFEASIBLE_COST)
+    for sel, hp, factors in parts:
+        s, inverse_gains = gains(hp, factors)
+        ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])
+        mask = np.zeros(out.shape, dtype=bool)
+        mask[sel] = np.count_nonzero(s > RANK_TOL * ref[..., None],
+                                     axis=-1) >= streams
+        out[mask] = loading_cost(inverse_gains[mask[sel], :streams],
+                                 np.broadcast_to(weights, out.shape)[mask])
+    return out
+
+
+def masked_joint_bills(factor, stacks, weights, streams):
+    """`baselines._joint_bills`, billing only the full-row-rank stacks,
+    their inverse row gains gathered by factor(h)'s mask; +inf
+    elsewhere."""
+    h = restrict_rows(stacks, streams)
+    h = h.reshape(*h.shape[:-3], -1, h.shape[-1])
+    out = np.full(stacks.shape[:-2], INFEASIBLE_COST)
+    if 0 < h.shape[-2] <= h.shape[-1]:
+        full, inverse_gains = factor(h)
+        out[full] = loading_cost(inverse_gains[full].reshape(
+            -1, out.shape[-1], streams), weights[full])
+    return out
 
 
 def weight(gamma_k, n_k, noise_variance):

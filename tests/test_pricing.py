@@ -19,6 +19,7 @@ against the pinv oracle, 60 digits and rank loss.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -748,3 +749,75 @@ def test_raw_qr_of_transpose_is_conjugate_of_r_mode(rows, tx):
     np.testing.assert_array_equal(block, want)
     np.testing.assert_array_equal(np.linalg.svd(block, compute_uv=False),
                                   np.linalg.svd(want, compute_uv=False))
+
+
+# (N_T, N_R, L, users per stack): L = N_R and L < N_R, stacks of the
+# other users within and past N_T rows
+TAIL_SHAPES = [(4, 2, 2, 2), (4, 2, 1, 2), (8, 2, 2, 4), (8, 4, 2, 2),
+               (6, 2, 1, 3), (4, 1, 1, 4), (4, 2, 2, 3)]
+
+
+def degraded_stacks(rng, tx, rx, users, batch=24):
+    """Random stacks (batch, users, N_R, N_T), one in six of each kind
+    degraded: the last user zero, its first row zero, a copy of user 0,
+    user 0 scaled by 1e-150, the whole stack scaled by 1e-150."""
+    stacks = gaussian(rng, batch, users, rx, tx)
+    stacks[0::6, -1] = 0.0
+    stacks[1::6, -1, 0] = 0.0
+    stacks[2::6, -1] = stacks[2::6, 0]
+    stacks[3::6, 0] *= 1e-150
+    stacks[4::6] *= 1e-150
+    return stacks
+
+
+@pytest.mark.parametrize("shape", TAIL_SHAPES)
+def test_whole_array_tails_match_masked_tails(shape, monkeypatch):
+    # every pair is priced and np.where sets +inf where a rank is lost;
+    # the masked oracles price only the full-rank pairs. Under weights
+    # 0, 1 and 1e300 the bits agree where finite, +inf marks the same
+    # pairs, and a rank-lost pair's overflow or 0 * inf warns nothing
+    tx, rx, streams, users = shape
+    rng = np.random.default_rng([tx, rx, streams, users])
+    stacks = degraded_stacks(rng, tx, rx, users)
+    candidates = degraded_stacks(rng, tx, rx, users)
+    candidates[5::6, 0] = stacks[5::6, 1]  # placed: projected to zero
+    weights = rng.choice([0.0, 1.0, 1e300], size=stacks.shape[:2])
+    placed = stacks[:, 1:].reshape(len(stacks), -1, tx)
+    split = rng.random(len(stacks)) < 0.5
+    calls = {
+        "pricing_tail": lambda: loading.pricing_tail(
+            [(split, candidates[split], None),
+             (~split, candidates[~split], None)],
+            np.linalg.norm(candidates, axis=(-2, -1)), weights, streams),
+        "projected_costs": lambda: projected_costs(
+            placed, candidates, weights, streams),
+        "projected_costs, one row": lambda: projected_costs(
+            placed[:, :1], candidates, weights, streams),
+        "projected_costs, zf_gains": lambda: projected_costs(
+            placed, candidates[..., :streams, :], weights, streams,
+            baselines.zf_gains),
+        "projected_costs, one candidate": lambda: projected_costs(
+            placed, candidates[:, :1], weights[:, :1], streams),
+        "stacked_costs": lambda: loading.stacked_costs(
+            stacks.reshape(len(stacks), -1, tx), (users - 1) * rx,
+            weights[:, :1], streams),
+        "zf_bills": lambda: baselines.zf_bills(stacks, weights, streams),
+        "thp_bills": lambda: baselines.thp_bills(stacks, weights, streams),
+        "linear_bills": lambda: baselines.linear_bills(stacks, weights,
+                                                       streams),
+    }
+    got = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(divide="warn", over="warn", invalid="warn"):
+            for name, call in calls.items():
+                got[name] = call()
+    monkeypatch.setattr(loading, "pricing_tail", oracles.masked_pricing_tail)
+    monkeypatch.setattr(baselines, "_joint_bills", oracles.masked_joint_bills)
+    for name, call in calls.items():
+        with np.errstate(all="ignore"):  # a full-rank pair may overflow
+            want = call()
+        lost = np.isinf(want)  # all of a joint stack past N_T rows
+        assert lost.any() and (not lost.all() or users * streams > tx), name
+        np.testing.assert_array_equal(np.isinf(got[name]), lost, name)
+        assert got[name][~lost].tobytes() == want[~lost].tobytes(), name

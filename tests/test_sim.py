@@ -381,17 +381,17 @@ class TestRunDrop:
     def test_shared_memo_derives_each_placements_buckets_once(self,
                                                              monkeypatch):
         # the four architectures of an S3 drop meet some placements more
-        # than once; one memo splits each into its buckets (np.unique of
-        # the placed counts, in sim only) once
-        uniques, placements = [], []
+        # than once; one memo splits each into its buckets (np.count_nonzero
+        # of the placed users, in run_drop's part of sim only there) once
+        splits, placements = [], []
 
         class CountingNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def unique(self, *args, **kwargs):
-                uniques.append(None)
-                return np.unique(*args, **kwargs)
+            def count_nonzero(self, *args, **kwargs):
+                splits.append(None)
+                return np.count_nonzero(*args, **kwargs)
 
         def spy(order, memo, _buckets=sim._buckets):
             placements.append(order.tobytes())
@@ -404,7 +404,7 @@ class TestRunDrop:
         memo = {}
         for arch in ALL_ARCHS:
             assert run_drop(cfg, channels, arch, memo=memo).feasible
-        assert len(uniques) == len(set(placements)) < len(placements)
+        assert len(splits) == len(set(placements)) < len(placements)
 
     def test_shared_memo_keeps_hall_infeasibility(self):
         # the two weakest users (group 0) can use only subcarriers 0 and 1
