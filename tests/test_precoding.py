@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from precode import recursion_precode
 from thpalloc.channel import _VALID_QAM
 from thpalloc.loading import (INFEASIBLE_COST, _null_spaces, loading_cost,
                               projected_costs)
-from thpalloc.precoding import fold, thp_precode, thp_recursion
+from thpalloc.precoding import fold, thp_recursion
 from thpalloc.sim import _fix_column_phases
 
 
@@ -220,21 +221,21 @@ class TestFoldMatchesComplexFormula:
 class TestThpPrecode:
     def test_no_feedback(self):
         d = np.array([1 + 1j, -1 - 1j])
-        b, v = thp_precode(d, np.zeros((2, 2)), 1, 4)
+        b, v = recursion_precode(d, np.zeros((2, 2)), 1, 4)
         np.testing.assert_array_equal(b, d)
         np.testing.assert_array_equal(v, d)
 
     def test_hand_recursion_in_region(self):
         b_matrix = np.array([[0.0, 0.0], [0.5, 0.0]])
         d = np.array([1 + 1j, 1 + 1j])
-        b, v = thp_precode(d, b_matrix, 1, 4)
+        b, v = recursion_precode(d, b_matrix, 1, 4)
         np.testing.assert_allclose(b, [1 + 1j, 0.5 + 0.5j])
         np.testing.assert_allclose(v, d)  # no fold
 
     def test_hand_recursion_folded(self):
         b_matrix = np.array([[0.0, 0.0], [3.0, 0.0]])
         d = np.array([1 + 1j, 1 + 1j])
-        b, v = thp_precode(d, b_matrix, 1, 4)
+        b, v = recursion_precode(d, b_matrix, 1, 4)
         assert b[1] == pytest.approx(2 + 2j)
         assert v[1] == pytest.approx(d[1] + (4 + 4j))
 
@@ -247,7 +248,7 @@ class TestThpPrecode:
                 b_matrix[k * ell:(k + 1) * ell, i * ell:(i + 1) * ell] = \
                     random_complex(rng, (ell, ell))
         d = random_complex(rng, (q * ell, 50)) * 4
-        b, v = thp_precode(d, b_matrix, ell, 16)
+        b, v = recursion_precode(d, b_matrix, ell, 16)
         c = b_matrix + np.eye(q * ell)
         np.testing.assert_allclose(c @ b, v, atol=1e-12)
         root = 4.0
@@ -259,9 +260,9 @@ class TestThpPrecode:
         b_matrix = np.zeros((2, 2), dtype=complex)
         b_matrix[1, 0] = 0.7 - 0.2j
         d = random_complex(rng, (2, 5))
-        b_mat, v_mat = thp_precode(d, b_matrix, 1, 16)
+        b_mat, v_mat = recursion_precode(d, b_matrix, 1, 16)
         for s in range(5):
-            b_vec, v_vec = thp_precode(d[:, s], b_matrix, 1, 16)
+            b_vec, v_vec = recursion_precode(d[:, s], b_matrix, 1, 16)
             np.testing.assert_allclose(b_vec, b_mat[:, s], atol=1e-14)
             np.testing.assert_allclose(v_vec, v_mat[:, s], atol=1e-14)
 
@@ -273,7 +274,7 @@ class TestThpPrecode:
         for d in (3 * random_complex(rng, (q * ell, 40)),
                   3 * random_complex(rng, q * ell),
                   np.asfortranarray(3 * random_complex(rng, (q * ell, 7)))):
-            for got, want in zip(thp_precode(d, b_matrix, ell, m),
+            for got, want in zip(recursion_precode(d, b_matrix, ell, m),
                                  oracles.thp_precode(d, b_matrix, ell, m)):
                 assert same_bits(got, want)
 
@@ -285,7 +286,7 @@ class TestThpPrecode:
         q, ell = 3, 2
         b_matrix = np.tril(random_complex(rng, (q * ell, q * ell)), -ell)
         d = 3 * random_complex(rng, (q * ell, 30))
-        b_want, v_want = thp_precode(d, b_matrix, ell, m)
+        b_want, v_want = recursion_precode(d, b_matrix, ell, m)
         stale = 50 * random_complex(rng, (2, q * ell + 4, 30))
         b, scratch = stale[:, :q * ell]
         b[...] = d

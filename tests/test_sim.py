@@ -742,9 +742,12 @@ class TestLinkLevel:
                 2 * (m - 1) / 3, rel=0.02)
 
     @pytest.mark.parametrize("m", [4, 16, 64, 256])
-    @pytest.mark.parametrize("shape", [7, (3, 50), (2, 0)])
+    @pytest.mark.parametrize("shape", [7, (3, 50), (2, 0), (3, 5)])
     def test_qam_draws_equal_rng_choice(self, m, shape):
-        # the link-level reference results depend on this draw stream
+        # the link-level reference results depend on this draw stream;
+        # an odd count splits a PCG64 word between the real and the
+        # imaginary draws, and the generator must end where rng.choice's
+        # does, with no 32-bit half buffered
         rng, ref = np.random.default_rng(m), np.random.default_rng(m)
         levels = np.arange(-(math.isqrt(m) - 1), math.isqrt(m), 2)
         d = qam_symbols(rng, m, shape)
@@ -752,8 +755,40 @@ class TestLinkLevel:
                 + 1j * ref.choice(levels, shape))
         assert d.shape == want.shape and d.dtype == want.dtype
         assert d.tobytes() == want.tobytes()
+        got, want = rng.bit_generator.state, ref.bit_generator.state
+        for key in ("state", "has_uint32"):
+            assert got[key] == want[key]
         assert rng.standard_normal(4).tobytes() == \
             ref.standard_normal(4).tobytes()
+
+    def test_qam_rejects_other_streams(self):
+        # the raw-word draws hold only for PCG64 with no buffered half
+        with pytest.raises(ValueError, match="PCG64"):
+            qam_symbols(np.random.Generator(np.random.Philox(0)), 16, 8)
+        rng = np.random.default_rng(0)
+        rng.integers(0, 2, 1)  # leaves the high half of a word buffered
+        with pytest.raises(ValueError, match="buffered"):
+            qam_symbols(rng, 16, 8)
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_odd_qam_count_is_bit_equal_to_stacked_reference(self, m):
+        # L = 1 and one user on the first subcarriers: each of them draws
+        # an odd number of QAM symbols
+        cfg = ScenarioConfig(num_subcarriers=4, num_users=2, tx_antennas=2,
+                             rx_antennas=1, streams_per_user=1, quota=(3, 2),
+                             mse_budget=(1.0, 1.0), rng_seed=0,
+                             constellation_size=m)
+        channels = generate_drop(cfg, 0)
+        res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
+        assert res.feasible
+        assert [len(p.users) for p in build_plans(cfg, channels, res)
+                if p is not None][0] == 1
+        for noiseless in (False, True):
+            got = link_level_verify(cfg, channels, res, num_symbols=151,
+                                    seed=m, noiseless=noiseless)
+            want = oracles.stacked_link_level_verify(
+                cfg, channels, res, 151, seed=m, noiseless=noiseless)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [4, 16, 64, 256])
     @pytest.mark.parametrize("scenario", sorted(LINK_SCENARIOS))
