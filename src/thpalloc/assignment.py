@@ -70,11 +70,11 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
     n_sub, n_users = costs.shape
     if len(quotas) != n_users:
         raise ValueError("one quota per user required")
-    quotas = [int(q) for q in quotas]
+    quotas = np.asarray(quotas, dtype=np.intp)
 
     usable = np.isfinite(costs)
-    cols = np.repeat(np.arange(n_users), quotas)  # slot -> user
-    blocking = np.flatnonzero(np.count_nonzero(usable, 0) < quotas).tolist()
+    cols = np.arange(n_users).repeat(quotas)  # slot -> user
+    blocking = (usable.sum(0) < quotas).nonzero()[0].tolist()
     if cols.size > n_sub and not blocking:
         blocking = list(range(n_users))
     if not blocking:
@@ -98,5 +98,4 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
 
     a = np.zeros((n_sub, n_users), dtype=np.uint8)
     a[rows, cols] = 1
-    total = float(np.sum(np.where(a.astype(bool), costs, 0.0)))
-    return Assignment(a=a, total_cost=total)
+    return Assignment(a=a, total_cost=float(np.where(a, costs, 0.0).sum()))

@@ -98,11 +98,8 @@ def thp_bills(stacks, weights, streams):
     is read in place from the raw-mode QR of H^T, the conjugate of H^H's;
     a single column of H^H needs no QR: |r_11| = ||h||."""
     def factor(h):
-        if h.shape[-2] == 1:
-            diag = _row_norms(h)
-        else:
-            diag = np.abs(np.linalg.qr(h.swapaxes(-1, -2), mode="raw")[0]
-                          .diagonal(0, -2, -1))
+        diag = _row_norms(h) if h.shape[-2] == 1 else np.abs(np.linalg.qr(
+            h.swapaxes(-1, -2), mode="raw")[0].diagonal(0, -2, -1))
         full = diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1)
         with np.errstate(divide="ignore"):
             return full, 1.0 / diag

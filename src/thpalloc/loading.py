@@ -27,11 +27,9 @@ prices without any SVD. The helpers broadcast over leading (pair) axes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-INFEASIBLE_COST = math.inf
+INFEASIBLE_COST = np.inf
 RANK_TOL = 1e-12
 QR_TOL = 1e-2  # R-factored stacks agree with the SVD route to ~1e-13
 
@@ -49,7 +47,7 @@ def power_loading(lambda_hp: np.ndarray, weight) -> np.ndarray:
     if np.any(lam <= 0):
         raise ValueError("effective channel gains must be positive")
     inv = lam ** -0.5  # inverse gains
-    return np.expand_dims(weight * np.sum(inv, axis=-1), -1) * inv
+    return np.expand_dims(weight * inv.sum(axis=-1), -1) * inv
 
 
 def loading_cost(inverse_gains: np.ndarray, weight):
@@ -61,7 +59,7 @@ def loading_cost(inverse_gains: np.ndarray, weight):
     lambda_H'(l)^(-1/2) for a projected channel, the column norms of a
     zero-forcing precoder, or 1/|r_ll| of a QR-based THP precoder.
     Leading axes broadcast against the weight."""
-    return weight * np.sum(inverse_gains, axis=-1) ** 2
+    return weight * inverse_gains.sum(axis=-1) ** 2
 
 
 def transmit_matrix(v1: np.ndarray, lambda_u: np.ndarray,
@@ -87,15 +85,27 @@ def _null_spaces(placed: np.ndarray, svd=None):
     r the count of singular values above RANK_TOL * s[0] (a
     rank-deficient stack widens its basis); V0 = I for an empty stack."""
     _, s, vh = np.linalg.svd(placed) if svd is None else svd
-    rank = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
+    rank = (s > RANK_TOL * s[..., :1]).sum(-1)
     for r in np.unique(rank):
         sel = rank == r
         yield sel, vh[sel][:, r:].conj().swapaxes(-1, -2)
 
 
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1), bit for bit, but without numpy's inner loop per row:
+    numpy adds 1 to 7 float64 parts in order, as these slice adds do."""
+    if not 0 < x.shape[-1] * x.itemsize // 8 < 8:
+        return x.sum(axis=-1)
+    total = x[..., 0] + x[..., 1] if x.shape[-1] > 1 else x[..., 0].copy()
+    for i in range(2, x.shape[-1]):
+        total += x[..., i]
+    total += 0.0  # numpy adds from +0.0, so no sum ends at -0.0
+    return total
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Norm of each row of x (last axis): the singular value of one row."""
-    return np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=-1))
+    return np.sqrt(_sum_last(x.real ** 2 + x.imag ** 2))
 
 
 def singular_gains(hp: np.ndarray, svd=None):
@@ -112,17 +122,19 @@ def singular_gains(hp: np.ndarray, svd=None):
         return s, 1.0 / s
 
 
-def pricing_tail(parts, norms, weights, streams, gains=singular_gains):
-    """Least power (...) of channels h of Frobenius norms `norms`: each
-    part (sel, H', factors) gives the projected channels of the channels
+def pricing_tail(parts, h, weights, streams, gains=singular_gains):
+    """Least power (...) of the channels h (..., N_R, N_T): each part
+    (sel, H', factors) gives the projected channels of the channels
     `sel` or their factors, which gains(H', factors) maps to singular
     values s and inverse gains, whose first L feed `loading_cost`; np.where
     sets +inf where fewer than L of s exceed RANK_TOL * max(s[0], ||h||)."""
+    norms = np.sqrt(_sum_last((h.conj() * h).real.reshape(  # as np.linalg.norm
+        h.shape[:-2] + (h.shape[-2] * h.shape[-1],))))
     out = np.full(norms.shape, INFEASIBLE_COST)
     for sel, hp, factors in parts:
         s, inverse_gains = gains(hp, factors)  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])
-        rank = np.count_nonzero(s > RANK_TOL * ref[..., None], axis=-1)
+        rank = (s > RANK_TOL * ref[..., None]).sum(-1)
         with np.errstate(over="ignore", invalid="ignore"):  # lost ranks too
             cost = loading_cost(inverse_gains[..., :streams],
                                 np.broadcast_to(weights, out.shape)[sel])
@@ -140,7 +152,6 @@ def stacked_costs(stacked, rows, weights, streams, gains=singular_gains):
     placed, candidates = stacked[..., :rows, :], stacked[..., None, rows:, :]
     if rows < 2:
         return projected_costs(placed, candidates, weights, streams, gains)
-    norms = np.linalg.norm(candidates, axis=(-2, -1))  # before the QR's copy
     slow, parts = np.ones(stacked.shape[:-2], bool), []
     if stacked.shape[-2] <= stacked.shape[-1]:
         raw = np.linalg.qr(stacked.swapaxes(-1, -2), mode="raw")[0]
@@ -153,7 +164,7 @@ def stacked_costs(stacked, rows, weights, streams, gains=singular_gains):
         sel = slow.copy()
         sel[slow] = sub
         parts.append((sel, candidates[sel] @ v0[:, None], None))
-    return pricing_tail(parts, norms, weights, streams, gains)
+    return pricing_tail(parts, candidates, weights, streams, gains)
 
 
 def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
@@ -171,10 +182,9 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
     if rows == 1:  # u = p/||p||, 0 for a zero row
         length = _row_norms(placed)[..., None, None]
         u = placed[..., None, :, :] / np.where(length > 0, length, np.inf)
-        parts = [(..., candidates - np.sum(candidates * u.conj(), axis=-1,
-                                           keepdims=True) * u, None)]
+        coefficient = _sum_last(candidates * u.conj())[..., None]
+        parts = [(..., candidates - coefficient * u, None)]
     elif rows > 1:
         parts = [(sel, candidates[sel] @ v0[:, None], None)
                  for sel, v0 in _null_spaces(placed)]
-    return pricing_tail(parts, np.linalg.norm(candidates, axis=(-2, -1)),
-                        weights, streams, gains)
+    return pricing_tail(parts, candidates, weights, streams, gains)

@@ -133,9 +133,9 @@ def _buckets(order, memo):
     """[(subcarriers (b,), their users (b, c)) per count c], kept in memo."""
     key = ("buckets", order.tobytes())
     if key not in memo:
-        sizes = np.count_nonzero(order >= 0, axis=1)
+        sizes = (order >= 0).sum(1)
         memo[key] = [(rows, order[rows, :c]) for c in range(order.shape[1] + 1)
-                     if (rows := np.flatnonzero(sizes == c)).size]
+                     if (rows := (sizes == c).nonzero()[0]).size]
     return memo[key]
 
 
@@ -201,8 +201,7 @@ def _null_space_prices(config, h, order, users, architecture, memo):
                            (None, values[sel], None))
                           for sel, v0 in _null_spaces(None, svd)] if zf else
                          [(..., None, (None, values, None))])
-            prices[rows] = pricing_tail(
-                parts, np.linalg.norm(candidates, axis=(-2, -1)), *args)
+            prices[rows] = pricing_tail(parts, candidates, *args)
         prices.flags.writeable = False
         memo[key] = prices
     return memo[key]
@@ -251,8 +250,7 @@ def _final_power(config, h, order, power, architecture, assignments, memo):
         return config.symbol_variance * sum(a.total_cost for a in assignments)
     if architecture is not Architecture.LIN_TX_LIN_RX:
         for rows, stack in _buckets(order, memo):
-            power[rows] = _bills(config, h, rows, stack,
-                                 architecture).sum(axis=-1)
+            power[rows] = _bills(config, h, rows, stack, architecture).sum(-1)
     return config.symbol_variance * sum(power.tolist())
 
 
@@ -283,7 +281,7 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
     num_sc, ell, tx = (config.num_subcarriers, config.streams_per_user,
                        config.tx_antennas)
     order = drop_result.order
-    counts = np.count_nonzero(order >= 0, axis=1)
+    counts = (order >= 0).sum(1)
     h = channels.matrices
     rotation = equalizing_rotation(ell)
     q = order.shape[1]
@@ -292,7 +290,7 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
     # feedback[n, p, :, i] = C_pi for i < p, the blocks of B = C - I
     feedback = np.zeros((num_sc, q, ell, q, ell), dtype=complex)
     for p in range(counts.max(initial=0)):
-        rows = np.flatnonzero(counts > p)
+        rows = (counts > p).nonzero()[0]
         below = h[rows[:, None], order[rows, :p]].reshape(rows.size, -1, tx)
         for sel, v0 in _null_spaces(below):
             n, k = rows[sel], order[rows[sel], p]
@@ -357,7 +355,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
                 blocking = sorted(users[assignment.blocking_users].tolist())
                 return infeasible(f"quotas cannot be met for users {blocking}")
             assignments.append(assignment)
-            n, j = np.nonzero(assignment.a)
+            n, j = assignment.a.nonzero()
             order[n, counts[n]] = users[j]
             counts[n] += 1
             if grown is not None:

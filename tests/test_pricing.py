@@ -14,7 +14,10 @@ checked against the LAPACK factorizations they replace, and against a
 factors (`sim._factors`) are checked against the factorizations they
 replace, and counted, as are the projected channels' singular values
 that the proposed scheme and ZfTx share; ZfTx's inverse route is checked
-against the pinv oracle, 60 digits and rank loss.
+against the pinv oracle, 60 digits and rank loss. The premises of the
+short sums are pinned byte for byte: `loading._sum_last` against
+`x.sum(axis=-1)`, `pricing_tail`'s norms against `np.linalg.norm`, and
+`_row_norms` against re^2 + im^2.
 """
 
 import itertools
@@ -788,7 +791,7 @@ def test_whole_array_tails_match_masked_tails(shape, monkeypatch):
         "pricing_tail": lambda: loading.pricing_tail(
             [(split, candidates[split], None),
              (~split, candidates[~split], None)],
-            np.linalg.norm(candidates, axis=(-2, -1)), weights, streams),
+            candidates, weights, streams),
         "projected_costs": lambda: projected_costs(
             placed, candidates, weights, streams),
         "projected_costs, one row": lambda: projected_costs(
@@ -812,7 +815,9 @@ def test_whole_array_tails_match_masked_tails(shape, monkeypatch):
         with np.errstate(divide="warn", over="warn", invalid="warn"):
             for name, call in calls.items():
                 got[name] = call()
-    monkeypatch.setattr(loading, "pricing_tail", oracles.masked_pricing_tail)
+    monkeypatch.setattr(loading, "pricing_tail", lambda parts, h, *args:
+                        oracles.masked_pricing_tail(
+                            parts, np.linalg.norm(h, axis=(-2, -1)), *args))
     monkeypatch.setattr(baselines, "_joint_bills", oracles.masked_joint_bills)
     for name, call in calls.items():
         with np.errstate(all="ignore"):  # a full-rank pair may overflow
@@ -821,3 +826,99 @@ def test_whole_array_tails_match_masked_tails(shape, monkeypatch):
         assert lost.any() and (not lost.all() or users * streams > tx), name
         np.testing.assert_array_equal(np.isinf(got[name]), lost, name)
         assert got[name][~lost].tobytes() == want[~lost].tobytes(), name
+
+
+def edge_values(rng, shape, dtype):
+    """Random entries of `dtype` (float or complex), one in eight of each
+    part replaced by +0, -0, a value scaled by 1e200 or 1e-200, a value
+    near the largest float (sums overflow), +-inf or +-nan."""
+    parts = rng.standard_normal(shape + (2,) * (dtype == complex))
+    pick = rng.integers(0, 8, parts.shape)
+    parts[pick == 0] = 0.0
+    parts[pick == 1] = -0.0
+    parts[pick == 2] *= 1e200
+    parts[pick == 3] *= 1e-200
+    parts[pick == 4] = np.copysign(1.7e308, parts[pick == 4])
+    parts[pick == 5] = rng.choice([np.inf, -np.inf], (pick == 5).sum())
+    parts[pick == 6] = rng.choice([np.nan, -np.nan], (pick == 6).sum())
+    return parts.view(complex)[..., 0] if dtype == complex else parts
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", range(10))
+def test_slice_sums_are_numpy_sums(n, dtype):
+    # numpy's pairwise sum adds fewer than 8 float parts in order from +0,
+    # so the slice sums of `_sum_last` give its bytes: on the last axis
+    # alone or in a strided view, over empty leading shapes, and at signed
+    # zeros, extreme scales, infinities and NaNs (inf - inf included); at
+    # 4 to 7 complex parts (8 and more floats) slice adds would differ
+    rng = np.random.default_rng([n, dtype == complex])
+    for lead in [(), (0,), (3, 0), (1,), (64, 16), (5, 3, 2)]:
+        for x in (edge_values(rng, lead + (n,), dtype),
+                  edge_values(rng, lead + (n, 3), dtype)[..., 1],
+                  np.zeros(lead + (n,), dtype) - 0.0,  # all -0
+                  np.full(lead + (n,), 1.0 + 1j if dtype == complex else 1.0)):
+            with np.errstate(all="ignore"):
+                got, want = loading._sum_last(x), x.sum(axis=-1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert same_bits(got, want), (lead, x)
+
+
+def same_bits(got, want):
+    """Equal bytes, but for which NaN survives where two meet: IEEE 754
+    leaves that open, and numpy's reduce keeps its running sum's NaN
+    while its add loops keep the first or the second operand's."""
+    got, want = (np.atleast_1d(a).view(float) for a in (got, want))
+    nan = np.isnan(want)
+    return (np.array_equal(nan, np.isnan(got))
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def spied_norms(monkeypatch, h, streams):
+    """The Frobenius norms ||h|| that `pricing_tail` forms, read where it
+    clips the largest singular value from below."""
+    seen = []
+
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def maximum(self, a, b):
+            seen.append(b)
+            return np.maximum(a, b)
+
+    monkeypatch.setattr(loading, "np", SpyNumpy())
+    loading.pricing_tail([(..., h, None)], h, 1.0, streams)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("preset", ["S1", "S2", "S3"])
+def test_pricing_tail_norms_are_linalg_norms(preset, monkeypatch):
+    # pricing_tail sums (h^H h).real as np.linalg.norm(h, axis=(-2, -1))
+    # does: the same bytes on each preset's (N, K) candidates, a strided
+    # view of them as stacked_costs passes, and zero and scaled channels
+    cfg = scenario_preset(preset)
+    h = generate_drop(cfg, 0).matrices.copy()
+    h[0, 0] = 0.0
+    h[1] *= 1e-150
+    h[2] *= 1e150
+    stacked = np.concatenate([h, h], axis=-2)
+    for x in (h, stacked[..., None, cfg.rx_antennas:, :]):
+        got = spied_norms(monkeypatch, x, cfg.streams_per_user)
+        want = np.linalg.norm(x, axis=(-2, -1))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tx", [2, 4, 8])
+def test_row_norms_keep_squared_parts(tx):
+    # a row's norm sums re^2 + im^2, which numpy's complex multiply may
+    # round differently from (conj(x) x).real (by a fused multiply-add),
+    # so neither of the two norms is formed by the other's formula
+    rng = np.random.default_rng(tx)
+    x = edge_values(rng, (64, 16, tx), complex)
+    x[np.isnan(x) | np.isinf(x)] = 1.0
+    with np.errstate(over="ignore"):
+        want = np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=-1))
+        got = loading._row_norms(x)
+    assert got.tobytes() == want.tobytes()

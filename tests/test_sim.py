@@ -381,27 +381,24 @@ class TestRunDrop:
     def test_shared_memo_derives_each_placements_buckets_once(self,
                                                              monkeypatch):
         # the four architectures of an S3 drop meet some placements more
-        # than once; one memo splits each into its buckets (np.count_nonzero
-        # of the placed users, in run_drop's part of sim only there) once
+        # than once; one memo splits each into its buckets once (every
+        # split stores a ("buckets", ...) entry, a repeated one included)
         splits, placements = [], []
 
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def count_nonzero(self, *args, **kwargs):
-                splits.append(None)
-                return np.count_nonzero(*args, **kwargs)
+        class CountingMemo(dict):
+            def __setitem__(self, key, value):
+                if key[0] == "buckets":
+                    splits.append(key)
+                super().__setitem__(key, value)
 
         def spy(order, memo, _buckets=sim._buckets):
             placements.append(order.tobytes())
             return _buckets(order, memo)
 
-        monkeypatch.setattr(sim, "np", CountingNumpy())
         monkeypatch.setattr(sim, "_buckets", spy)
         cfg = scenario_preset("S3", num_users=16)
         channels = generate_drop(cfg, 0)
-        memo = {}
+        memo = CountingMemo()
         for arch in ALL_ARCHS:
             assert run_drop(cfg, channels, arch, memo=memo).feasible
         assert len(splits) == len(set(placements)) < len(placements)
