@@ -5,13 +5,14 @@ exclusivity per subcarrier) is a transportation problem. Repeating
 user k's cost column quota[k] times turns it into a rectangular
 assignment of one subcarrier to every slot, solved exactly (+inf on
 unusable pairs) by scipy's compiled dense shortest-augmenting-path core
-(Jonker-Volgenant, as implemented by Crouse), without the ~45 MB of
-RSS that importing scipy.optimize adds (csgraph's matcher adds ~30 MB).
+(Jonker-Volgenant, as implemented by Crouse), without the ~45 MB of RSS
+that importing scipy.optimize adds.
 
-The core starts from zero duals, so from _REDUCE_FROM slots up each user's
-least finite cost comes off its column, lowering every allocation's total
-by one sum; so does each subcarrier's off its row when the slots fill all
-subcarriers (with idle ones, a row shift would change which stay idle).
+The core starts from zero duals, so from _REDUCE_FROM slots up each
+user's quota-th cheapest finite cost comes off its column (every user
+takes exactly its quota, so every allocation's total falls by one sum),
+and, when the slots fill all subcarriers, each one's least cost off its
+row (with idle ones, a row shift would change which stay idle).
 """
 
 from __future__ import annotations
@@ -74,15 +75,16 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
 
     usable = np.isfinite(costs)
     cols = np.arange(n_users).repeat(quotas)  # slot -> user
-    blocking = (usable.sum(0) < quotas).nonzero()[0].tolist()
-    if cols.size > n_sub and not blocking:
-        blocking = list(range(n_users))
+    short = usable.sum(0) < quotas
+    blocking = (short.nonzero()[0].tolist() if short.any() else
+                list(range(n_users)) if cols.size > n_sub else [])
     if not blocking:
         solve = _linear_sum_assignment()
         reduced = np.where(usable, costs, np.inf)
         if cols.size >= _REDUCE_FROM:
             for axis in (0, 1) if cols.size == n_sub else (0,):
-                low = reduced.min(axis=axis, keepdims=True)
+                low = (reduced.min(axis=1, keepdims=True) if axis else np.sort(
+                    reduced, 0)[np.maximum(quotas - 1, 0), np.arange(n_users)])
                 reduced -= np.where(low < np.inf, low, 0.0)  # no inf - inf
         try:
             _, rows = solve(reduced.T[cols])  # C-ordered slot rows

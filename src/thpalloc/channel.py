@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -168,6 +168,15 @@ def pdp_powers(num_taps: int, decay: float) -> np.ndarray:
     return p / p.sum()
 
 
+@cache  # filled at the first drop; one entry per (N, T, decay)
+def _drop_tables(n: int, t: int, decay: float):
+    """Read-only (N, T) DFT phases and tap amplitudes sqrt(p_t / 2)."""
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(t)) / n)
+    amplitude = np.sqrt(pdp_powers(t, decay) / 2.0)
+    phase.flags.writeable = amplitude.flags.writeable = False
+    return phase, amplitude
+
+
 def _drop_rng(seed: int, drop_index: int) -> np.random.Generator:
     # Distinct deterministic substream per drop; safe for parallel drops.
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
@@ -200,15 +209,12 @@ def generate_drop(config: ScenarioConfig, drop_index: int,
     dist = np.hypot(positions[:, 0], positions[:, 1])
     gains = (dist / config.cell_radius_m) ** (-config.pathloss_exponent)
 
-    p_taps = pdp_powers(config.pdp_taps, config.pdp_decay)
+    phase, amplitude = _drop_tables(n_sub, config.pdp_taps, config.pdp_decay)
     # taps: (K, T, N_R, N_T) i.i.d. CN(0, p_t)
     shape = (k_users, config.pdp_taps, n_r, n_t)
     taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    taps *= np.sqrt(p_taps / 2.0)[None, :, None, None]
+    taps *= amplitude[None, :, None, None]
     # frequency response over N subcarriers: H[n] = sum_t h_t e^{-j2pi nt/N}
-    n_idx = np.arange(n_sub)
-    t_idx = np.arange(config.pdp_taps)
-    phase = np.exp(-2j * np.pi * np.outer(n_idx, t_idx) / n_sub)  # (N, T)
     h = (phase @ taps.swapaxes(0, 1).reshape(config.pdp_taps, -1)).reshape(
         n_sub, k_users, n_r, n_t)
     h *= np.sqrt(gains)[None, :, None, None]

@@ -21,26 +21,18 @@ _INT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)
 
 
 def load_config_file(path: str) -> ScenarioConfig:
-    """Flat key = value file mirroring ScenarioConfig field names.
-
-    quota and mse_budget accept a single value (broadcast to all users)
-    or a comma-separated per-user list. Lines starting with '#' are
-    ignored.
-    """
-    raw: dict[str, str] = {}
+    """Flat key = value file mirroring ScenarioConfig field names; quota
+    and mse_budget take one value (broadcast to all users) or a comma-
+    separated per-user list. Lines starting with '#' are ignored."""
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+        lines = [line.strip() for line in f]
+    raw = {key.strip(): value.strip() for key, _, value in (
+        line.partition("=") for line in lines if line[:1] not in ("", "#"))}
     kwargs: dict = {}
     for key, value in raw.items():
         if key in ("quota", "mse_budget"):
-            parts = [p for p in value.split(",") if p]
-            conv = int if key == "quota" else float
-            kwargs[key] = tuple(conv(p) for p in parts)
+            kwargs[key] = tuple(map(int if key == "quota" else float,
+                                    filter(None, value.split(","))))
         elif key in _INT_FIELDS:
             kwargs[key] = int(value)
         else:

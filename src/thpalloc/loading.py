@@ -131,13 +131,13 @@ def pricing_tail(parts, h, weights, streams, gains=singular_gains):
     norms = np.sqrt(_sum_last((h.conj() * h).real.reshape(  # as np.linalg.norm
         h.shape[:-2] + (h.shape[-2] * h.shape[-1],))))
     out = np.full(norms.shape, INFEASIBLE_COST)
+    weights = np.broadcast_to(weights, out.shape)
     for sel, hp, factors in parts:
         s, inverse_gains = gains(hp, factors)  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])
         rank = (s > RANK_TOL * ref[..., None]).sum(-1)
         with np.errstate(over="ignore", invalid="ignore"):  # lost ranks too
-            cost = loading_cost(inverse_gains[..., :streams],
-                                np.broadcast_to(weights, out.shape)[sel])
+            cost = loading_cost(inverse_gains[..., :streams], weights[sel])
         out[sel] = np.where(rank >= streams, cost, INFEASIBLE_COST)
     return out
 

@@ -24,7 +24,9 @@ The per-user `channel_quality` averages one user's channel energy at a
 time, the way `partition.channel_quality` did before it returned every
 user's value in one array pass. `user_positions` draws one rejection
 sample at a time, the way `channel.generate_drop` did before it drew
-one per unplaced user at a time.
+one per unplaced user at a time; `channel_matrices` then builds the DFT
+phases and tap amplitudes afresh for every drop, the way it did before
+it read them from one table per (N, T, decay).
 
 The link-level references run the THP chain one user position at a
 time, with the complex-arithmetic modulo and `rng.choice` QAM draws,
@@ -43,7 +45,7 @@ from thpalloc.assignment import Assignment, InfeasibleAssignmentError
 from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _null_spaces,
                               loading_cost, singular_gains)
-from thpalloc import sim
+from thpalloc import channel, sim
 from thpalloc.sim import SubcarrierPlan
 
 
@@ -110,6 +112,27 @@ def user_positions(rng: np.random.Generator, config) -> np.ndarray:
                 positions[k] = xy
                 break
     return positions
+
+
+def channel_matrices(config, drop_index: int) -> np.ndarray:
+    """`channel.generate_drop(config, drop_index).matrices`, its phases
+    and amplitudes computed for this drop alone."""
+    rng = channel._drop_rng(config.rng_seed, drop_index)
+    positions = user_positions(rng, config)
+    dist = np.hypot(positions[:, 0], positions[:, 1])
+    gains = (dist / config.cell_radius_m) ** (-config.pathloss_exponent)
+    n_sub, n_taps = config.num_subcarriers, config.pdp_taps
+    p_taps = channel.pdp_powers(n_taps, config.pdp_decay)
+    shape = (config.num_users, n_taps, config.rx_antennas, config.tx_antennas)
+    taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    taps *= np.sqrt(p_taps / 2.0)[None, :, None, None]
+    n_idx = np.arange(n_sub)
+    t_idx = np.arange(n_taps)
+    phase = np.exp(-2j * np.pi * np.outer(n_idx, t_idx) / n_sub)  # (N, T)
+    h = (phase @ taps.swapaxes(0, 1).reshape(n_taps, -1)).reshape(
+        n_sub, shape[0], *shape[2:])
+    h *= np.sqrt(gains)[None, :, None, None]
+    return h
 
 
 def svd_singular_gains(hp: np.ndarray):

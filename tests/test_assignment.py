@@ -441,3 +441,67 @@ class TestReducedLsap:
         check_constraints(res, costs, quotas)
         np.testing.assert_array_equal(res.a, want_a)
         assert res.total_cost == pytest.approx(want_total, rel=1e-12)
+
+
+@st.composite
+def dual_start_groups(draw):
+    """(N, U) groups of at least _REDUCE_FROM slots, up to S1's 64
+    subcarriers and 16 users: square or with idle subcarriers, quotas
+    of 0 to 8 (some users 0), costs 10**U(-5, 3), and none, scattered,
+    whole-row, block or zero-quota-column +inf entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_users = draw(st.integers(2, 16))
+    quotas = rng.integers(1, 9, n_users)
+    if draw(st.booleans()):
+        quotas[rng.uniform(size=n_users) < 0.3] = 0
+        quotas[0] = max(quotas[0], 1)
+    while quotas.sum() < assignment._REDUCE_FROM:
+        quotas[rng.choice(quotas.nonzero()[0])] += 1
+    while quotas.sum() > 64:
+        quotas[int(np.argmax(quotas))] -= 1
+    spare = draw(st.sampled_from([0, 0, 1, 4, 16]))
+    n_sub = min(64, int(quotas.sum()) + spare)
+    costs = 10.0 ** rng.uniform(-5.0, 3.0, (n_sub, n_users))
+    pattern = draw(st.sampled_from(
+        ["none", "scattered", "rows", "block", "idle users"]))
+    if pattern == "scattered":
+        costs[rng.uniform(size=costs.shape) < 0.3] = math.inf
+    elif pattern == "rows":
+        costs[rng.uniform(size=n_sub) < 0.1] = math.inf
+    elif pattern == "block":
+        costs[np.ix_(rng.uniform(size=n_sub) < 0.6,
+                     rng.uniform(size=n_users) < 0.5)] = math.inf
+    elif pattern == "idle users":
+        costs[:, quotas == 0] = math.inf
+    return costs, quotas.tolist()
+
+
+class TestDualStart:
+    @settings(max_examples=150, derandomize=True)
+    @given(case=dual_start_groups())
+    def test_quota_order_shift_matches_unreduced_scipy(self, case):
+        # the quota-th cheapest cost off each user's column (then the
+        # least off each row of a square group) is a constant per user
+        # and per subcarrier: scipy's solve of the unreduced slot matrix
+        # gives the same allocation, and no inf - inf reaches the core
+        costs, quotas = case
+        assert sum(quotas) >= assignment._REDUCE_FROM
+        handed = []
+        solve = assignment._linear_sum_assignment()
+
+        def spy(matrix):
+            handed.append(np.array(matrix))
+            return solve(matrix)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assignment, "_linear_sum_assignment", lambda: spy)
+            a, outcome = solve_outcome(costs, quotas)
+        want_a, want_total = scipy_outcome(costs, quotas)
+        assert not any(np.isnan(m).any() for m in handed)
+        if want_a is None:
+            assert a is None and outcome
+            return
+        assert a is not None, f"solver blocked users {outcome}"
+        assert len(handed) == 1 and np.isfinite(handed[0]).any()
+        np.testing.assert_array_equal(a, want_a)
+        assert outcome == pytest.approx(want_total, rel=1e-12)

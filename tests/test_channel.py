@@ -329,3 +329,47 @@ class TestGenerateDrop:
             acc += (np.abs(h) ** 2).mean()
         assert acc / drops == pytest.approx(1.0, rel=0.02)
 
+
+
+class TestDropTables:
+    @pytest.mark.parametrize("config", [
+        scenario_preset("S1", rng_seed=3), scenario_preset("S2", rng_seed=4),
+        scenario_preset("S3", num_users=32, rng_seed=5),
+        small_config(pdp_taps=1, rng_seed=6),
+        small_config(pdp_decay=3.0, rng_seed=7),
+        small_config(pdp_decay=1e50, rng_seed=8),
+        small_config(num_subcarriers=12, pdp_taps=5, rng_seed=9),
+        small_config(num_subcarriers=7, pdp_taps=8, rng_seed=10),
+    ], ids=["S1", "S2", "S3", "one-tap", "decay-3", "decay-1e50",
+            "N12-T5", "N7-T8"])
+    def test_drop_equals_per_drop_formula(self, config):
+        # the tables give the bytes of phases and amplitudes computed
+        # afresh for each drop, on the table's first and later drops
+        channel._drop_tables.cache_clear()
+        for drop in range(3):
+            got = generate_drop(config, drop).matrices
+            want = oracles.channel_matrices(config, drop)
+            assert got.tobytes() == want.tobytes()
+
+    def test_tables_are_read_only(self):
+        generate_drop(small_config(), 0)
+        for table in channel._drop_tables(8, 8, small_config().pdp_decay):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_configs_share_one_entry_but_for_n_taps_and_decay(self):
+        # seeds, user counts and budgets share one table; a different N,
+        # tap count or decay gets its own
+        channel._drop_tables.cache_clear()
+        assert channel._drop_tables.cache_info().currsize == 0
+        base = scenario_preset("S1")
+        for config in [base, dataclasses.replace(base, rng_seed=9),
+                       base.with_users(8, 0.25), base.with_users(32, 0.05),
+                       base.with_rho(1e-3)]:
+            generate_drop(config, 1)
+        assert channel._drop_tables.cache_info().currsize == 1
+        generate_drop(dataclasses.replace(base, pdp_decay=0.5), 0)
+        generate_drop(dataclasses.replace(base, pdp_taps=4), 0)
+        generate_drop(scenario_preset("S2"), 0)
+        assert channel._drop_tables.cache_info().currsize == 4
