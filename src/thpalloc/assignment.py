@@ -1,18 +1,17 @@
 """Exact subcarrier assignment as a rectangular linear assignment.
 
 The per-group linear integer program (quota equality per user,
-exclusivity per subcarrier) is a transportation problem. Repeating
-user k's cost column quota[k] times turns it into a rectangular
-assignment of one subcarrier to every slot, solved exactly (+inf on
-unusable pairs) by scipy's compiled dense shortest-augmenting-path core
-(Jonker-Volgenant, as implemented by Crouse), without the ~45 MB of RSS
-that importing scipy.optimize adds.
+exclusivity per subcarrier) is a transportation problem: repeating user
+k's cost column quota[k] times makes it a rectangular assignment of one
+subcarrier to every slot, solved exactly (+inf on unusable pairs) by
+scipy's compiled dense shortest-augmenting-path core (Jonker-Volgenant,
+as Crouse implements it), without the ~45 MB of RSS scipy.optimize adds.
 
 The core starts from zero duals, so from _REDUCE_FROM slots up each
-user's quota-th cheapest finite cost comes off its column (every user
-takes exactly its quota, so every allocation's total falls by one sum),
-and, when the slots fill all subcarriers, each one's least cost off its
-row (with idle ones, a row shift would change which stay idle).
+user's quota-th cheapest finite cost comes off its column (each takes
+exactly its quota: every total falls by one sum), and, when the slots
+fill all subcarriers, each one's least cost off its row (with idle ones
+a row shift would change which stay idle).
 """
 
 from __future__ import annotations
@@ -62,36 +61,44 @@ def _linear_sum_assignment():
     return sys.modules[_LSAP].linear_sum_assignment
 
 
-def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
-    """Minimum-total-cost assignment meeting every quota exactly.
+@functools.lru_cache(maxsize=64)
+def _slot_tables(quotas: tuple, n_sub: int):
+    """Read-only quotas, slot -> user, each user's quota-th entry in the
+    flat column-sorted costs, the dual-shift axes, and slots <= n_sub."""
+    quotas = np.asarray(quotas, dtype=np.intp)
+    cols = np.arange(quotas.size).repeat(quotas)
+    kth = np.maximum(quotas - 1, 0) * quotas.size + np.arange(quotas.size)
+    quotas.flags.writeable = cols.flags.writeable = kth.flags.writeable = False
+    slots = cols.size
+    axes = () if slots < _REDUCE_FROM else (0, 1) if slots == n_sub else (0,)
+    return quotas, cols, kth, axes, slots <= n_sub
 
-    costs is (N subcarriers x U users); +inf marks unusable pairs.
-    """
+
+def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
+    """Minimum-total-cost assignment meeting every quota exactly; costs
+    is (N subcarriers x U users), +inf marking unusable pairs."""
     costs = np.asarray(costs, dtype=float)
     n_sub, n_users = costs.shape
     if len(quotas) != n_users:
         raise ValueError("one quota per user required")
-    quotas = np.asarray(quotas, dtype=np.intp)
+    quotas, cols, kth, axes, fits = _slot_tables(tuple(quotas), n_sub)
 
     usable = np.isfinite(costs)
-    cols = np.arange(n_users).repeat(quotas)  # slot -> user
-    short = usable.sum(0) < quotas
-    blocking = (short.nonzero()[0].tolist() if short.any() else
-                list(range(n_users)) if cols.size > n_sub else [])
+    clean = fits and usable.all()  # no count can fall short, nothing masked
+    short = [] if clean else (usable.sum(0) < quotas).nonzero()[0].tolist()
+    blocking = short or ([] if fits else list(range(n_users)))
     if not blocking:
         solve = _linear_sum_assignment()
-        reduced = np.where(usable, costs, np.inf)
-        if cols.size >= _REDUCE_FROM:
-            for axis in (0, 1) if cols.size == n_sub else (0,):
-                low = (reduced.min(axis=1, keepdims=True) if axis else np.sort(
-                    reduced, 0)[np.maximum(quotas - 1, 0), np.arange(n_users)])
-                reduced -= np.where(low < np.inf, low, 0.0)  # no inf - inf
+        reduced = costs.copy() if clean else np.where(usable, costs, np.inf)
+        for axis in axes:
+            low = (reduced.min(axis=1, keepdims=True) if axis else
+                   np.sort(reduced, 0).take(kth))
+            reduced -= low if clean else np.where(low < np.inf, low, 0.0)
         try:
             _, rows = solve(reduced.T[cols])  # C-ordered slot rows
         except ValueError:
-            # counting passed, so some user set has too few usable
-            # subcarriers (Hall); on 0/1 costs the slots left on unusable
-            # pairs are the unmatched slots of a maximum matching
+            # Hall: too few usable subcarriers for some user set; a 0/1 solve
+            # leaves a maximum matching's unmatched slots on unusable pairs
             _, rows = solve(1.0 - usable[:, cols].T)
             blocking = sorted({int(k) for k in cols[~usable[rows, cols]]})
     if blocking:

@@ -2,17 +2,14 @@
 
 All baselines share the partition and the assignment solver of the
 proposed scheme; they differ in the per-subcarrier precoder, and so in
-the power that meets the same per-stream MSE budget. Each precoder has
-one billing function from stacks of co-channel users in placement
-order, (..., c, N_R, N_T), to every user's power, (..., c), in one
-whole-array pass (+inf by np.where for a rank-deficient stack). The
-bills give the final power, ThpTx's spatially blind prices (each
-candidate billed alone) and the placed users' share of LinTxLinRx's
-prices; ZfTx prices a candidate in the placed users' null space with
-`zf_gains`. Each bill is w * (sum_l 1/g_l)^2 (`loading.loading_cost`),
-w = sigma^2 * n/gamma the only QoS input and 1/g_l equal to ||f_l||
-(F's column norms, from one SVD or one inverse), 1/|r_ll| (QR diagonal)
-or lambda^{-1/2} (the channel projected off all co-channel users).
+the power that meets the same per-stream MSE budget. Each precoder
+bills stacks of co-channel users (..., c, N_R, N_T) in one whole-array
+pass (+inf by np.where for a rank-deficient stack): every user in
+placement order, or LinTxLinRx the last. The bills give the final power,
+ThpTx's spatially blind prices (each candidate billed alone) and the
+placed users' share of LinTxLinRx's prices; ZfTx prices a candidate in
+the placed users' null space with `zf_gains`. Each bill is
+`loading.loading_cost` of its precoder's inverse per-stream gains.
 """
 
 from __future__ import annotations
@@ -57,9 +54,8 @@ def _joint_bills(factor, stacks, weights, streams):
 def zf_gains(h, svd=None):
     """Singular values s of the thin SVD h = U S V^H (or the full `svd`,
     equal in U and s) of stacked rows (..., R <= N_T, N_T), and the column
-    norms of the channel-inversion precoder pinv(h) = V S^-1 U^H: the row
-    norms of U S^-1. One row needs no SVD: s = ||h|| and
-    pinv(h) = h^H / ||h||^2 has norm 1/s. Given s alone, (None, s, None),
+    norms of pinv(h) = V S^-1 U^H: the row norms of U S^-1. One row needs
+    no SVD: s = ||h||, pinv(h) = h^H / s^2. Given s alone, (None, s, None),
     one batch inverts the full-rank h (s[-1] > RANK_TOL s[0]; else +inf):
     pinv(h) is inv(h) if h is square, else Q inv(R^H) with h^H = Q R, R^H
     the lower triangle of the raw-mode QR of h^T (`loading.stacked_costs`)."""
@@ -92,11 +88,10 @@ def thp_bills(stacks, weights, streams):
     """Per-user power of the QR-based THP precoder. With H^H = Q R and
     F = Q the received stack is R^H b (lower triangular); THP with
     C = R^{-H} (unit-diagonal normalized) cancels the earlier users,
-    leaving user i its diagonal slice of |r_ll| as per-stream gains.
-    Appending later users does not change a user's slice, so the last
-    bill of the placed users plus a candidate is its final bill. |r_ll|
-    is read in place from the raw-mode QR of H^T, the conjugate of H^H's;
-    a single column of H^H needs no QR: |r_11| = ||h||."""
+    leaving user i its diagonal slice of |r_ll| as per-stream gains, which
+    later users do not change: a candidate's last bill is its final one.
+    |r_ll| is read in place from the raw-mode QR of H^T, the conjugate of
+    H^H's; a single column of H^H needs no QR: |r_11| = ||h||."""
     def factor(h):
         diag = _row_norms(h) if h.shape[-2] == 1 else np.abs(np.linalg.qr(
             h.swapaxes(-1, -2), mode="raw")[0].diagonal(0, -2, -1))
@@ -106,17 +101,21 @@ def thp_bills(stacks, weights, streams):
     return _joint_bills(factor, stacks, weights, streams)
 
 
-def linear_bills(stacks, weights, streams, first=None):
-    """Per-user power of mutual block-diagonalization, for the first
-    `first` users of each stack (all by default): each user's precoder
-    is confined to the null space of every co-channel user's full
-    channel, so no receiver sees interference without THP feedback."""
+def linear_order(users, first=None):
+    """The stacks (..., first, c) `linear_bills` takes from users (..., c)
+    in placement order: each of the first `first` after the others."""
+    c = users.shape[-1]
+    return users[..., [[*range(i), *range(i + 1, c), i]
+                       for i in range(c)[:first]]]
+
+
+def linear_bills(stacks, weights, streams):
+    """Power of each stack's last user (stacks (..., c, N_R, N_T) from
+    `linear_order`) under mutual block-diagonalization: its precoder lies
+    in the null space of every co-channel user, so none sees interference."""
     *lead, c, rx, tx = stacks.shape
-    billed = range(c)[:first]  # each billed user after the others
-    grown = stacks[..., [[*range(i), *range(i + 1, c), i] for i in billed],
-                   :, :].reshape(*lead, len(billed), c * rx, tx)
-    return stacked_costs(grown, (c - 1) * rx, weights[..., :first, None],
-                         streams)[..., 0]
+    return stacked_costs(stacks.reshape(*lead, c * rx, tx), (c - 1) * rx,
+                         weights[..., -1:], streams)[..., 0]
 
 
 def restrict_rows(h: np.ndarray, streams: int) -> np.ndarray:

@@ -12,17 +12,14 @@ constraint. The constant-modulus unitary S (unitary DFT) equalizes the
 per-stream MSEs at gamma/(n*L). A user's QoS enters only through the
 weight w = sigma^2 * n/gamma (`ScenarioConfig.price_weight`).
 
-Every architecture prices a (subcarrier, user) pair with the same
-closed form, `loading_cost`, fed the inverse per-stream gains of its
-own precoder. `projected_costs` is that price for batches of channels
-confined to null spaces (the proposed scheme's and, with
-`baselines.zf_gains`, ZfTx's candidate costs; LinTxLinRx's bills): it
-picks their projected channels (or the factors `sim` keeps per drop),
-which `pricing_tail` prices in whole-array passes, np.where setting +inf
-on a lost rank. A stack serving one channel is priced from one raw-mode
-QR read in place (`stacked_costs`): no copy beyond numpy's own. Rank-one
-objects skip LAPACK (`_row_norms`): a MISO scenario (N_R = L = 1, Q = 2)
-prices without any SVD. The helpers broadcast over leading (pair) axes.
+`projected_costs` prices batches of channels confined to null spaces
+(the proposed scheme's and, with `baselines.zf_gains`, ZfTx's
+candidates; LinTxLinRx's bills) from their projected channels or the
+factors `sim` keeps per drop, in whole-array passes (`pricing_tail`); a
+stack serving one channel, from its raw-mode QR read in place
+(`stacked_costs`). Rank-one objects skip LAPACK (`_row_norms`): a MISO
+scenario (N_R = L = 1, Q = 2) prices without any SVD. The helpers
+broadcast over leading (pair) axes.
 """
 
 from __future__ import annotations
@@ -130,15 +127,22 @@ def pricing_tail(parts, h, weights, streams, gains=singular_gains):
     sets +inf where fewer than L of s exceed RANK_TOL * max(s[0], ||h||)."""
     norms = np.sqrt(_sum_last((h.conj() * h).real.reshape(  # as np.linalg.norm
         h.shape[:-2] + (h.shape[-2] * h.shape[-1],))))
-    out = np.full(norms.shape, INFEASIBLE_COST)
-    weights = np.broadcast_to(weights, out.shape)
+    whole = len(parts) == 1 and parts[0][0] is ...  # np.where's is out
+    if not whole:
+        out = np.full(norms.shape, INFEASIBLE_COST)
+        weights = np.broadcast_to(weights, out.shape)
     for sel, hp, factors in parts:
         s, inverse_gains = gains(hp, factors)  # s maybe empty
         ref = np.maximum(s.max(axis=-1, initial=0.0), norms[sel])
         rank = (s > RANK_TOL * ref[..., None]).sum(-1)
         with np.errstate(over="ignore", invalid="ignore"):  # lost ranks too
-            cost = loading_cost(inverse_gains[..., :streams], weights[sel])
-        out[sel] = np.where(rank >= streams, cost, INFEASIBLE_COST)
+            cost = loading_cost(inverse_gains[..., :streams],
+                                weights if whole else weights[sel])
+        cost = np.where(rank >= streams, cost, INFEASIBLE_COST)
+        if whole:
+            out = cost
+        else:
+            out[sel] = cost
     return out
 
 

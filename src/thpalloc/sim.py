@@ -2,14 +2,13 @@
 
 One drop runs: channel-quality metrics -> worst-first partition ->
 per-group cost matrices -> per-group exact assignment (groups in order,
-so later groups see the users already placed) -> final power. The
+so later groups see the users already placed) -> final power. Each
+round prices the subcarriers in one array-shaped call per placed count:
+a price depends only on the users already placed on the subcarrier. The
 placement is one (N, Q) array, `order[n, i]` the i-th user placed on
 subcarrier n (its THP precoding order), -1 past its count. The proposed
 scheme's transceivers and THP feedback are built on demand from a
-finished result by `build_plans` (which `link_level_verify` calls): one
-batched pass per position of `order`, with the null-space bases of the
-pricing, whose zero-forcing receivers also give that position's row of
-feedback blocks.
+finished result by `build_plans`, which `link_level_verify` calls.
 
 Sweeps repeat this over drops and target-MSE (or user-count) axes with
 all architectures paired on identical drops. Every cost is homogeneous
@@ -17,20 +16,14 @@ of degree -1 in the budgets, so the points of a budget class (budgets
 equal up to a common factor, e.g. a rho axis) share one assignment: a
 sweep solves each drop once per class and rescales (`_sweep_drop`).
 
-Pricing is batched: a price depends only on the users already placed on
-the subcarrier, so each round prices the subcarriers in one array-shaped
-call per placed count. LinTxLinRx carries each stack's bill; ZfTx and
-ThpTx re-bill.
-
 A per-drop memo holds the drop's architecture-independent work, shared
-by the architectures a sweep solves on it: the partition; one full SVD
-of each (subcarrier, user) channel, kept per batch as LAPACK returns it
-(`_factors`), which gives every first-group price and every placed
-user's null space V0; the singular values of each candidate's h V0,
-which price it for the proposed scheme and ZfTx; each placement's
-buckets and null-space price; and the assignment of each distinct group
-cost matrix (the first group's of the proposed scheme and LinTxLinRx
-are equal, and on MISO links, N_R = L = 1, those of ZfTx and ThpTx).
+by the architectures a sweep solves on it: the partition; each
+channel's full SVD as LAPACK returns it (`_factors`), which gives every
+first-group price and every placed user's null space V0; the singular
+values of each candidate's h V0, which price it for the proposed scheme
+and ZfTx; each placement's buckets and null-space price; and each
+distinct group cost matrix's assignment (the proposed scheme and
+LinTxLinRx share the first group's, as ZfTx and ThpTx do on MISO links).
 """
 
 from __future__ import annotations
@@ -116,17 +109,19 @@ class SweepResult:
         return 1.0 - self.feasible.mean(axis=1)
 
 
-def _bills(config, h, rows, users, architecture, scale=1.0, **extra):
+def _bills(config, h, rows, users, architecture, scale=1.0, first=None):
     """Each user's power under a baseline's precoder, for the stacks of
     users (b, ..., c), in placement order, on the subcarriers rows (b,),
-    at `scale` times the price weights."""
+    at `scale` times the price weights (LinTxLinRx: the first `first`)."""
     # looked up per call, so a wrapper set on `baselines` sees every call
     bills = (baselines.zf_bills if architecture is Architecture.ZF_TX else
              baselines.thp_bills if architecture is Architecture.THP_TX else
              baselines.linear_bills)
+    if architecture is Architecture.LIN_TX_LIN_RX:
+        users = baselines.linear_order(users, first)
     stacks = h[rows.reshape((-1,) + (1,) * (users.ndim - 1)), users]
     return bills(stacks, config.price_weight[users] * scale,
-                 config.streams_per_user, **extra)
+                 config.streams_per_user)
 
 
 def _buckets(order, memo):
@@ -209,9 +204,8 @@ def _null_space_prices(config, h, order, users, architecture, memo):
 
 def _solve(costs, quotas, memo):
     """`solve_assignment` of one group, or its InfeasibleAssignmentError,
-    kept in `memo` under the cost matrix's bytes and the quotas: a
-    matrix another architecture already solved on the drop is not
-    solved again. The allocation is read-only."""
+    kept in `memo` under the cost matrix's bytes and the quotas, so no
+    matrix is solved twice on a drop. The allocation is read-only."""
     key = ("assignment", costs.tobytes(), quotas)
     if key not in memo:
         try:
@@ -243,9 +237,8 @@ def _cost_matrix(config, h, order, power, users, architecture, memo):
 
 def _final_power(config, h, order, power, architecture, assignments, memo):
     """Total transmit power of the finished plan, linear scale: the
-    proposed scheme's committed costs, LinTxLinRx's carried stack power
-    `power`, else the bills of the final stacks (ZfTx, and ThpTx, whose
-    blind prices never saw them)."""
+    proposed scheme's committed costs, LinTxLinRx's carried `power`, else
+    the final stacks' bills (ThpTx's blind prices never saw them)."""
     if architecture is Architecture.THP_TX_LIN_RX:
         return config.symbol_variance * sum(a.total_cost for a in assignments)
     if architecture is not Architecture.LIN_TX_LIN_RX:
@@ -318,8 +311,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
              architecture: Architecture, *, memo=None) -> DropResult:
     """Run the full two-layer pipeline for one architecture on one drop.
 
-    `memo` keeps the drop's architecture-independent work (partition,
-    `_factors`, `_null_space_prices`, `_buckets`, `_solve`); the
+    `memo` keeps the drop's architecture-independent work; the
     architectures of one drop and budget class may share one. An unmet
     quota (naming the users), a numerical failure, a rank-deficient final
     stack or an overflowing total power makes the drop infeasible, with
@@ -434,8 +426,7 @@ def run_sweep(points: list[tuple[float, ScenarioConfig]], drops: int,
         blocks = [_sweep_drop(t) for t in tasks]
     for d, block in enumerate(blocks):  # in task order
         power[:, :, d] = block
-    # paired comparison: a drop counts at a point only if every
-    # architecture is feasible there (not NaN)
+    # paired: a drop counts at a point only if no architecture is NaN there
     feasible = ~np.isnan(power).any(axis=1)
     return SweepResult(axis_name=axis_name,
                        axis_values=tuple(v for v, _ in points),
@@ -473,10 +464,9 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
     filters and the receiver-side modulo; E|z - d|^2 per stream, summed
     over each user's subcarriers (valid where modulo folding of noise is
     negligible). The plans come from `build_plans`, so `drop_result` must
-    be a feasible proposed-scheme result. Subcarriers run one at a time,
-    their users stacked per stage in the first rows of buffers for Q
-    users; the draws are the QAM real and imaginary parts, then each
-    user's noise real and imaginary parts."""
+    be a feasible proposed-scheme result. Subcarriers run one at a time in
+    buffers for Q users; the draws are the QAM real and imaginary parts,
+    then each user's noise real and imaginary parts."""
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be at least 1, got {num_symbols}")
     plans = build_plans(config, channels, drop_result)

@@ -20,6 +20,11 @@ only the full-rank pairs, gathered by a boolean mask, the way
 `loading.pricing_tail` and `baselines._joint_bills` did before they
 priced every pair and set +inf with np.where.
 
+`reference_solve_assignment` builds its quota tables on every call
+and counts, masks and guards every cost matrix, the way
+`assignment.solve_assignment` did before it kept the tables per
+(quotas, N) and took a shorter path on all-finite matrices.
+
 The per-user `channel_quality` averages one user's channel energy at a
 time, the way `partition.channel_quality` did before it returned every
 user's value in one array pass. `user_positions` draws one rejection
@@ -41,7 +46,9 @@ import math
 
 import numpy as np
 
-from thpalloc.assignment import Assignment, InfeasibleAssignmentError
+from thpalloc.assignment import (_REDUCE_FROM, Assignment,
+                                 InfeasibleAssignmentError,
+                                 _linear_sum_assignment)
 from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _null_spaces,
                               loading_cost, singular_gains)
@@ -92,6 +99,43 @@ def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
             a[n, k] = 1
     total = float(np.sum(np.where(a.astype(bool), costs, 0.0)))
     return Assignment(a=a, total_cost=total)
+
+
+def reference_solve_assignment(costs: np.ndarray, quotas) -> Assignment:
+    """`assignment.solve_assignment` with its quota tables built on every
+    call and the counting pass, the +inf mask and the inf - inf guards
+    run on every matrix, all-finite ones included."""
+    costs = np.asarray(costs, dtype=float)
+    n_sub, n_users = costs.shape
+    if len(quotas) != n_users:
+        raise ValueError("one quota per user required")
+    quotas = np.asarray(quotas, dtype=np.intp)
+
+    usable = np.isfinite(costs)
+    cols = np.arange(n_users).repeat(quotas)  # slot -> user
+    short = usable.sum(0) < quotas
+    blocking = (short.nonzero()[0].tolist() if short.any() else
+                list(range(n_users)) if cols.size > n_sub else [])
+    if not blocking:
+        solve = _linear_sum_assignment()
+        reduced = np.where(usable, costs, np.inf)
+        if cols.size >= _REDUCE_FROM:
+            for axis in (0, 1) if cols.size == n_sub else (0,):
+                low = (reduced.min(axis=1, keepdims=True) if axis else np.sort(
+                    reduced, 0)[np.maximum(quotas - 1, 0), np.arange(n_users)])
+                reduced -= np.where(low < np.inf, low, 0.0)  # no inf - inf
+        try:
+            _, rows = solve(reduced.T[cols])
+        except ValueError:  # Hall: the unmatched slots of a 0/1 solve
+            _, rows = solve(1.0 - usable[:, cols].T)
+            blocking = sorted({int(k) for k in cols[~usable[rows, cols]]})
+    if blocking:
+        raise InfeasibleAssignmentError(
+            f"quotas cannot be met for users {blocking}", blocking)
+
+    a = np.zeros((n_sub, n_users), dtype=np.uint8)
+    a[rows, cols] = 1
+    return Assignment(a=a, total_cost=float(np.where(a, costs, 0.0).sum()))
 
 
 def channel_quality(channels, k: int) -> float:

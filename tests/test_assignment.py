@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thpalloc
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, reference_solve_assignment
 from thpalloc import assignment
 from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
                                  solve_assignment)
@@ -505,3 +505,80 @@ class TestDualStart:
         assert len(handed) == 1 and np.isfinite(handed[0]).any()
         np.testing.assert_array_equal(a, want_a)
         assert outcome == pytest.approx(want_total, rel=1e-12)
+
+
+@st.composite
+def reference_cases(draw):
+    """(N, U) groups of 1 to 64 slots, quotas 0 to 8 (some 0), as a
+    tuple, list or array: slots filling every subcarrier, leaving some
+    idle, or exceeding N, or one quota above N; costs 10**U(-5, 3) or
+    three tied levels, all finite or with scattered, whole-row or
+    whole-column +inf, NaN or -inf entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_users = draw(st.integers(1, 16))
+    quotas = rng.integers(0, 9, n_users)
+    if draw(st.booleans()):
+        quotas[rng.uniform(size=n_users) < 0.3] = 0
+    while quotas.sum() > 64:
+        quotas[int(np.argmax(quotas))] -= 1
+    slots = int(quotas.sum())
+    fit = draw(st.sampled_from(
+        ["square", "square", "idle", "idle", "over", "big quota"]))
+    n_sub = max(1, {"square": slots, "idle": slots + draw(st.sampled_from(
+        [1, 4, 16])), "over": slots - draw(st.integers(1, 4)),
+        "big quota": slots}[fit])
+    if fit == "big quota":
+        quotas[rng.integers(n_users)] = n_sub + 1
+    costs = (10.0 ** rng.uniform(-5.0, 3.0, (n_sub, n_users))
+             if draw(st.booleans()) else
+             rng.choice([0.5, 1.0, 2.0], (n_sub, n_users)))
+    value = draw(st.sampled_from([math.inf, math.nan, -math.inf]))
+    pattern = draw(st.sampled_from(
+        ["finite", "finite", "scattered", "rows", "columns"]))
+    if pattern == "scattered":
+        costs[rng.uniform(size=costs.shape) < 0.2] = value
+    elif pattern == "rows":
+        costs[rng.integers(n_sub)] = value
+    elif pattern == "columns":
+        costs[:, rng.integers(n_users)] = value
+    kind = draw(st.sampled_from([tuple, list, np.asarray]))
+    return costs, kind(quotas.tolist())
+
+
+def outcome_bytes(solve, costs, quotas):
+    """The allocation's dtype, shape and bytes and the total's bits, or
+    the exception's type, message and blocking users."""
+    try:
+        res = solve(costs, quotas)
+    except InfeasibleAssignmentError as exc:
+        return type(exc), str(exc), exc.blocking_users
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return res.a.dtype, res.a.shape, res.a.tobytes(), res.total_cost.hex()
+
+
+class TestSlotTables:
+    @settings(max_examples=400, derandomize=True)
+    @given(case=reference_cases())
+    def test_matches_reference_wrapper(self, case):
+        # cached tables and the all-finite path change nothing: the same
+        # allocation bytes and total bits, or the same exception, message
+        # and blocking users, as the wrapper that counts, masks and
+        # guards every matrix
+        costs, quotas = case
+        assert (outcome_bytes(solve_assignment, costs, quotas)
+                == outcome_bytes(reference_solve_assignment, costs, quotas))
+
+    def test_tables_are_read_only_and_shared(self):
+        quotas, cols, kth, axes, fits = assignment._slot_tables((3, 0, 2), 5)
+        assert (quotas.tolist(), cols.tolist(), kth.tolist()) == (
+            [3, 0, 2], [0, 0, 0, 2, 2], [6, 1, 5])
+        assert axes == () and fits
+        for table in (quotas, cols, kth):
+            with pytest.raises(ValueError):
+                table[0] = 1
+        assert assignment._slot_tables((3, 0, 2), 5)[1] is cols
+        assert assignment._slot_tables.cache_info().maxsize is not None
+        assert assignment._slot_tables((12, 12), 24)[3:] == ((0, 1), True)
+        assert assignment._slot_tables((12, 12), 30)[3:] == ((0,), True)
+        assert assignment._slot_tables((12, 13), 24)[3:] == ((0,), False)

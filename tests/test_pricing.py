@@ -179,13 +179,62 @@ def test_bills_match_scalar_references(stacks, size, antennas, seed, how):
     pairs = [(baselines.zf_bills, oracles.zf_bills),
              (baselines.thp_bills, oracles.thp_bills)]
     if (size - 1) * rx < tx:  # the scalar null-space basis needs room
-        pairs.append((baselines.linear_bills, oracles.linear_bills))
+        pairs.append((factor_order_bills, oracles.linear_bills))
     for batched, scalar in pairs:
         got = batched(h, oracles.weight(budgets, quotas, 0.7), streams)
         want = np.array([scalar(h[b], budgets[b], quotas[b], 0.7, streams)
                          for b in range(stacks)])
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def factor_order_bills(stacks, weights, streams, first=None):
+    """`baselines.linear_bills` of the first `first` users (all by
+    default) of stacks (..., c, N_R, N_T) in placement order, regathered
+    by `baselines.linear_order`."""
+    order = baselines.linear_order(np.arange(stacks.shape[-3]), first)
+    return baselines.linear_bills(stacks[..., order, :, :],
+                                  weights[..., order], streams)
+
+
+LINEAR_GATHER_CONFIGS = {
+    "S3 K=16": scenario_preset("S3", num_users=16),
+    "S3 K=32": scenario_preset("S3", num_users=32),
+    "S1 K=24": scenario_preset("S1", num_users=24),
+    "q3.cfg": ScenarioConfig(num_subcarriers=12, num_users=6, tx_antennas=6,
+                             rx_antennas=2, streams_per_user=1,
+                             quota=(2,) * 6, mse_budget=(1.0,) * 6),
+}
+
+
+@pytest.mark.parametrize("name", LINEAR_GATHER_CONFIGS)
+def test_linear_bills_gathered_once_match_two_gathers(name, monkeypatch):
+    # LinTxLinRx's bills gather each grown stack from h once, in factor
+    # order: every bill a drop asks for (each round's grown stacks, and
+    # each final stack's users at weights 1 and 0) has the bytes of
+    # gathering the placement-order stacks and regathering them
+    config = LINEAR_GATHER_CONFIGS[name]
+    bills, seen = sim._bills, []
+
+    def spy(config, h, rows, users, architecture, scale=1.0, first=None):
+        got = bills(config, h, rows, users, architecture, scale, first)
+        stacks = h[rows.reshape((-1,) + (1,) * (users.ndim - 1)), users]
+        want = factor_order_bills(stacks, config.price_weight[users] * scale,
+                                  config.streams_per_user, first)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        seen.append(first)
+        return got
+
+    monkeypatch.setattr(sim, "_bills", spy)
+    for drop in range(2):
+        channels = generate_drop(config, drop)
+        result = sim.run_drop(config, channels, Architecture.LIN_TX_LIN_RX)
+        assert result.feasible
+        for rows, stack in sim._buckets(result.order, {}):
+            for scale in (1.0, 0.0):
+                sim._bills(config, channels.matrices, rows, stack,
+                           Architecture.LIN_TX_LIN_RX, scale)
+    assert None in seen and any(seen)
 
 
 def gaussian(rng, *shape):
@@ -628,7 +677,7 @@ def test_linear_bills_from_r_factors(antennas, monkeypatch):
         budgets = rng.uniform(0.2, 2.0, stacks.shape[:2])
         quotas = rng.integers(1, 4, stacks.shape[:2])
         fallback.clear()
-        got = baselines.linear_bills(
+        got = factor_order_bills(
             stacks, oracles.weight(budgets, quotas, 0.7), streams, first=1)
         want = np.array([oracles.linear_bills(stacks[b], budgets[b],
                                               quotas[b], 0.7, streams)
@@ -667,7 +716,7 @@ def test_r_factor_bills_are_accurate(antennas):
     users = tx // rx
     stacks = r_factor_stacks(rng, antennas, users,
                              np.geomspace(1e2, 1e10, 5))[:-2]
-    got = baselines.linear_bills(stacks, np.ones(stacks.shape[:2]), streams)
+    got = factor_order_bills(stacks, np.ones(stacks.shape[:2]), streams)
     errors = []
     for b, i in itertools.product(range(len(stacks)), range(users)):
         want = exact(stacks[b, i],
@@ -806,8 +855,8 @@ def test_whole_array_tails_match_masked_tails(shape, monkeypatch):
             weights[:, :1], streams),
         "zf_bills": lambda: baselines.zf_bills(stacks, weights, streams),
         "thp_bills": lambda: baselines.thp_bills(stacks, weights, streams),
-        "linear_bills": lambda: baselines.linear_bills(stacks, weights,
-                                                       streams),
+        "linear_bills": lambda: factor_order_bills(stacks, weights,
+                                                   streams),
     }
     got = {}
     with warnings.catch_warnings():
