@@ -41,6 +41,8 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not all(n % 1 == 0 for n in self.quota):  # 2.5, nan and inf
+            raise ValueError("quotas must be integers")
         if min(self.num_subcarriers, self.num_users, self.rx_antennas,
                self.streams_per_user, self.pdp_taps, *self.quota) < 1:
             raise ValueError("num_subcarriers, num_users, rx_antennas, "

@@ -14,9 +14,9 @@ weight w = sigma^2 * n/gamma (`ScenarioConfig.price_weight`).
 
 `projected_costs` prices batches of channels confined to null spaces
 (the proposed scheme's and, with `baselines.zf_gains`, ZfTx's
-candidates; LinTxLinRx's bills) from their projected channels or the
-factors `sim` keeps per drop, in whole-array passes (`pricing_tail`); a
-stack serving one channel, from its raw-mode QR read in place
+candidates) from their projected channels or the factors `sim` keeps
+per drop, in whole-array passes (`pricing_tail`); LinTxLinRx's bills,
+each a stack serving one channel, from its raw-mode QR read in place
 (`stacked_costs`). Rank-one objects skip LAPACK (`_row_norms`): a MISO
 scenario (N_R = L = 1, Q = 2) prices without any SVD. The helpers
 broadcast over leading (pair) axes.
@@ -146,7 +146,7 @@ def pricing_tail(parts, h, weights, streams, gains=singular_gains):
     return out
 
 
-def stacked_costs(stacked, rows, weights, streams, gains=singular_gains):
+def stacked_costs(stacked, rows, weights, streams):
     """`projected_costs` (..., 1) of the rows h after the first R of each
     stack [P; h] (..., R + N_R, N_T). For R >= 2 and R + N_R <= N_T,
     H' = R22^T, read in place from the raw-mode QR of [P; h]^T, the
@@ -155,7 +155,7 @@ def stacked_costs(stacked, rows, weights, streams, gains=singular_gains):
     leading diagonal is within QR_TOL of rank loss."""
     placed, candidates = stacked[..., :rows, :], stacked[..., None, rows:, :]
     if rows < 2:
-        return projected_costs(placed, candidates, weights, streams, gains)
+        return projected_costs(placed, candidates, weights, streams)
     slow, parts = np.ones(stacked.shape[:-2], bool), []
     if stacked.shape[-2] <= stacked.shape[-1]:
         raw = np.linalg.qr(stacked.swapaxes(-1, -2), mode="raw")[0]
@@ -168,7 +168,7 @@ def stacked_costs(stacked, rows, weights, streams, gains=singular_gains):
         sel = slow.copy()
         sel[slow] = sub
         parts.append((sel, candidates[sel] @ v0[:, None], None))
-    return pricing_tail(parts, candidates, weights, streams, gains)
+    return pricing_tail(parts, candidates, weights, streams)
 
 
 def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
@@ -177,11 +177,8 @@ def projected_costs(placed: np.ndarray, candidates: np.ndarray, weights,
     the null space of its stack of placed rows (..., R, N_T), priced
     (`pricing_tail`) from its projected channel: h for R = 0; for one
     row p, h - (h u^H) u with u = p/||p|| (h if p = 0, of rank 0), which
-    has h V0's singular values; else h V0, or `stacked_costs` if m = 1."""
+    has h V0's singular values; else h V0, from `_null_spaces`."""
     rows = placed.shape[-2]
-    if rows > 1 and candidates.shape[-3] == 1:
-        return stacked_costs(np.concatenate([placed, candidates[..., 0, :, :]],
-                                            -2), rows, weights, streams, gains)
     parts = [(..., candidates, None)]
     if rows == 1:  # u = p/||p||, 0 for a zero row
         length = _row_norms(placed)[..., None, None]

@@ -125,6 +125,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=">= 1"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("quota", [(2.5, 3.9), (2, math.nan),
+                                       (math.inf, 2), (2.0, 2.5)])
+    def test_non_integer_quota(self, quota):
+        # a quota prices as n_k but assigns int(n_k) subcarriers: rejected
+        with pytest.raises(ValueError, match="quotas must be integers"):
+            ScenarioConfig(num_subcarriers=8, num_users=2, tx_antennas=2,
+                           rx_antennas=1, streams_per_user=1, quota=quota,
+                           mse_budget=(1.0, 1.0))
+
+    @pytest.mark.parametrize("quota", [(2, 3), (2.0, 3.0),
+                                       (np.int64(2), np.int32(3))])
+    def test_integer_valued_quota_accepted(self, quota):
+        cfg = ScenarioConfig(num_subcarriers=8, num_users=2, tx_antennas=2,
+                             rx_antennas=1, streams_per_user=1, quota=quota,
+                             mse_budget=(1.0, 1.0))
+        np.testing.assert_array_equal(cfg.price_weight, [2.0, 3.0])
+
     @pytest.mark.parametrize("users", [0, -2])
     def test_with_users_needs_a_user(self, users):
         with pytest.raises(ValueError, match="num_users must be >= 1"):

@@ -276,6 +276,17 @@ class TestEndToEnd:
         assert "quota sum" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("quota", ["2.5", "2,2.5,2,2", "nan", "inf"])
+    def test_non_integer_quota_exits_2(self, tmp_path, capsys, quota):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("\n".join(_lines(quota=quota)) + "\n")
+        out = tmp_path / "o.csv"
+        assert run_main(["sweep", "--config", str(path), "--drops", "1",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_no_users_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert run_main(["sweep", "--scenario", "S1", "--users", "0",

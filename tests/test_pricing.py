@@ -5,7 +5,7 @@ size. These tests replay every round with the one-pair-at-a-time
 references and require the same cost matrices (rel 1e-12 and identical
 +inf masks) and the same final power, for all four architectures, on
 small valid scenarios beyond the presets (Q = 3 and 4, L < N_R, mixed
-quotas and budgets) and on rank-deficient channels.
+quotas and budgets, groups of one user) and on rank-deficient channels.
 
 The rank-one closed forms (one row, one column, one placed row) are
 checked against the LAPACK factorizations they replace, and against a
@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -58,6 +58,14 @@ def scenarios(draw):
                           streams_per_user=streams, quota=quota,
                           mse_budget=budget,
                           rng_seed=draw(st.integers(0, 1000)))
+
+
+# K = Q = 4: one user per group, so each later round prices one candidate
+# against a stack of two or more placed rows
+SINGLE_USER_GROUPS = ScenarioConfig(num_subcarriers=8, num_users=4,
+                                    tx_antennas=8, rx_antennas=2,
+                                    streams_per_user=2, quota=(2,) * 4,
+                                    mse_budget=(1.0,) * 4)
 
 
 def degrade(channels, how):
@@ -136,6 +144,9 @@ def assert_same_final_power(result, reference_power):
 @settings(max_examples=50)
 @given(config=scenarios(), drop=st.integers(0, 20),
        how=st.sampled_from(["none", "duplicate", "zero"]))
+@example(config=SINGLE_USER_GROUPS, drop=8, how="none")
+@example(config=SINGLE_USER_GROUPS, drop=8, how="duplicate")
+@example(config=SINGLE_USER_GROUPS, drop=8, how="zero")
 @pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.value)
 def test_rounds_match_scalar_references(arch, config, drop, how):
     channels = degrade(generate_drop(config, drop), how)

@@ -17,6 +17,7 @@ mismatch exits 1. Prints the median parent/change time ratio per unit
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import itertools
 import json
@@ -30,24 +31,31 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 
 
-def load_workload(tree: str, name: str, label: str):
-    """perfbench's workload `name`, bound to the thpalloc of `tree`.
+@contextlib.contextmanager
+def tree_on_path(tree: str, *paths: str):
+    """Import from the thpalloc of `tree` (and from `paths`) in the block.
 
     The package's modules leave sys.modules afterwards, so the next tree
-    imports afresh; this tree's functions keep the modules they were
+    imports afresh; what the block imported keeps the modules it was
     imported with."""
-    sys.path[:0] = [os.path.join(os.path.abspath(tree), "src"), PERFBENCH]
+    sys.path[:0] = [os.path.join(os.path.abspath(tree), "src"), *paths]
     try:
+        yield
+    finally:
+        del sys.path[:1 + len(paths)]
+        for mod in [m for m in sys.modules
+                    if m == "thpalloc" or m.startswith("thpalloc.")]:
+            del sys.modules[mod]
+
+
+def load_workload(tree: str, name: str, label: str):
+    """perfbench's workload `name`, bound to the thpalloc of `tree`."""
+    with tree_on_path(tree, PERFBENCH):
         spec = importlib.util.spec_from_file_location(
             f"workloads_{label}", os.path.join(PERFBENCH, "workloads.py"))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module.make(name)
-    finally:
-        del sys.path[:2]
-        for mod in [m for m in sys.modules
-                    if m == "thpalloc" or m.startswith("thpalloc.")]:
-            del sys.modules[mod]
 
 
 def main(argv=None) -> int:
