@@ -25,15 +25,17 @@ def fold(x: np.ndarray, constellation_size: int, out=None) -> np.ndarray:
     return shift.view(complex)
 
 
-def thp_recursion(b: np.ndarray, b_matrix: np.ndarray, streams: int,
-                  constellation_size: int, shift: np.ndarray) -> np.ndarray:
-    """The modulo-feedback recursion over the stacked data vector d, in
-    place on b, a C-ordered copy of d of shape (Q*L, S); returns the shift,
-    kept in the float scratch `shift`: C b = d + shift, C = B + I."""
-    for i in range(b.shape[0] // streams):
-        rows = slice(i * streams, (i + 1) * streams)
-        for j in range(i):
-            cols = slice(j * streams, (j + 1) * streams)
+def thp_recursion(d: np.ndarray, b_matrix: np.ndarray, streams: int,
+                  constellation_size: int, b, shift) -> np.ndarray:
+    """The modulo-feedback recursion from the QAM data d (Q*L, S), left
+    unchanged, into b; returns the shift, kept in the float scratch
+    `shift`: C b = d + shift, C = B + I. QAM points fold to themselves
+    (shift +0.0): d's first block is copied, its `shift` rows not written."""
+    first, *later = (slice(i, i + streams) for i in range(0, len(d), streams))
+    b[first] = d[first]
+    for i, rows in enumerate(later):
+        np.subtract(d[rows], b_matrix[rows, first] @ b[first], out=b[rows])
+        for cols in later[:i]:
             b[rows] -= b_matrix[rows, cols] @ b[cols]
         fold(b[rows], constellation_size, out=shift[rows])
     return shift.view(complex)

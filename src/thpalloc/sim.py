@@ -459,20 +459,18 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
                       drop_result: DropResult, num_symbols: int,
                       seed: int = 0,
                       noiseless: bool = False) -> np.ndarray:
-    """Empirical per-user sum-MSE of the full THP chain: random QAM data
+    """Empirical per-user sum-MSE of the full THP chain: random QAM data d
     through modulo precoding, forward filters, channel, AWGN, receive
     filters and the receiver-side modulo; E|z - d|^2 per stream, summed
     over each user's subcarriers (valid where modulo folding of noise is
-    negligible). The plans come from `build_plans`, so `drop_result` must
-    be a feasible proposed-scheme result. Subcarriers run one at a time in
-    buffers for Q users; the draws are the QAM real and imaginary parts,
-    then each user's noise real and imaginary parts."""
+    negligible), for a feasible proposed-scheme result (`build_plans`).
+    Subcarriers run one at a time in buffers for Q users: d is drawn (QAM
+    real, then imaginary parts), precoded into b, then each user's noise."""
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be at least 1, got {num_symbols}")
     plans = build_plans(config, channels, drop_result)
     rng = np.random.default_rng(seed)
-    ell = config.streams_per_user
-    m = config.constellation_size
+    ell, m = config.streams_per_user, config.constellation_size
     q, n_r = config.group_count, config.rx_antennas
     stages = [np.empty((q * ell, num_symbols), complex) for _ in range(3)]
     x_buf = np.empty((q, n_r, num_symbols), dtype=complex)
@@ -484,8 +482,8 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
         users = list(plan.users)
         c = len(users)
         d, b, shift = (stage[:c * ell] for stage in stages)  # b, then z
-        b[...] = qam_symbols(rng, m, d.shape, out=d)
-        thp_recursion(b, plan.b_matrix, ell, m, shift.view(float))
+        qam_symbols(rng, m, d.shape, out=d)
+        thp_recursion(d, plan.b_matrix, ell, m, b, shift.view(float))
         hf = channels.matrices[n, users] @ np.hstack(plan.forward)
         x = np.matmul(hf, b, out=x_buf[:c])
         if not noiseless:

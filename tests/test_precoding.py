@@ -9,7 +9,7 @@ from thpalloc.channel import _VALID_QAM
 from thpalloc.loading import (INFEASIBLE_COST, _null_spaces, loading_cost,
                               projected_costs)
 from thpalloc.precoding import fold, thp_recursion
-from thpalloc.sim import _fix_column_phases
+from thpalloc.sim import _fix_column_phases, qam_symbols
 
 
 def random_complex(rng, shape):
@@ -143,6 +143,17 @@ class TestModulo:
             np.testing.assert_allclose(xi.real, np.round(xi.real), atol=1e-9)
             np.testing.assert_allclose(xi.imag, np.round(xi.imag), atol=1e-9)
             np.testing.assert_allclose(x + shift, y, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_qam_points_fold_to_themselves(self, m):
+        # why `thp_recursion` copies the first block: every point that
+        # `qam_symbols` draws folds onto itself with a +0.0 shift
+        points = np.unique(qam_symbols(np.random.default_rng(m), m, 64 * m))
+        assert points.size == m
+        x = points.copy()
+        shift = fold(x, m)
+        assert same_bits(x, points)
+        assert same_bits(shift, np.zeros_like(points))  # +0.0, no -0.0
 
 
 def same_bits(a, b):
@@ -289,7 +300,31 @@ class TestThpPrecode:
         b_want, v_want = recursion_precode(d, b_matrix, ell, m)
         stale = 50 * random_complex(rng, (2, q * ell + 4, 30))
         b, scratch = stale[:, :q * ell]
-        b[...] = d
-        shift = thp_recursion(b, b_matrix, ell, m, scratch.view(float))
+        data = d.copy()  # folded first block, as recursion_precode does
+        fold(data[:ell], m, out=scratch.view(float)[:ell])
+        shift = thp_recursion(data, b_matrix, ell, m, b, scratch.view(float))
         assert np.shares_memory(shift, scratch)
         assert same_bits(b, b_want) and same_bits(d + shift, v_want)
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_recursion_reads_d_and_writes_only_its_rows(self, m):
+        # d is left as it is; of larger stale b and shift buffers only the
+        # first c L rows are written, and of shift not the first block's
+        rng = np.random.default_rng(19 + m)
+        q, ell, extra = 3, 2, 4
+        b_matrix = np.tril(random_complex(rng, (q * ell, q * ell)), -ell)
+        d = qam_symbols(rng, m, (q * ell, 30))
+        d_before = d.copy()
+        b_buf = 50 * random_complex(rng, (q * ell + extra, 30))
+        shift_buf = 50 * random_complex(rng, (q * ell + extra, 30))
+        stale_b, stale_shift = b_buf.copy(), shift_buf.copy()
+        b_want, v_want = recursion_precode(d, b_matrix, ell, m)
+        shift = thp_recursion(d, b_matrix, ell, m, b_buf[:q * ell],
+                              shift_buf[:q * ell].view(float))
+        assert same_bits(d, d_before)
+        assert same_bits(b_buf[:q * ell], b_want)
+        assert same_bits(b_buf[q * ell:], stale_b[q * ell:])
+        assert same_bits(shift_buf[q * ell:], stale_shift[q * ell:])
+        assert same_bits(shift_buf[:ell], stale_shift[:ell])
+        shift[:ell] = 0  # the first block's shift on QAM points
+        assert same_bits(d + shift, v_want)
