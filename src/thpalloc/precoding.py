@@ -29,8 +29,9 @@ def thp_recursion(d: np.ndarray, b_matrix: np.ndarray, streams: int,
                   constellation_size: int, b, shift) -> np.ndarray:
     """The modulo-feedback recursion from the QAM data d (Q*L, S), left
     unchanged, into b; returns the shift, kept in the float scratch
-    `shift`: C b = d + shift, C = B + I. QAM points fold to themselves
-    (shift +0.0): d's first block is copied, its `shift` rows not written."""
+    `shift`: C b = d + shift, C = B + I, B the leading Q*L rows and
+    columns of `b_matrix`. QAM points fold to themselves (shift +0.0):
+    d's first block is copied, its `shift` rows not written."""
     first, *later = (slice(i, i + streams) for i in range(0, len(d), streams))
     b[first] = d[first]
     for i, rows in enumerate(later):

@@ -7,8 +7,8 @@ round prices the subcarriers in one array-shaped call per placed count:
 a price depends only on the users already placed on the subcarrier. The
 placement is one (N, Q) array, `order[n, i]` the i-th user placed on
 subcarrier n (its THP precoding order), -1 past its count. The proposed
-scheme's transceivers and THP feedback are built on demand from a
-finished result by `build_plans`, which `link_level_verify` calls.
+scheme's transceivers and THP feedback, (N, ...) arrays aligned with
+`order`, are built on demand by `build_plans` for `link_level_verify`.
 
 Sweeps repeat this over drops and target-MSE (or user-count) axes with
 all architectures paired on identical drops. Every cost is homogeneous
@@ -46,17 +46,6 @@ from thpalloc.loading import (_null_spaces, equalizing_rotation,
 from thpalloc.partition import (GroupPartition, channel_quality,
                                 partition_worst_first)
 from thpalloc.precoding import fold, thp_recursion
-
-
-@dataclass(frozen=True)
-class SubcarrierPlan:
-    """Ordered co-channel users on one subcarrier with their transceivers
-    and THP feedback."""
-
-    users: tuple[int, ...]  # group order, c users
-    forward: np.ndarray     # F = V0 U per user, (c, N_T, L)
-    receiver: np.ndarray    # G per user, (c, L, N_R)
-    b_matrix: np.ndarray    # (cL, cL), block (p, i < p) G_p H_p F_i, else 0
 
 
 @dataclass(frozen=True)
@@ -258,15 +247,17 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def build_plans(config: ScenarioConfig, channels: ChannelSet,
-                drop_result: DropResult) -> tuple[SubcarrierPlan | None, ...]:
+                drop_result: DropResult) -> tuple[np.ndarray, ...]:
     """Transceivers and THP feedback of a feasible proposed-scheme result,
-    one plan per subcarrier (None where no user is placed). Position p of
-    the result's `order` is built in one batched pass over the subcarriers
-    with more than p users: the null-space bases V0 of the earlier users
-    (column phases fixed), one SVD of H' = H V0 per null-space rank, the
-    loading, F = V0 U, G and the feedback blocks C_pi = G_p H_p F_i for
-    i < p. G_p is the minimum-norm zero-forcing receiver of the
-    full-column-rank T_pp = H_p F_p, so C_pi = pinv(T_pp) T_pi."""
+    row n aligned with its `order[n]` and 0 past its count c: forward
+    (N, Q, N_T, L), F = V0 U; receiver (N, Q, L, N_R), G; feedback
+    (N, QL, QL), B = C - I, 0 outside its leading cL rows and columns,
+    block (p, i < p) C_pi = G_p H_p F_i. Position p is built in one
+    batched pass over the subcarriers with more than p users: the
+    null-space bases V0 of the earlier users (column phases fixed), one
+    SVD of H' = H V0 per null-space rank, the loading, F, G and C_pi.
+    G_p is the minimum-norm zero-forcing receiver of the full-column-rank
+    T_pp = H_p F_p, so C_pi = pinv(T_pp) T_pi."""
     if (not drop_result.feasible
             or drop_result.architecture is not Architecture.THP_TX_LIN_RX):
         raise ValueError("THP plans need a feasible result of the proposed "
@@ -298,12 +289,7 @@ def build_plans(config: ScenarioConfig, channels: ChannelSet,
         feedback[rows, p, :, :p] = (
             receiver[rows, p, None] @ (h[rows, order[rows, p]][:, None]
                                        @ forward[rows, :p])).swapaxes(1, 2)
-    feedback = feedback.reshape(num_sc, q * ell, q * ell)
-    return tuple(
-        SubcarrierPlan(users=tuple(order[n, :c].tolist()),
-                       forward=forward[n, :c], receiver=receiver[n, :c],
-                       b_matrix=feedback[n, :c * ell, :c * ell])
-        if c else None for n, c in enumerate(counts.tolist()))
+    return forward, receiver, feedback.reshape(num_sc, q * ell, q * ell)
 
 
 @np.errstate(over="ignore")  # an overflowing price or bill is +inf
@@ -468,7 +454,7 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
     real, then imaginary parts), precoded into b, then each user's noise."""
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be at least 1, got {num_symbols}")
-    plans = build_plans(config, channels, drop_result)
+    forward, receiver, feedback = build_plans(config, channels, drop_result)
     rng = np.random.default_rng(seed)
     ell, m = config.streams_per_user, config.constellation_size
     q, n_r = config.group_count, config.rx_antennas
@@ -476,22 +462,21 @@ def link_level_verify(config: ScenarioConfig, channels: ChannelSet,
     x_buf = np.empty((q, n_r, num_symbols), dtype=complex)
     noise_buf = np.empty((q, 2, n_r, num_symbols))
     sq_err = np.zeros(config.num_users)
-    for n, plan in enumerate(plans):
-        if plan is None:
+    for n, placed in enumerate(drop_result.order):
+        users = placed[placed >= 0]
+        if not (c := users.size):
             continue
-        users = list(plan.users)
-        c = len(users)
         d, b, shift = (stage[:c * ell] for stage in stages)  # b, then z
         qam_symbols(rng, m, d.shape, out=d)
-        thp_recursion(d, plan.b_matrix, ell, m, b, shift.view(float))
-        hf = channels.matrices[n, users] @ np.hstack(plan.forward)
+        thp_recursion(d, feedback[n], ell, m, b, shift.view(float))
+        hf = channels.matrices[n, users] @ np.hstack(forward[n, :c])
         x = np.matmul(hf, b, out=x_buf[:c])
         if not noiseless:
             noise = rng.standard_normal(out=noise_buf[:c])
             noise *= math.sqrt(config.noise_variance / 2.0)
             x.real += noise[:, 0]
             x.imag += noise[:, 1]
-        z = np.matmul(plan.receiver, x, out=b.reshape(c, ell, -1))
+        z = np.matmul(receiver[n, :c], x, out=b.reshape(c, ell, -1))
         fold(z, m, out=shift.view(float).reshape(c, ell, -1))
         err = np.subtract(z, d.reshape(z.shape), out=z).view(float)
         sq_err[users] += np.einsum("kij,kij->k", err, err) / num_symbols

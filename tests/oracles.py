@@ -53,7 +53,6 @@ from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _null_spaces,
                               loading_cost, singular_gains)
 from thpalloc import channel, sim
-from thpalloc.sim import SubcarrierPlan
 
 
 def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
@@ -404,7 +403,9 @@ def build_plans(config, channels, drop_result) -> tuple:
     pair at a time: V0 of the users placed before it, H' = H V0, the
     closed-form loading lambda_U = sqrt(nu) sqrt(sigma^2/lambda_H'),
     U = V1 diag(lambda_U)^(1/2) S^H, F = V0 U, G = (H'U)^+, then
-    B = C - I with C_ki = pinv(T_kk) T_ki, T_ki = H_k F_i."""
+    B = C - I with C_ki = pinv(T_kk) T_ki, T_ki = H_k F_i. One entry per
+    subcarrier: None where no user is placed, else (users in placement
+    order, F (q, N_T, L), G (q, L, N_R), B (qL, qL))."""
     placed = [[] for _ in range(config.num_subcarriers)]
     for users, assignment in zip(drop_result.partition.groups,
                                  drop_result.assignments):
@@ -438,9 +439,8 @@ def build_plans(config, channels, drop_result) -> tuple:
             for i in range(k):
                 c[k * ell:(k + 1) * ell, i * ell:(i + 1) * ell] = \
                     pinv @ (h_all[users[k]] @ forward[i])
-        plans.append(SubcarrierPlan(
-            users=tuple(users), forward=np.array(forward),
-            receiver=np.array(receiver), b_matrix=c - np.eye(q * ell)))
+        plans.append((tuple(users), np.array(forward), np.array(receiver),
+                      c - np.eye(q * ell)))
     return tuple(plans)
 
 
@@ -500,20 +500,21 @@ def link_level_verify(config, channels, drop_result, num_symbols: int,
     for n, plan in enumerate(plans):
         if plan is None:
             continue
-        q = len(plan.users)
+        users, forward, receiver, b_matrix = plan
+        q = len(users)
         d = qam_symbols(rng, m, (q * ell, num_symbols))
-        b, _ = thp_precode(d, plan.b_matrix, ell, m)
+        b, _ = thp_precode(d, b_matrix, ell, m)
         tx = np.zeros((config.tx_antennas, num_symbols), dtype=complex)
         for pos in range(q):
-            tx += plan.forward[pos] @ b[pos * ell:(pos + 1) * ell]
-        for pos, k in enumerate(plan.users):
+            tx += forward[pos] @ b[pos * ell:(pos + 1) * ell]
+        for pos, k in enumerate(users):
             h = channels.matrices[n][k]
             x = h @ tx
             if not noiseless:
                 noise = (rng.standard_normal((h.shape[0], num_symbols))
                          + 1j * rng.standard_normal((h.shape[0], num_symbols)))
                 x = x + math.sqrt(config.noise_variance / 2.0) * noise
-            y = plan.receiver[pos] @ x
+            y = receiver[pos] @ x
             z, _ = modulo(y, m)
             err = z - d[pos * ell:(pos + 1) * ell]
             sq_err[k] += float(np.mean(np.abs(err) ** 2, axis=1).sum())
@@ -523,28 +524,31 @@ def link_level_verify(config, channels, drop_result, num_symbols: int,
 def stacked_link_level_verify(config, channels, drop_result,
                               num_symbols: int, seed: int = 0,
                               noiseless: bool = False) -> np.ndarray:
-    """The stacked chain on `sim.build_plans`' plans, each subcarrier's
-    users in fresh arrays per stage: the same draws and the same
-    arithmetic as `sim.link_level_verify`, so the same bytes."""
-    plans = sim.build_plans(config, channels, drop_result)
+    """The stacked chain on `sim.build_plans`' arrays, each subcarrier's
+    users (its leading entries of the placement `order`) in fresh arrays
+    per stage: the same draws and the same arithmetic as
+    `sim.link_level_verify`, so the same bytes."""
+    forward, receiver, feedback = sim.build_plans(config, channels,
+                                                  drop_result)
     rng = np.random.default_rng(seed)
     ell = config.streams_per_user
     m = config.constellation_size
     sq_err = np.zeros(config.num_users)
-    for n, plan in enumerate(plans):
-        if plan is None:
+    for n, placed in enumerate(drop_result.order.tolist()):
+        users = [k for k in placed if k >= 0]
+        if not users:
             continue
-        users = list(plan.users)
-        d = qam_symbols(rng, m, (len(users) * ell, num_symbols))
-        b, _ = thp_precode(d, plan.b_matrix, ell, m)
-        forward = np.hstack(plan.forward)
-        x = (channels.matrices[n, users] @ forward) @ b  # (users, N_R, S)
+        c = len(users)
+        d = qam_symbols(rng, m, (c * ell, num_symbols))
+        b, _ = thp_precode(d, feedback[n, :c * ell, :c * ell], ell, m)
+        x = (channels.matrices[n, users]
+             @ np.hstack(forward[n, :c])) @ b  # (users, N_R, S)
         if not noiseless:
             noise = rng.standard_normal((len(users), 2) + x.shape[1:])
             noise *= math.sqrt(config.noise_variance / 2.0)
             x.real += noise[:, 0]
             x.imag += noise[:, 1]
-        z, _ = modulo(plan.receiver @ x, m)
+        z, _ = modulo(receiver[n, :c] @ x, m)
         err = (z - d.reshape(z.shape)).view(float)
         sq_err[users] += np.einsum("kij,kij->k", err, err) / num_symbols
     return sq_err

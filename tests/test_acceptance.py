@@ -197,38 +197,40 @@ def test_criterion_3_interference_elimination():
                 continue
             drops_checked += 1
             ell = cfg.streams_per_user
-            for n, plan in enumerate(build_plans(cfg, channels, res)):
-                if plan is None:
+            forward, receiver, feedback = build_plans(cfg, channels, res)
+            for n, placed in enumerate(res.order.tolist()):
+                users = [k for k in placed if k >= 0]
+                if not users:
                     continue
                 h_all = channels.matrices[n]
-                forwards = plan.forward
+                q = len(users)
+                forwards = forward[n, :q]
                 # null-space exactness and zero-forcing receivers
-                for pos, k in enumerate(plan.users):
+                for pos, k in enumerate(users):
                     f = forwards[pos]
                     if pos:
-                        stack = np.vstack([h_all[i]
-                                           for i in plan.users[:pos]])
+                        stack = np.vstack([h_all[i] for i in users[:pos]])
                         resid = np.linalg.norm(stack @ f) / np.linalg.norm(f)
                         worst = max(worst, resid)
-                    g = plan.receiver[pos]
+                    g = receiver[n, pos]
                     eye_resid = np.linalg.norm(g @ h_all[k] @ f - np.eye(ell))
                     worst = max(worst, eye_resid)
                 # feedback factorization D C = T
-                q = len(plan.users)
-                t_full = np.block([[h_all[plan.users[p]] @ forwards[i]
+                t_full = np.block([[h_all[users[p]] @ forwards[i]
                                     if i <= p else
                                     np.zeros((cfg.rx_antennas, ell))
                                     for i in range(q)] for p in range(q)])
                 d_full = np.block(
-                    [[h_all[plan.users[p]] @ forwards[i] if i == p else
+                    [[h_all[users[p]] @ forwards[i] if i == p else
                       np.zeros((cfg.rx_antennas, ell))
                       for i in range(q)] for p in range(q)])
-                c = plan.b_matrix + np.eye(q * ell)
+                b_matrix = feedback[n, :q * ell, :q * ell]
+                c = b_matrix + np.eye(q * ell)
                 worst = max(worst, np.linalg.norm(d_full @ c - t_full)
                             / np.linalg.norm(t_full))
                 # recursion identity and bounded outputs
                 data = random_complex(rng, (q * ell, 16)) * 3
-                b, v = recursion_precode(data, plan.b_matrix, ell,
+                b, v = recursion_precode(data, b_matrix, ell,
                                          cfg.constellation_size)
                 worst = max(worst, np.linalg.norm(c @ b - v)
                             / max(np.linalg.norm(v), 1e-300))
@@ -263,14 +265,13 @@ def test_criterion_4_equal_mse_and_tightness():
             if not res.feasible:
                 continue
             sums = np.zeros(cfg.num_users)
-            for plan in build_plans(cfg, channels, res):
-                if plan is None:
-                    continue
-                for k, g in zip(plan.users, plan.receiver):
-                    mse = cfg.noise_variance * np.diag(g @ g.conj().T).real
-                    dev = np.max(np.abs(mse - eps[k])) / eps[k]
-                    worst_eq = max(worst_eq, float(dev))
-                    sums[k] += float(mse.sum())
+            _, receiver, _ = build_plans(cfg, channels, res)
+            placed = res.order >= 0
+            for k, g in zip(res.order[placed].tolist(), receiver[placed]):
+                mse = cfg.noise_variance * np.diag(g @ g.conj().T).real
+                dev = np.max(np.abs(mse - eps[k])) / eps[k]
+                worst_eq = max(worst_eq, float(dev))
+                sums[k] += float(mse.sum())
             worst_sum = max(worst_sum, float(np.max(
                 np.abs(sums - np.asarray(cfg.mse_budget))
                 / np.asarray(cfg.mse_budget))))

@@ -119,12 +119,11 @@ class TestRunDrop:
         # verify from the transceivers themselves: per-user sum over its
         # subcarriers of sigma^2 * tr(G G^H) equals gamma_k
         sums = np.zeros(cfg.num_users)
-        for plan in build_plans(cfg, channels, res):
-            if plan is None:
-                continue
-            for k, g in zip(plan.users, plan.receiver):
-                sums[k] += cfg.noise_variance * float(
-                    np.trace(g @ g.conj().T).real)
+        _, receiver, _ = build_plans(cfg, channels, res)
+        placed = res.order >= 0
+        for k, g in zip(res.order[placed], receiver[placed]):
+            sums[k] += cfg.noise_variance * float(
+                np.trace(g @ g.conj().T).real)
         np.testing.assert_allclose(sums, cfg.mse_budget, rtol=1e-9)
 
     def test_power_accounting_identity(self):
@@ -132,10 +131,9 @@ class TestRunDrop:
         channels = generate_drop(cfg, 0)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
         # tr(U^H U) = tr(F^H F), as F = V0 U with orthonormal V0
+        forward, _, _ = build_plans(cfg, channels, res)
         tr_sum = sum(float(np.trace(f.conj().T @ f).real)
-                     for plan in build_plans(cfg, channels, res)
-                     if plan is not None
-                     for f in plan.forward)
+                     for f in forward[res.order >= 0])
         assert res.total_power == pytest.approx(
             cfg.symbol_variance * tr_sum, rel=1e-9)
         assert res.power_db == pytest.approx(
@@ -219,10 +217,10 @@ class TestRunDrop:
             res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
             assert res.feasible
             thp = 0.0
-            for n, plan in enumerate(build_plans(cfg, channels, res)):
-                if plan is None:
+            for n, placed in enumerate(res.order.tolist()):
+                users = [k for k in placed if k >= 0]
+                if not users:
                     continue
-                users = list(plan.users)
                 thp += sum(thp_bills(
                     channels.matrices[n][users],
                     [cfg.mse_budget[k] for k in users],
@@ -292,9 +290,9 @@ class TestRunDrop:
         channels = generate_drop(cfg, 0)
         results = {arch: run_drop(cfg, channels, arch) for arch in ALL_ARCHS}
         assert all(res.feasible for res in results.values())
-        plans = build_plans(cfg, channels,
-                            results[Architecture.THP_TX_LIN_RX])
-        assert any(plan is not None for plan in plans)
+        forward, _, _ = build_plans(cfg, channels,
+                                    results[Architecture.THP_TX_LIN_RX])
+        assert forward.any()
 
     @pytest.mark.parametrize("preset, users", [("S1", 8), ("S1", 32),
                                                ("S2", None), ("S3", 32)])
@@ -707,27 +705,68 @@ LINK_SCENARIOS = {
 class TestBuildPlans:
     @pytest.mark.parametrize("scenario", sorted(LINK_SCENARIOS))
     def test_plans_match_scalar_reference(self, scenario):
-        # the batched plans equal the one-pair-at-a-time reference: same
-        # users in the same order, F, G and B within rel 1e-12
+        # the batched plans equal the one-pair-at-a-time reference: per
+        # subcarrier, the same users in the same order, F, G and B within
+        # rel 1e-12
         cfg = LINK_SCENARIOS[scenario](16)
+        ell = cfg.streams_per_user
         for drop in range(3):
             channels = generate_drop(cfg, drop)
             res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
             assert res.feasible
-            got = build_plans(cfg, channels, res)
+            forward, receiver, feedback = build_plans(cfg, channels, res)
             want = oracles.build_plans(cfg, channels, res)
-            assert len(got) == len(want) == cfg.num_subcarriers
-            assert max(len(p.users) for p in got
-                       if p is not None) == cfg.group_count
-            for g, w in zip(got, want):
-                assert (g is None) == (w is None)
-                if g is None:
+            counts = (res.order >= 0).sum(1)
+            assert len(want) == len(forward) == cfg.num_subcarriers
+            assert counts.max() == cfg.group_count
+            for n, (c, w) in enumerate(zip(counts.tolist(), want)):
+                assert (c == 0) == (w is None)
+                if w is None:
                     continue
-                assert g.users == w.users
-                for a, b in ((g.forward, w.forward), (g.receiver, w.receiver),
-                             (g.b_matrix, w.b_matrix)):
+                users, f, g, b_matrix = w
+                assert tuple(res.order[n, :c].tolist()) == users
+                for a, b in ((forward[n, :c], f), (receiver[n, :c], g),
+                             (feedback[n, :c * ell, :c * ell], b_matrix)):
                     assert a.shape == b.shape
                     assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("scenario", ["S1-K24", "Q3", "Q3-quota3"])
+    def test_padding_is_zero_and_never_read(self, scenario, monkeypatch):
+        # every entry past a subcarrier's count c is exactly 0, and the
+        # chain reads none of them: NaN there leaves its bytes unchanged.
+        # S1-K24 has one-user subcarriers (Q = 2); Q3 fills all three
+        # positions everywhere, and with quota 3 it has two-user ones
+        cfg = (tiny_config(num_users=6, tx_antennas=6, quota=(3,) * 6,
+                           mse_budget=(0.5,) * 6, rng_seed=24)
+               if scenario == "Q3-quota3" else LINK_SCENARIOS[scenario](16))
+        ell = cfg.streams_per_user
+        channels = generate_drop(cfg, 0)
+        res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
+        assert res.feasible
+        counts = (res.order >= 0).sum(1).tolist()
+        assert (min(counts) < cfg.group_count) == (scenario != "Q3")
+        forward, receiver, feedback = build_plans(cfg, channels, res)
+        for n, c in enumerate(counts):
+            lead = np.zeros(feedback.shape[1:], dtype=bool)
+            lead[:c * ell, :c * ell] = True
+            assert not forward[n, c:].any() and not receiver[n, c:].any()
+            assert not feedback[n][~lead].any()
+
+        def nan_padded(*args):
+            forward, receiver, feedback = build_plans(*args)
+            for n, c in enumerate(counts):
+                forward[n, c:] = receiver[n, c:] = np.nan
+                feedback[n, c * ell:] = feedback[n, :, c * ell:] = np.nan
+            return forward, receiver, feedback
+
+        runs = [(noiseless, link_level_verify(cfg, channels, res, 151, seed=7,
+                                              noiseless=noiseless))
+                for noiseless in (False, True)]
+        monkeypatch.setattr(sim, "build_plans", nan_padded)
+        for noiseless, want in runs:
+            got = link_level_verify(cfg, channels, res, 151, seed=7,
+                                    noiseless=noiseless)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLinkLevel:
@@ -778,8 +817,8 @@ class TestLinkLevel:
         channels = generate_drop(cfg, 0)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
         assert res.feasible
-        assert [len(p.users) for p in build_plans(cfg, channels, res)
-                if p is not None][0] == 1
+        counts = (res.order >= 0).sum(1)
+        assert counts[counts > 0][0] == 1
         for noiseless in (False, True):
             got = link_level_verify(cfg, channels, res, num_symbols=151,
                                     seed=m, noiseless=noiseless)
@@ -794,8 +833,7 @@ class TestLinkLevel:
         channels = generate_drop(cfg, m % 5)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
         assert res.feasible
-        assert max(len(p.users) for p in build_plans(cfg, channels, res)
-                   if p is not None) == cfg.group_count
+        assert (res.order >= 0).sum(1).max() == cfg.group_count
         noisy = link_level_verify(cfg, channels, res, num_symbols=150, seed=m)
         np.testing.assert_allclose(
             noisy, oracles.link_level_verify(cfg, channels, res, 150, seed=m),
