@@ -2,23 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from thpalloc.channel import ChannelSet
-
-
-@dataclass(frozen=True)
-class GroupPartition:
-    """Ordered split of the user population into Q equal-size groups.
-
-    groups[0] holds the users with the weakest channels; they are
-    precoded first, while all transmit degrees of freedom remain.
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-    quality: np.ndarray  # pi(k) per user
 
 
 def channel_quality(channels: ChannelSet) -> np.ndarray:
@@ -28,15 +14,14 @@ def channel_quality(channels: ChannelSet) -> np.ndarray:
     return np.ascontiguousarray(energy.T).mean(axis=1)
 
 
-def partition_worst_first(quality: np.ndarray, group_count: int) -> GroupPartition:
-    """Sort users ascending by quality (ties by index) into Q groups.
-
-    The first K/Q users form group 0, the next K/Q group 1, etc.
-    """
+def partition_worst_first(quality: np.ndarray,
+                          group_count: int) -> tuple[tuple[int, ...], ...]:
+    """Users sorted ascending by quality (ties by index) into Q groups of
+    K/Q: group 0, the weakest, is precoded first, while every transmit
+    degree of freedom remains; group 1 holds the next K/Q, and so on."""
     quality = np.asarray(quality, dtype=float)
     if quality.size % group_count != 0:
         raise ValueError(f"user count {quality.size} not divisible by "
                          f"group count {group_count}")
     order = np.argsort(quality, kind="stable").reshape(group_count, -1)
-    return GroupPartition(groups=tuple(map(tuple, order.tolist())),
-                          quality=quality)
+    return tuple(map(tuple, order.tolist()))

@@ -43,8 +43,7 @@ from thpalloc.loading import (_null_spaces, equalizing_rotation,
                               power_loading, pricing_tail, projected_costs,
                               receiver_matrix, singular_gains,
                               transmit_matrix)
-from thpalloc.partition import (GroupPartition, channel_quality,
-                                partition_worst_first)
+from thpalloc.partition import channel_quality, partition_worst_first
 from thpalloc.precoding import fold, thp_recursion
 
 
@@ -54,7 +53,7 @@ class DropResult:
 
     architecture: Architecture
     feasible: bool
-    partition: GroupPartition | None = None
+    partition: tuple[tuple[int, ...], ...] | None = None  # worst first
     assignments: tuple[Assignment, ...] = ()
     order: np.ndarray | None = None      # (N, Q) placement, if feasible
     total_power: float = math.nan        # linear, sigma_d^2 * sum tr(U^H U)
@@ -324,7 +323,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
                 config.price_weight[:, None], h.shape[:2] + (1,)),
                 config.streams_per_user)[..., 0]
         quota = np.asarray(config.quota)
-        for users in map(np.asarray, partition.groups):
+        for users in map(np.asarray, partition):
             costs, grown = ((blind[:, users], None) if blind is not None else
                             _cost_matrix(config, h, order, power, users,
                                          architecture, memo))

@@ -407,7 +407,7 @@ def build_plans(config, channels, drop_result) -> tuple:
     subcarrier: None where no user is placed, else (users in placement
     order, F (q, N_T, L), G (q, L, N_R), B (qL, qL))."""
     placed = [[] for _ in range(config.num_subcarriers)]
-    for users, assignment in zip(drop_result.partition.groups,
+    for users, assignment in zip(drop_result.partition,
                                  drop_result.assignments):
         for n, j in np.argwhere(assignment.a).tolist():
             placed[n].append(users[j])

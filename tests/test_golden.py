@@ -25,8 +25,7 @@ DROPS = (0, 1)
 def owners(result):
     """Per group round, the user given each subcarrier (-1 if none)."""
     out = []
-    for users, assignment in zip(result.partition.groups,
-                                 result.assignments):
+    for users, assignment in zip(result.partition, result.assignments):
         out.append([users[row.argmax()] if row.any() else -1
                     for row in assignment.a])
     return out

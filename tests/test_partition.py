@@ -39,15 +39,15 @@ class TestChannelQuality:
 class TestPartitionWorstFirst:
     def test_basic_sort(self):
         part = partition_worst_first(np.array([4.0, 1.0, 3.0, 2.0]), 2)
-        assert part.groups == ((1, 3), (2, 0))
+        assert part == ((1, 3), (2, 0))
 
     def test_tie_break_by_index(self):
         part = partition_worst_first(np.ones(4), 2)
-        assert part.groups == ((0, 1), (2, 3))
+        assert part == ((0, 1), (2, 3))
 
     def test_single_group(self):
         part = partition_worst_first(np.array([2.0, 1.0, 3.0]), 1)
-        assert part.groups == ((1, 0, 2),)
+        assert part == ((1, 0, 2),)
 
     def test_indivisible_raises(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -57,17 +57,17 @@ class TestPartitionWorstFirst:
         rng = np.random.default_rng(1)
         q = rng.uniform(size=12)
         part = partition_worst_first(q, 3)
-        flat = [k for g in part.groups for k in g]
+        flat = [k for g in part for k in g]
         assert sorted(flat) == list(range(12))
-        assert all(len(g) == 4 for g in part.groups)
+        assert all(len(g) == 4 for g in part)
 
     def test_worst_first_ordering(self):
         rng = np.random.default_rng(2)
         q = rng.uniform(size=16)
         part = partition_worst_first(q, 4)
         for i in range(3):
-            assert max(q[k] for k in part.groups[i]) <= \
-                min(q[k] for k in part.groups[i + 1])
+            assert max(q[k] for k in part[i]) <= \
+                min(q[k] for k in part[i + 1])
 
     def test_permutation_covariance(self):
         rng = np.random.default_rng(3)
@@ -76,8 +76,8 @@ class TestPartitionWorstFirst:
         base = partition_worst_first(q, 2)
         permuted = partition_worst_first(q[perm], 2)
         # user j in the permuted problem is user perm[j] originally
-        relabeled = tuple(tuple(sorted(perm[list(g)])) for g in permuted.groups)
-        original = tuple(tuple(sorted(g)) for g in base.groups)
+        relabeled = tuple(tuple(sorted(perm[list(g)])) for g in permuted)
+        original = tuple(tuple(sorted(g)) for g in base)
         assert relabeled == original
 
     def test_scale_monotonicity(self):
@@ -86,7 +86,7 @@ class TestPartitionWorstFirst:
         base = partition_worst_first(q, 4)
 
         def group_of(part, k):
-            return next(i for i, g in enumerate(part.groups) if k in g)
+            return next(i for i, g in enumerate(part) if k in g)
 
         boosted = q.copy()
         boosted[2] *= 3.0

@@ -99,7 +99,7 @@ def replay(config, channels, architecture):
     placed = [[] for _ in range(config.num_subcarriers)]
     reference, committed = [], 0.0
     for users, assignment in itertools.zip_longest(
-            result.partition.groups[:len(seen)], solved):
+            result.partition[:len(seen)], solved):
         costs = np.array([oracles.cost_row(config, channels.matrices[n],
                                            placed[n], list(users),
                                            architecture)
@@ -502,7 +502,7 @@ def test_s3_drop_factors_each_channel_once(monkeypatch):
         result = sim.run_drop(cfg, channels, arch, memo=memo)
         assert result.feasible
         placed[arch] = result.order[:, 0]
-    first, second = memo["partition",].groups
+    first, second = memo["partition",]
     assert len(factored) == cfg.num_subcarriers * len(first)
     assert set(factored) == set(itertools.product(
         range(cfg.num_subcarriers), first))

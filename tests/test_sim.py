@@ -36,8 +36,7 @@ ALL_ARCHS = tuple(Architecture)
 def placement(result, num_subcarriers):
     """The users of a result on each subcarrier, in placement order."""
     placed = [[] for _ in range(num_subcarriers)]
-    for users, assignment in zip(result.partition.groups,
-                                 result.assignments):
+    for users, assignment in zip(result.partition, result.assignments):
         for n, j in np.argwhere(assignment.a).tolist():
             placed[n].append(users[j])
     return placed
@@ -106,8 +105,7 @@ class TestRunDrop:
             res = run_drop(cfg, channels, arch)
             assert res.feasible
             counts = {k: 0 for k in range(cfg.num_users)}
-            for users, assignment in zip(res.partition.groups,
-                                         res.assignments):
+            for users, assignment in zip(res.partition, res.assignments):
                 for k, placed in zip(users, assignment.a.sum(axis=0)):
                     counts[k] += int(placed)
             assert all(counts[k] == cfg.quota[k] for k in counts)
@@ -186,8 +184,8 @@ class TestRunDrop:
             a = run_drop(cfg, channels, arch)
             b = run_drop(moved_cfg, moved, arch)
             assert a.feasible and b.feasible
-            assert [[perm[i] for i in g] for g in b.partition.groups] == \
-                [list(g) for g in a.partition.groups]
+            assert [[perm[i] for i in g] for g in b.partition] == \
+                [list(g) for g in a.partition]
             for ga, gb in zip(a.assignments, b.assignments):
                 np.testing.assert_array_equal(ga.a, gb.a)
             assert [gb.total_cost for gb in b.assignments] == \
@@ -408,7 +406,7 @@ class TestRunDrop:
         # error its blocking users
         cfg = tiny_config(rng_seed=3)
         drop = generate_drop(cfg, 0)
-        weak = list(run_drop(cfg, drop, Architecture.ZF_TX).partition.groups[0])
+        weak = list(run_drop(cfg, drop, Architecture.ZF_TX).partition[0])
         matrices = drop.matrices.copy()
         matrices[2:, weak] = 0.0
         channels = ChannelSet(matrices=matrices,
@@ -449,7 +447,7 @@ class TestRunDrop:
         memo = {}
         for arch in ALL_ARCHS:
             res = run_drop(cfg, channels, arch, memo=memo)
-            assert res.partition.groups == ((0, 3), (1, 2))
+            assert res.partition == ((0, 3), (1, 2))
             assert res.infeasible_reason == ("quotas cannot be met for "
                                              "users [3]")
         errors = [value for key, value in memo.items()
@@ -680,7 +678,8 @@ class TestRunSweep:
 
 
 # link-level scenarios by name, built for a constellation size M: the
-# three presets and one with Q = 3 co-channel users per subcarrier
+# three presets and Q = 3 ones, with three co-channel users on every
+# subcarrier or, at quota 3, on some subcarriers two
 LINK_SCENARIOS = {
     "S1": lambda m: scenario_preset("S1", rng_seed=21, constellation_size=m),
     # 60 slots on 64 subcarriers: one-user subcarriers follow two-user ones
@@ -692,6 +691,9 @@ LINK_SCENARIOS = {
     "Q3": lambda m: tiny_config(num_users=6, tx_antennas=6, quota=(4,) * 6,
                                 mse_budget=(0.5,) * 6, rng_seed=24,
                                 constellation_size=m),
+    "Q3-quota3": lambda m: tiny_config(num_users=6, tx_antennas=6,
+                                       quota=(3,) * 6, mse_budget=(0.5,) * 6,
+                                       rng_seed=24, constellation_size=m),
     # L < N_R: tall diagonal blocks H_p F_p, Q = 2 and Q = 3
     "4x2-L1": lambda m: tiny_config(streams_per_user=1, quota=(4,) * 4,
                                     rng_seed=25, constellation_size=m),
@@ -736,9 +738,7 @@ class TestBuildPlans:
         # chain reads none of them: NaN there leaves its bytes unchanged.
         # S1-K24 has one-user subcarriers (Q = 2); Q3 fills all three
         # positions everywhere, and with quota 3 it has two-user ones
-        cfg = (tiny_config(num_users=6, tx_antennas=6, quota=(3,) * 6,
-                           mse_budget=(0.5,) * 6, rng_seed=24)
-               if scenario == "Q3-quota3" else LINK_SCENARIOS[scenario](16))
+        cfg = LINK_SCENARIOS[scenario](16)
         ell = cfg.streams_per_user
         channels = generate_drop(cfg, 0)
         res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)

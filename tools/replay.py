@@ -7,10 +7,12 @@ imported into this one process, on one BLAS thread, and runs all four
 architectures on 10 drops of each config in CONFIGS: every architecture
 once alone, then all of them on one shared memo in architecture order
 and on another in reverse order (1800 results). The two trees' results
-are compared field by field. Prints one JSON line with, per config, how
-many results are repr-equal (floats in numpy's "unique" mode) and the
-largest relative difference of any float. Exits 1 if any feasibility,
-reason, partition, order or allocation differs, or if any float differs
+are compared field by field, each partition as its groups, whichever
+form the tree returns. Prints one JSON line with, per config, how many
+results are repr-equal (floats in numpy's "unique" mode) and the largest
+relative difference of any float. Exits 1 if any feasibility, reason,
+partition, order or allocation differs, or a field is present in only
+one tree's result, naming the first such field; or if any float differs
 by more than 1e-12 relative, the output gate of the project's speedups.
 """
 
@@ -95,14 +97,26 @@ def leaves(value, path="result"):
         yield path, value
 
 
+def as_groups(result):
+    """The result with its partition as its groups: older trees hold the
+    groups, with each user's channel quality, in an object's `groups`."""
+    return dataclasses.replace(
+        result, partition=getattr(result.partition, "groups",
+                                  result.partition))
+
+
 def compare(parent, change, np):
-    """(largest relative float difference, first exact mismatch or None)."""
+    """(repr-equal, largest relative float difference, first exact
+    mismatch or None) of two results, each partition as its groups."""
+    parent, change = as_groups(parent), as_groups(change)
     worst, mismatch = 0.0, None
-    ours, theirs = list(leaves(parent)), list(leaves(change))
-    if [path for path, _ in ours] != [path for path, _ in theirs]:
-        return worst, (f"feasible {parent.feasible} != {change.feasible}, "
-                       "or another field count differs")
-    for (path, a), (_, b) in zip(ours, theirs):
+    ours, theirs = dict(leaves(parent)), dict(leaves(change))
+    for path in {**ours, **theirs}:  # the parent's order, then the change's
+        if path not in ours or path not in theirs:
+            tree = "parent" if path in ours else "change"
+            mismatch = mismatch or f"{path}: only in the {tree} tree"
+            continue
+        a, b = ours[path], theirs[path]
         x, y = np.asarray(a), np.asarray(b)
         finite = np.isfinite(x) if x.dtype.kind in "fc" else None
         if (finite is not None and y.dtype.kind in "fc"
@@ -113,7 +127,7 @@ def compare(parent, change, np):
             worst = max(worst, float(rel.max(initial=0.0)))
         elif repr(a) != repr(b):
             mismatch = mismatch or f"{path}: {a!r} != {b!r}"
-    return worst, mismatch
+    return repr(parent) == repr(change), worst, mismatch
 
 
 def main(argv=None) -> int:
@@ -131,8 +145,8 @@ def main(argv=None) -> int:
             parent, change = (replay(tree, preset, kwargs) for tree in trees)
             equal, worst = 0, 0.0
             for i, (a, b) in enumerate(zip(parent, change)):
-                equal += repr(a) == repr(b)
-                rel, mismatch = compare(a, b, np)
+                same, rel, mismatch = compare(a, b, np)
+                equal += same
                 worst = max(worst, rel)
                 if mismatch or rel > REL_TOL:
                     failed = True
