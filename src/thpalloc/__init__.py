@@ -9,10 +9,10 @@ precoding at user level removes all cross-group interference.
 
 from thpalloc.channel import ScenarioConfig, ChannelSet, scenario_preset, generate_drop
 from thpalloc.partition import channel_quality, partition_worst_first
-from thpalloc.assignment import Assignment, solve_assignment
+from thpalloc.assignment import solve_assignment
 from thpalloc.sim import Architecture, DropResult, SweepResult, run_drop, run_sweep
 
 __all__ = ["ScenarioConfig", "ChannelSet", "scenario_preset", "generate_drop",
-           "channel_quality", "partition_worst_first", "Assignment",
-           "solve_assignment", "Architecture", "DropResult", "SweepResult",
+           "channel_quality", "partition_worst_first", "solve_assignment",
+           "Architecture", "DropResult", "SweepResult",
            "run_drop", "run_sweep"]

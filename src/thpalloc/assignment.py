@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 
@@ -35,14 +34,6 @@ class InfeasibleAssignmentError(Exception):
     def __init__(self, message: str, blocking_users: list[int]):
         super().__init__(message)
         self.blocking_users = blocking_users
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Binary allocation a[n][k] with its exact total cost."""
-
-    a: np.ndarray       # (N, U) uint8
-    total_cost: float
 
 
 @functools.cache
@@ -74,9 +65,9 @@ def _slot_tables(quotas: tuple, n_sub: int):
     return quotas, cols, kth, axes, slots <= n_sub
 
 
-def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
-    """Minimum-total-cost assignment meeting every quota exactly; costs
-    is (N subcarriers x U users), +inf marking unusable pairs."""
+def solve_assignment(costs: np.ndarray, quotas) -> np.ndarray:
+    """Least-cost (N, U) uint8 allocation a[n][k] meeting every quota
+    exactly; costs is (N subcarriers x U users), +inf on unusable pairs."""
     costs = np.asarray(costs, dtype=float)
     n_sub, n_users = costs.shape
     if len(quotas) != n_users:
@@ -107,4 +98,4 @@ def solve_assignment(costs: np.ndarray, quotas) -> Assignment:
 
     a = np.zeros((n_sub, n_users), dtype=np.uint8)
     a[rows, cols] = 1
-    return Assignment(a=a, total_cost=float(np.where(a, costs, 0.0).sum()))
+    return a

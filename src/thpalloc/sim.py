@@ -22,7 +22,7 @@ channel's full SVD as LAPACK returns it (`_factors`), which gives every
 first-group price and every placed user's null space V0; the singular
 values of each candidate's h V0, which price it for the proposed scheme
 and ZfTx; each placement's buckets and null-space price; and each
-distinct group cost matrix's assignment (the proposed scheme and
+distinct group cost matrix's allocation (the proposed scheme and
 LinTxLinRx share the first group's, as ZfTx and ThpTx do on MISO links).
 """
 
@@ -35,8 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from thpalloc import baselines
-from thpalloc.assignment import (Assignment, InfeasibleAssignmentError,
-                                 solve_assignment)
+from thpalloc.assignment import InfeasibleAssignmentError, solve_assignment
 from thpalloc.baselines import Architecture
 from thpalloc.channel import ChannelSet, ScenarioConfig, generate_drop
 from thpalloc.loading import (_null_spaces, equalizing_rotation,
@@ -54,7 +53,6 @@ class DropResult:
     architecture: Architecture
     feasible: bool
     partition: tuple[tuple[int, ...], ...] | None = None  # worst first
-    assignments: tuple[Assignment, ...] = ()
     order: np.ndarray | None = None      # (N, Q) placement, if feasible
     total_power: float = math.nan        # linear, sigma_d^2 * sum tr(U^H U)
     power_db: float = math.nan           # 10 log10(total / sigma^2)
@@ -198,7 +196,7 @@ def _solve(costs, quotas, memo):
     if key not in memo:
         try:
             memo[key] = solve_assignment(costs, quotas)
-            memo[key].a.flags.writeable = False
+            memo[key].flags.writeable = False
         except InfeasibleAssignmentError as exc:
             memo[key] = exc
     return memo[key]
@@ -223,12 +221,14 @@ def _cost_matrix(config, h, order, power, users, architecture, memo):
     return grown_power - power[:, None], grown_power
 
 
-def _final_power(config, h, order, power, architecture, assignments, memo):
+def _final_power(config, h, order, power, architecture, solved, memo):
     """Total transmit power of the finished plan, linear scale: the
-    proposed scheme's committed costs, LinTxLinRx's carried `power`, else
-    the final stacks' bills (ThpTx's blind prices never saw them)."""
+    proposed scheme's committed costs (each group's (allocation, cost
+    matrix) in `solved`), LinTxLinRx's carried `power`, else the final
+    stacks' bills (ThpTx's blind prices never saw them)."""
     if architecture is Architecture.THP_TX_LIN_RX:
-        return config.symbol_variance * sum(a.total_cost for a in assignments)
+        return config.symbol_variance * sum(
+            float(np.where(a, costs, 0.0).sum()) for a, costs in solved)
     if architecture is not Architecture.LIN_TX_LIN_RX:
         for rows, stack in _buckets(order, memo):
             power[rows] = _bills(config, h, rows, stack, architecture).sum(-1)
@@ -315,7 +315,7 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
     order = np.full((config.num_subcarriers, config.group_count), -1)
     counts = np.zeros(config.num_subcarriers, dtype=int)  # users placed
     power = np.zeros(config.num_subcarriers)  # carried bill of each stack
-    assignments = []
+    solved = []  # each group's (allocation, cost matrix)
     try:
         blind = None
         if architecture is Architecture.THP_TX:  # each user billed alone
@@ -331,14 +331,14 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
             if isinstance(assignment, InfeasibleAssignmentError):
                 blocking = sorted(users[assignment.blocking_users].tolist())
                 return infeasible(f"quotas cannot be met for users {blocking}")
-            assignments.append(assignment)
-            n, j = assignment.a.nonzero()
+            solved.append((assignment, costs))
+            n, j = assignment.nonzero()
             order[n, counts[n]] = users[j]
             counts[n] += 1
             if grown is not None:
                 power[n] = grown[n, j]
-        total = _final_power(config, h, order, power, architecture,
-                             assignments, memo)
+        total = _final_power(config, h, order, power, architecture, solved,
+                             memo)
     except np.linalg.LinAlgError as exc:
         return infeasible(f"numerical failure (LinAlgError: {exc})")
     if not math.isfinite(total):  # a lost rank bills +inf even at weight 0
@@ -351,8 +351,8 @@ def run_drop(config: ScenarioConfig, channels: ChannelSet,
                           "total transmit power overflows")
     power_db = 10.0 * math.log10(total / config.noise_variance)
     return DropResult(architecture=architecture, feasible=True,
-                      partition=partition, assignments=tuple(assignments),
-                      order=order, total_power=total, power_db=power_db)
+                      partition=partition, order=order, total_power=total,
+                      power_db=power_db)
 
 
 def _sweep_drop(args):

@@ -46,8 +46,7 @@ import math
 
 import numpy as np
 
-from thpalloc.assignment import (_REDUCE_FROM, Assignment,
-                                 InfeasibleAssignmentError,
+from thpalloc.assignment import (_REDUCE_FROM, InfeasibleAssignmentError,
                                  _linear_sum_assignment)
 from thpalloc.baselines import Architecture, restrict_rows
 from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _null_spaces,
@@ -55,8 +54,28 @@ from thpalloc.loading import (INFEASIBLE_COST, RANK_TOL, _null_spaces,
 from thpalloc import channel, sim
 
 
-def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
-    """Exhaustive oracle for small instances (N <= 10, sum quota <= 10)."""
+def allocation_total(a, costs) -> float:
+    """The total cost of the allocation a on the cost matrix costs, as
+    the proposed scheme commits it."""
+    return float(np.where(a, costs, 0.0).sum())
+
+
+def placement(result) -> list[list[int]]:
+    """The users of a feasible result on each subcarrier, in placement
+    order."""
+    return [users[users >= 0].tolist() for users in result.order]
+
+
+def allocations(result) -> list[np.ndarray]:
+    """Each group's (N, U) uint8 allocation of a feasible result, read
+    from its order and partition."""
+    return [(result.order[:, :, None] == users).any(1).astype(np.uint8)
+            for users in map(np.asarray, result.partition)]
+
+
+def brute_force_assignment(costs: np.ndarray, quotas):
+    """Exhaustive oracle for small instances (N <= 10, sum quota <= 10):
+    the allocation and its optimal total."""
     costs = np.asarray(costs, dtype=float)
     n_sub, n_users = costs.shape
     if len(quotas) != n_users:
@@ -96,11 +115,10 @@ def brute_force_assignment(costs: np.ndarray, quotas) -> Assignment:
     for k, combo in enumerate(best_sets):
         for n in combo:
             a[n, k] = 1
-    total = float(np.sum(np.where(a.astype(bool), costs, 0.0)))
-    return Assignment(a=a, total_cost=total)
+    return a, float(np.sum(np.where(a.astype(bool), costs, 0.0)))
 
 
-def reference_solve_assignment(costs: np.ndarray, quotas) -> Assignment:
+def reference_solve_assignment(costs: np.ndarray, quotas) -> np.ndarray:
     """`assignment.solve_assignment` with its quota tables built on every
     call and the counting pass, the +inf mask and the inf - inf guards
     run on every matrix, all-finite ones included."""
@@ -134,7 +152,7 @@ def reference_solve_assignment(costs: np.ndarray, quotas) -> Assignment:
 
     a = np.zeros((n_sub, n_users), dtype=np.uint8)
     a[rows, cols] = 1
-    return Assignment(a=a, total_cost=float(np.where(a, costs, 0.0).sum()))
+    return a
 
 
 def channel_quality(channels, k: int) -> float:
@@ -406,11 +424,7 @@ def build_plans(config, channels, drop_result) -> tuple:
     B = C - I with C_ki = pinv(T_kk) T_ki, T_ki = H_k F_i. One entry per
     subcarrier: None where no user is placed, else (users in placement
     order, F (q, N_T, L), G (q, L, N_R), B (qL, qL))."""
-    placed = [[] for _ in range(config.num_subcarriers)]
-    for users, assignment in zip(drop_result.partition,
-                                 drop_result.assignments):
-        for n, j in np.argwhere(assignment.a).tolist():
-            placed[n].append(users[j])
+    placed = placement(drop_result)
     ell, tx, s2 = (config.streams_per_user, config.tx_antennas,
                    config.noise_variance)
     rotation = np.fft.fft(np.eye(ell), norm="ortho")

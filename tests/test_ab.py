@@ -27,14 +27,14 @@ def test_a_a_run_prints_one_json_line():
 
 
 def test_a_perturbed_total_exits_1(tmp_path):
-    # a copy of src/ whose solve_assignment scales each total by 1 + 1e-13:
-    # inside reference.json's 1e-12 tolerance, but not equal to the
-    # parent's outputs
+    # a copy of src/ whose proposed scheme scales each group's committed
+    # total by 1 + 1e-13: inside reference.json's 1e-12 tolerance, but not
+    # equal to the parent's outputs
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    path = tmp_path / "src" / "thpalloc" / "assignment.py"
+    path = tmp_path / "src" / "thpalloc" / "sim.py"
     source = path.read_text()
-    total = "total_cost=float(np.where(a, costs, 0.0).sum())"
+    total = "float(np.where(a, costs, 0.0).sum())"
     assert source.count(total) == 1
     path.write_text(source.replace(total, total[:-1] + " * (1 + 1e-13))"))
     proc = run_ab(ROOT, tmp_path)

@@ -97,6 +97,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="receive antennas"):
             small_config(streams_per_user=4, tx_antennas=8, rx_antennas=3,
                          num_users=4)
+        # fewer transmit than receive antennas leave no group
+        with pytest.raises(ValueError,
+                           match="tx_antennas must be >= rx_antennas"):
+            small_config(tx_antennas=1)
 
     def test_streams_exceed_transmit_space(self):
         with pytest.raises(ValueError, match="transmit space|receive"):
@@ -106,6 +110,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="divisible"):
             small_config(num_users=3, quota=(2, 2, 2),
                          mse_budget=(1.0, 1.0, 1.0))
+        # nor may the per-user lists count other than the users
+        for lists in (dict(quota=(2, 2, 2)), dict(mse_budget=(1.0,) * 5)):
+            with pytest.raises(ValueError, match="quota and mse_budget must "
+                                                 "have one entry per user"):
+                small_config(**lists)
 
     def test_group_quota_exceeds_subcarriers(self):
         with pytest.raises(ValueError, match="quota sum"):
@@ -281,6 +290,15 @@ class TestGenerateDrop:
         assert ch.matrices.shape == (8, 4, 2, 4)
         assert np.all(np.isfinite(ch.matrices))
         assert ch.drop_id == 0
+        # a ChannelSet of another rank, or with a non-finite entry, is
+        # rejected at construction
+        with pytest.raises(ValueError, match=r"must be a \(N, K, N_R, N_T\)"):
+            dataclasses.replace(ch, matrices=ch.matrices[0])
+        for value in (math.nan, math.inf):
+            bad = ch.matrices.copy()
+            bad[3, 1, 0, 2] = value
+            with pytest.raises(ValueError, match="non-finite entries"):
+                dataclasses.replace(ch, matrices=bad)
 
     def test_positions_inside_cell(self):
         cfg = small_config(rng_seed=5)

@@ -61,12 +61,19 @@ class TestParsing:
         assert run_main(["sweep", "--scenario", "S1", "--frobnicate",
                          "--out", str(tmp_path / "o.csv")]) == 1
 
-    def test_arch_list(self):
+    def test_arch_list(self, tmp_path, capsys):
         assert parse_arch_list("all") == list(Architecture)
         assert parse_arch_list("ZfTx,ThpTx") == [Architecture.ZF_TX,
                                                  Architecture.THP_TX]
         with pytest.raises(ValueError):
             parse_arch_list("Nonsense")
+        # a list of no architecture parses, and the sweep rejects it
+        out = tmp_path / "o.csv"
+        assert run_main(["sweep", "--scenario", "S1", "--arch", ",",
+                         "--out", str(out)]) == 1
+        assert ("error: at least one architecture required"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bad_workers_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

@@ -13,6 +13,7 @@ import pathlib
 
 import pytest
 
+from oracles import allocations
 from thpalloc.baselines import Architecture
 from thpalloc.channel import generate_drop, scenario_preset
 from thpalloc.sim import run_drop
@@ -23,12 +24,10 @@ DROPS = (0, 1)
 
 
 def owners(result):
-    """Per group round, the user given each subcarrier (-1 if none)."""
-    out = []
-    for users, assignment in zip(result.partition, result.assignments):
-        out.append([users[row.argmax()] if row.any() else -1
-                    for row in assignment.a])
-    return out
+    """Per group round, the user given each subcarrier (-1 if none), read
+    from the result's order and partition."""
+    return [[users[row.argmax()] if row.any() else -1 for row in a]
+            for users, a in zip(result.partition, allocations(result))]
 
 
 def drop_record(preset, num_users, drop, arch):

@@ -106,7 +106,7 @@ def replay(config, channels, architecture):
                           for n in range(config.num_subcarriers)])
         reference.append(costs)
         if assignment is not None:
-            chosen = assignment.a.astype(bool)
+            chosen = assignment.astype(bool)
             committed += float(np.sum(costs[chosen]))
             for n, j in np.argwhere(chosen).tolist():
                 placed[n].append(users[j])

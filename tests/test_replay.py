@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from thpalloc import channel, sim
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,9 +42,10 @@ def patched_copy(tmp_path, module, old, new):
 
 
 def scaled_copy(tmp_path, factor):
-    """A copy of src/ whose solve_assignment scales each total by factor."""
-    total = "total_cost=float(np.where(a, costs, 0.0).sum())"
-    return patched_copy(tmp_path, "assignment.py", total,
+    """A copy of src/ whose proposed scheme scales each group's committed
+    total by factor."""
+    total = "float(np.where(a, costs, 0.0).sum())"
+    return patched_copy(tmp_path, "sim.py", total,
                         total[:-1] + f" * {factor!r})")
 
 
@@ -72,6 +74,21 @@ class WrappedGroups:
 
     groups: tuple
     quality: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class ResultWithAllocations:
+    """A result as older trees return it: each group's allocation also in
+    `assignments`, beside the order built from them."""
+
+    architecture: sim.Architecture
+    feasible: bool
+    partition: tuple
+    assignments: tuple
+    order: np.ndarray
+    total_power: float
+    power_db: float
+    infeasible_reason: str = ""
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +142,18 @@ def test_a_partition_compares_as_its_groups(replay, result):
             != [path for path, _ in replay.leaves(result)])
     assert replay.compare(wrapped, result, np) == (True, 0.0, None)
     assert replay.compare(result, wrapped, np) == (True, 0.0, None)
+
+
+def test_older_allocations_compare_through_order(replay, result):
+    older = ResultWithAllocations(
+        assignments=tuple(oracles.allocations(result)),
+        **{f.name: getattr(result, f.name)
+           for f in dataclasses.fields(result)})
+    # as they are, the two results' leaf paths differ
+    assert ([path for path, _ in replay.leaves(older)]
+            != [path for path, _ in replay.leaves(result)])
+    assert replay.compare(older, result, np) == (True, 0.0, None)
+    assert replay.compare(result, older, np) == (True, 0.0, None)
 
 
 def test_a_result_layout_change_exits_1_naming_the_field(tmp_path):

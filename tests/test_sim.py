@@ -33,13 +33,20 @@ def tiny_config(**overrides):
 ALL_ARCHS = tuple(Architecture)
 
 
-def placement(result, num_subcarriers):
-    """The users of a result on each subcarrier, in placement order."""
-    placed = [[] for _ in range(num_subcarriers)]
-    for users, assignment in zip(result.partition, result.assignments):
-        for n, j in np.argwhere(assignment.a).tolist():
-            placed[n].append(users[j])
-    return placed
+def run_with_totals(config, channels, architecture):
+    """run_drop's result and each solved group's committed total,
+    `oracles.allocation_total` of its allocation and cost matrix."""
+    totals = []
+
+    def recorded(costs, quotas, memo, _solve=sim._solve):
+        a = _solve(costs, quotas, memo)
+        if not isinstance(a, InfeasibleAssignmentError):
+            totals.append(oracles.allocation_total(a, costs))
+        return a
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_solve", recorded)
+        return run_drop(config, channels, architecture), totals
 
 
 @pytest.fixture
@@ -77,11 +84,11 @@ def price_keys(memo):
 
 
 def assert_same_result(got, want):
-    """Equal feasibility, assignments and total power, bit for bit."""
+    """Equal feasibility, partition, placement and total power, bit for
+    bit."""
     assert got.feasible == want.feasible
-    assert len(got.assignments) == len(want.assignments)
-    for a, b in zip(got.assignments, want.assignments):
-        np.testing.assert_array_equal(a.a, b.a)
+    assert got.partition == want.partition
+    np.testing.assert_array_equal(got.order, want.order)  # None if infeasible
     assert got.total_power == want.total_power or (
         math.isnan(got.total_power) and math.isnan(want.total_power))
 
@@ -91,11 +98,11 @@ class TestRunDrop:
         # one user per group, quota = N: every subcarrier is forced
         cfg = tiny_config(num_users=2, quota=(8, 8), mse_budget=(1.0, 1.0))
         channels = generate_drop(cfg, 0)
-        res = run_drop(cfg, channels, Architecture.THP_TX_LIN_RX)
+        res, totals = run_with_totals(cfg, channels,
+                                      Architecture.THP_TX_LIN_RX)
         assert res.feasible
-        assert sum(int(a.a.sum()) for a in res.assignments) == 16
-        total = cfg.symbol_variance * sum(a.total_cost
-                                          for a in res.assignments)
+        assert int((res.order >= 0).sum()) == 16
+        total = cfg.symbol_variance * sum(totals)
         assert res.total_power == pytest.approx(total, rel=1e-9)
 
     def test_quota_satisfied_per_user(self):
@@ -104,11 +111,9 @@ class TestRunDrop:
         for arch in ALL_ARCHS:
             res = run_drop(cfg, channels, arch)
             assert res.feasible
-            counts = {k: 0 for k in range(cfg.num_users)}
-            for users, assignment in zip(res.partition, res.assignments):
-                for k, placed in zip(users, assignment.a.sum(axis=0)):
-                    counts[k] += int(placed)
-            assert all(counts[k] == cfg.quota[k] for k in counts)
+            counts = np.bincount(res.order[res.order >= 0],
+                                 minlength=cfg.num_users)
+            assert counts.tolist() == list(cfg.quota)
 
     def test_analytic_mse_equals_budget(self):
         cfg = tiny_config(rng_seed=2)
@@ -161,8 +166,8 @@ class TestRunDrop:
             a = run_drop(cfg, channels, arch)
             b = run_drop(cfg.with_rho(rho2), channels, arch)
             assert a.feasible and b.feasible
-            for ga, gb in zip(a.assignments, b.assignments):
-                np.testing.assert_array_equal(ga.a, gb.a)
+            for ga, gb in zip(oracles.allocations(a), oracles.allocations(b)):
+                np.testing.assert_array_equal(ga, gb)
             assert b.power_db - a.power_db == pytest.approx(
                 -10 * math.log10(rho2 / rho1), abs=1e-9)
 
@@ -181,16 +186,14 @@ class TestRunDrop:
             cfg, quota=tuple(cfg.quota[k] for k in perm),
             mse_budget=tuple(cfg.mse_budget[k] for k in perm))
         for arch in ALL_ARCHS:
-            a = run_drop(cfg, channels, arch)
-            b = run_drop(moved_cfg, moved, arch)
+            a, a_totals = run_with_totals(cfg, channels, arch)
+            b, b_totals = run_with_totals(moved_cfg, moved, arch)
             assert a.feasible and b.feasible
             assert [[perm[i] for i in g] for g in b.partition] == \
                 [list(g) for g in a.partition]
-            for ga, gb in zip(a.assignments, b.assignments):
-                np.testing.assert_array_equal(ga.a, gb.a)
-            assert [gb.total_cost for gb in b.assignments] == \
-                pytest.approx([ga.total_cost for ga in a.assignments],
-                              rel=1e-12)
+            for ga, gb in zip(oracles.allocations(a), oracles.allocations(b)):
+                np.testing.assert_array_equal(ga, gb)
+            assert b_totals == pytest.approx(a_totals, rel=1e-12)
             assert b.power_db == pytest.approx(a.power_db, rel=1e-12)
 
     def test_proposed_never_above_linear(self):
@@ -264,17 +267,15 @@ class TestRunDrop:
         for drop in range(3):
             channels = generate_drop(cfg, drop)
             for arch in (Architecture.ZF_TX, Architecture.LIN_TX_LIN_RX):
-                res = run_drop(cfg, channels, arch)
+                res, totals = run_with_totals(cfg, channels, arch)
                 assert res.feasible
                 assert res.total_power == pytest.approx(
                     oracles.baseline_final_power(
-                        cfg, channels, placement(res, cfg.num_subcarriers),
-                        arch), rel=1e-12)
+                        cfg, channels, oracles.placement(res), arch),
+                    rel=1e-12)
                 if arch is Architecture.LIN_TX_LIN_RX:
                     assert res.total_power == pytest.approx(
-                        cfg.symbol_variance * sum(a.total_cost
-                                                  for a in res.assignments),
-                        rel=1e-12)
+                        cfg.symbol_variance * sum(totals), rel=1e-12)
 
     @pytest.mark.parametrize("preset", ["S1", "S2", "S3"])
     def test_no_pseudo_inverse(self, preset, monkeypatch):
@@ -320,7 +321,7 @@ class TestRunDrop:
     def test_shared_memo_matches_lone_solves(self, scenario):
         # a sweep prices each drop through one memo for all architectures;
         # in either order every result equals the architecture's lone solve
-        # (the memo also holds the partition and the assignments; only its
+        # (the memo also holds the partition and the allocations; only its
         # price keys are compared here)
         cfg = SHARING_SCENARIOS[scenario]()
         diverged = False
@@ -371,8 +372,8 @@ class TestRunDrop:
                 assert_same_result(shared, lone[arch])
                 assert shared.order.tobytes() == lone[arch].order.tobytes()
             assert len(calls) == 4
-            assert all(not a.a.flags.writeable
-                       for a in shared.assignments)
+            assert all(not memo[key].flags.writeable
+                       for key in memo if key[0] == "assignment")
 
     def test_shared_memo_derives_each_placements_buckets_once(self,
                                                              monkeypatch):

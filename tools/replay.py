@@ -8,12 +8,15 @@ architectures on 10 drops of each config in CONFIGS: every architecture
 once alone, then all of them on one shared memo in architecture order
 and on another in reverse order (1800 results). The two trees' results
 are compared field by field, each partition as its groups, whichever
-form the tree returns. Prints one JSON line with, per config, how many
-results are repr-equal (floats in numpy's "unique" mode) and the largest
+form the tree returns. Older trees also keep each group's allocation in
+`assignments`; that field is left out, since `run_drop` builds `order`
+from those allocations, so an equal `order` and partition mean equal
+allocations. Prints one JSON line with, per config, how many results
+are repr-equal (floats in numpy's "unique" mode) and the largest
 relative difference of any float. Exits 1 if any feasibility, reason,
-partition, order or allocation differs, or a field is present in only
-one tree's result, naming the first such field; or if any float differs
-by more than 1e-12 relative, the output gate of the project's speedups.
+partition or order differs, or a field is present in only one tree's
+result, naming the first such field; or if any float differs by more
+than 1e-12 relative, the output gate of the project's speedups.
 """
 
 from __future__ import annotations
@@ -84,12 +87,14 @@ def replay(tree, preset, kwargs):
 
 
 def leaves(value, path="result"):
-    """(path, value) of each field inside a result, dataclasses and
-    tuples opened."""
+    """(path, value) of each field inside a result, dataclasses, field
+    dicts and tuples opened."""
     if dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from leaves(getattr(value, field.name),
-                              f"{path}.{field.name}")
+        value = {f.name: getattr(value, f.name)
+                 for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from leaves(item, f"{path}.{name}")
     elif isinstance(value, tuple):
         for i, item in enumerate(value):
             yield from leaves(item, f"{path}[{i}]")
@@ -97,18 +102,22 @@ def leaves(value, path="result"):
         yield path, value
 
 
-def as_groups(result):
-    """The result with its partition as its groups: older trees hold the
-    groups, with each user's channel quality, in an object's `groups`."""
-    return dataclasses.replace(
-        result, partition=getattr(result.partition, "groups",
-                                  result.partition))
+def compared_fields(result):
+    """The result's fields by name, its partition as its groups and no
+    `assignments`: older trees hold the groups, with each user's channel
+    quality, in an object's `groups`, and each group's allocation, which
+    `order` and the partition fix, in `assignments`."""
+    kept = {f.name: getattr(result, f.name)
+            for f in dataclasses.fields(result) if f.name != "assignments"}
+    kept["partition"] = getattr(kept["partition"], "groups",
+                                kept["partition"])
+    return kept
 
 
 def compare(parent, change, np):
     """(repr-equal, largest relative float difference, first exact
-    mismatch or None) of two results, each partition as its groups."""
-    parent, change = as_groups(parent), as_groups(change)
+    mismatch or None) of two results' `compared_fields`."""
+    parent, change = compared_fields(parent), compared_fields(change)
     worst, mismatch = 0.0, None
     ours, theirs = dict(leaves(parent)), dict(leaves(change))
     for path in {**ours, **theirs}:  # the parent's order, then the change's
