@@ -209,7 +209,8 @@ def generate_drop(config: ScenarioConfig, drop_index: int,
         positions = np.asarray(positions, dtype=float)
 
     dist = np.hypot(positions[:, 0], positions[:, 1])
-    gains = (dist / config.cell_radius_m) ** (-config.pathloss_exponent)
+    with np.errstate(over="ignore"):  # an inf gain fails ChannelSet's check
+        gains = (dist / config.cell_radius_m) ** (-config.pathloss_exponent)
 
     phase, amplitude = _drop_tables(n_sub, config.pdp_taps, config.pdp_decay)
     # taps: (K, T, N_R, N_T) i.i.d. CN(0, p_t)

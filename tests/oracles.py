@@ -118,6 +118,34 @@ def brute_force_assignment(costs: np.ndarray, quotas):
     return a, float(np.sum(np.where(a.astype(bool), costs, 0.0)))
 
 
+def lp_assignment(costs: np.ndarray, quotas) -> float | None:
+    """The optimal total of a group's assignment as a linear program over
+    its finite pairs, solved by HiGHS (`scipy.optimize.linprog`), which
+    shares no code with the solver's LSAP core: at most one user per
+    subcarrier, exactly its quota per user, 0 <= a <= 1. The constraints
+    are a transportation problem's, totally unimodular, so the LP optimum
+    is the integer one. None if the LP is infeasible."""
+    from scipy.optimize import linprog
+    costs = np.asarray(costs, dtype=float)
+    n_sub, n_users = costs.shape
+    rows, cols = np.isfinite(costs).nonzero()
+    if not rows.size:
+        return None if any(quotas) else 0.0
+    pairs = np.arange(rows.size)
+    per_sub = np.zeros((n_sub, rows.size))
+    per_sub[rows, pairs] = 1.0
+    per_user = np.zeros((n_users, rows.size))
+    per_user[cols, pairs] = 1.0
+    res = linprog(costs[rows, cols], A_ub=per_sub, b_ub=np.ones(n_sub),
+                  A_eq=per_user, b_eq=np.asarray(quotas, dtype=float),
+                  bounds=(0.0, 1.0), method="highs")
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    return float(res.fun)
+
+
 def reference_solve_assignment(costs: np.ndarray, quotas) -> np.ndarray:
     """`assignment.solve_assignment` with its quota tables built on every
     call and the counting pass, the +inf mask and the inf - inf guards

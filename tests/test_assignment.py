@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 import thpalloc
 from oracles import (allocation_total, brute_force_assignment,
-                     reference_solve_assignment)
-from thpalloc import assignment
+                     lp_assignment, reference_solve_assignment)
+from thpalloc import assignment, sim
 from thpalloc.assignment import InfeasibleAssignmentError, solve_assignment
+from thpalloc.baselines import Architecture
+from thpalloc.channel import generate_drop, scenario_preset
 
 
 def check_constraints(a, costs, quotas):
@@ -572,3 +574,81 @@ class TestSlotTables:
         assert assignment._slot_tables((12, 12), 24)[3:] == ((0, 1), True)
         assert assignment._slot_tables((12, 12), 30)[3:] == ((0,), True)
         assert assignment._slot_tables((12, 13), 24)[3:] == ((0,), False)
+
+
+def lp_agrees(costs, quotas):
+    """`solve_assignment` against the LP oracle: both infeasible, or a
+    valid allocation whose total is the LP optimum within 1e-12
+    relative. True if the group is feasible."""
+    optimum = lp_assignment(costs, quotas)
+    try:
+        a = solve_assignment(costs, quotas)
+    except InfeasibleAssignmentError:
+        assert optimum is None
+        return False
+    assert optimum is not None
+    check_constraints(a, costs, quotas)
+    assert allocation_total(a, costs) == pytest.approx(optimum, rel=1e-12)
+    return True
+
+
+def lp_edge_cases():
+    """Groups of 24 slots and more, where the solver shifts its duals and
+    takes its all-finite path: (costs, quotas, feasible) params."""
+    rng = np.random.default_rng(36)
+    cases = []
+    for n_sub in (32, 36):  # slots = N, or 4 idle subcarriers
+        costs = rng.uniform(1.0, 9.0, (n_sub, 8))
+        costs[5] = math.inf  # a subcarrier no user can take
+        cases.append(pytest.param(costs, [4] * 8, n_sub > 32,
+                                  id=f"inf-row-{n_sub}"))
+    for n_sub in (40, 64):  # three tied levels, square and with idle rows
+        cases.append(pytest.param(rng.choice([1.0, 2.0, 3.0], (n_sub, 8)),
+                                  [5] * 8, True, id=f"ties-{n_sub}"))
+    cases.append(pytest.param(np.ones((48, 12)), [4] * 12, True,
+                              id="all-equal"))
+    cases.append(pytest.param(np.full((24, 4), math.inf), [6] * 4, False,
+                              id="all-inf"))
+    costs = rng.uniform(1.0, 9.0, (30, 6))
+    costs[6:, :2] = math.inf  # users 0 and 1 need 8 of 6 subcarriers
+    cases.append(pytest.param(costs, [4, 4, 5, 5, 5, 5], False, id="hall"))
+    costs = 10.0 ** rng.uniform(-5.0, 3.0, (64, 16))
+    costs[:, 3] = math.inf  # a zero-quota user with no usable subcarrier
+    cases.append(pytest.param(costs, [4] * 3 + [0] + [4] * 12, True,
+                              id="zero-quota-inf-column"))
+    return cases
+
+
+class TestLpOracle:
+    @pytest.mark.parametrize("preset,users", [
+        ("S1", 8), ("S1", 16), ("S1", 24), ("S1", 32), ("S2", 16),
+        ("S3", 16), ("S3", 32)])
+    def test_matches_lp_on_drop_groups(self, monkeypatch, preset, users):
+        # every group matrix run_drop solves on five drops, all four
+        # architectures on one memo each, as a sweep solves them
+        solved = []
+
+        def spy(costs, quotas):
+            solved.append((costs.copy(), quotas))
+            return solve_assignment(costs, quotas)
+
+        monkeypatch.setattr(sim, "solve_assignment", spy)
+        config = scenario_preset(preset, num_users=users)
+        for drop in range(5):
+            channels, memo = generate_drop(config, drop), {}
+            for arch in Architecture:
+                sim.run_drop(config, channels, arch, memo=memo)
+        assert solved
+        for costs, quotas in solved:
+            assert lp_agrees(costs, quotas)
+
+    @pytest.mark.parametrize("costs,quotas,feasible", lp_edge_cases())
+    def test_matches_lp_on_edge_cases(self, costs, quotas, feasible):
+        assert lp_agrees(costs, quotas) == feasible
+
+    @settings(max_examples=60, derandomize=True)
+    @given(case=dual_start_groups())
+    def test_matches_lp_on_random_groups(self, case):
+        # scattered, whole-row and block +inf patterns: the LP must be
+        # infeasible exactly where the solver raises
+        lp_agrees(*case)

@@ -1,6 +1,11 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -13,7 +18,7 @@ from hypothesis import strategies as st
 
 import thpalloc
 from thpalloc.baselines import Architecture
-from thpalloc.channel import scenario_preset
+from thpalloc.channel import ScenarioConfig, scenario_preset
 from thpalloc.cli import build_parser, load_config_file, main, parse_arch_list
 from thpalloc.sim import DropResult
 
@@ -216,12 +221,16 @@ class TestEndToEnd:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_count_invariance(self, tmp_path):
-        a, b = tmp_path / "w1.csv", tmp_path / "w3.csv"
+        # values below 2 run in-process, like 1
         argv = ["sweep", "--scenario", "S3", "--rho", "0.25", "--drops", "3",
                 "--seed", "2", "--arch", "ThpTxLinRx,LinTxLinRx"]
-        assert run_main(argv + ["--workers", "1", "--out", str(a)]) == 0
-        assert run_main(argv + ["--workers", "3", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        outputs = []
+        for workers in ("1", "3", "0", "-1"):
+            out = tmp_path / f"w{workers}.csv"
+            assert run_main(argv + ["--workers", workers, "--out",
+                                    str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert len(set(outputs)) == 1
 
     @pytest.mark.filterwarnings("error")  # the warning line, not numpy's
     def test_point_without_feasible_drop_warns(self, tmp_path, capsys,
@@ -341,14 +350,15 @@ class TestEndToEnd:
         assert len(rows) == len(Architecture)
         assert all(np.isfinite(float(row[2])) for row in rows)
 
-    def test_budget_class_rescale_out_of_range_runs(self, tmp_path, capsys):
-        # rho 1e-290 and 1e290 share a budget class, but the rescale
-        # between them underflows: each point must be solved as if alone
-        def detail(rhos):
-            return s1_detail_rows(tmp_path, capsys, rhos)
-
-        both = detail("1e-290,1e290")
-        assert both == detail("1e-290") + detail("1e290")
+    @pytest.mark.parametrize("rhos", ["1e-290,1e290", "1e-300,1e20"])
+    def test_budget_class_rescale_out_of_range_runs(self, tmp_path, capsys,
+                                                    rhos):
+        # each pair shares a budget class, but the rescale between them
+        # underflows to 0 or to the subnormal 1e-320: each point must be
+        # solved as if alone
+        both = s1_detail_rows(tmp_path, capsys, rhos)
+        assert both == sum((s1_detail_rows(tmp_path, capsys, rho)
+                            for rho in rhos.split(",")), [])
         assert all(np.isfinite(float(row.split(",")[3])) for row in both)
 
     @pytest.mark.parametrize("rhos", ["1e-5,1e-307", "1e-307,1e-5"])
@@ -491,6 +501,7 @@ def config_files(draw):
 @example(lines=_lines(pdp_decay=-1))
 @example(lines=_lines(pdp_decay="nan"))
 @example(lines=_lines(pathloss_exponent=-4))
+@example(lines=_lines(pathloss_exponent=2000))
 @example(lines=_lines(pdp_decay=1e50))
 @example(lines=_lines(pdp_decay=1e300))
 def test_fuzzed_config_files_exit_cleanly(lines):
@@ -573,3 +584,64 @@ def test_serial_run_loads_no_process_pool(tmp_path):
     for name in ("w", "d"):
         assert ((tmp_path / f"{name}1.csv").read_bytes()
                 == (tmp_path / f"{name}2.csv").read_bytes())
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class TestReadme:
+    """README.md states the CLI contract and the layout of today's code."""
+
+    @property
+    def text(self):
+        return (ROOT / "README.md").read_text()
+
+    def shell_lines(self):
+        """The lines of the fenced sh blocks, continuations joined."""
+        blocks = re.findall(r"^```sh\n(.*?)^```$", self.text, re.M | re.S)
+        return "\n".join(blocks).replace("\\\n", " ").splitlines()
+
+    def test_at_most_250_lines(self):
+        assert len(self.text.splitlines()) <= 250
+
+    def test_commands_parse(self):
+        commands = [shlex.split(line, comments=True)
+                    for line in self.shell_lines()
+                    if line.startswith("thpalloc")]
+        assert len(commands) >= 3
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
+
+    def test_every_option_is_named(self):
+        sweep = next(action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)
+                     ).choices["sweep"]
+        options = [option for action in sweep._actions
+                   for option in action.option_strings
+                   if option.startswith("--") and option != "--help"]
+        assert options
+        for option in options:
+            assert re.search(f"`{option}[ `]", self.text), option
+
+    def test_csv_headers_are_the_written_ones(self, tmp_path):
+        out, detail = tmp_path / "o.csv", tmp_path / "d.csv"
+        assert run_main(["sweep", "--scenario", "S1", "--arch", "ThpTx",
+                         "--drops", "1", "--out", str(out),
+                         "--detail", str(detail)]) == 0
+        headers = [line for line in self.text.splitlines()
+                   if line.startswith("axis,architecture,")]
+        assert headers == [out.read_text().splitlines()[0],
+                           detail.read_text().splitlines()[0]]
+
+    def test_every_config_key_is_named(self):
+        for field in dataclasses.fields(ScenarioConfig):
+            assert f"`{field.name}`" in self.text, field.name
+
+    def test_every_module_and_tool_is_named(self):
+        package = pathlib.Path(thpalloc.__file__).parent
+        modules = [path.name for path in package.glob("*.py")
+                   if path.name != "__init__.py"]
+        tools = [f"tools/{path.name}" for path in (ROOT / "tools").glob("*.py")]
+        assert len(modules) > 1 and tools
+        for name in modules + tools:
+            assert re.search(rf"\b{re.escape(name)}\b", self.text), name
